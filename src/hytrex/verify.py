@@ -21,6 +21,7 @@ from .graph import (
     BipGraph,
     abstract_dual,
     bits_of,
+    components,
     graph_from_json,
     graph_to_json,
     nullity,
@@ -100,21 +101,7 @@ def _ok(name, corpus, instances) -> CheckReport:
 
 
 def _masks_connected_and_covering(n_v: int, masks) -> bool:
-    union = 0
-    for m in masks:
-        union |= m
-    if union != (1 << n_v) - 1:
-        return False
-    remaining = list(masks)
-    comp = remaining.pop()
-    grown = True
-    while grown and remaining:
-        grown = False
-        for i in range(len(remaining) - 1, -1, -1):
-            if remaining[i] & comp:
-                comp |= remaining.pop(i)
-                grown = True
-    return not remaining
+    return components(masks, (1 << len(masks)) - 1, (1 << n_v) - 1) == 1
 
 
 def _transpose_masks(n_v: int, e_masks) -> list[int]:
@@ -334,30 +321,16 @@ def check_interpolating(corpus) -> CheckReport:
 
 
 def _components_without(g: BipGraph, removed) -> int:
-    removed = set(removed)
-    n = g.n_v + g.n_e
-    keep = [i for i in range(n) if i not in removed]
-    if not keep:
-        return 0
-    seen = set(removed)
-    comps = 0
-    for start in keep:
-        if start in seen:
-            continue
-        comps += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            node = stack.pop()
-            if node < g.n_v:
-                nbrs = (g.n_v + e for e in g.v_nbrs[node])
-            else:
-                nbrs = iter(g.e_nbrs[node - g.n_v])
-            for nxt in nbrs:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-    return comps
+    """Components left after deleting vertices; V-vertex ``i`` is node ``i``
+    and E-vertex ``e`` is node ``g.n_v + e``."""
+    v_out = e_out = 0
+    for node in removed:
+        if node < g.n_v:
+            v_out |= 1 << node
+        else:
+            e_out |= 1 << (node - g.n_v)
+    masks = [m & ~v_out for m in g.e_masks]
+    return components(masks, ((1 << g.n_e) - 1) & ~e_out, ((1 << g.n_v) - 1) & ~v_out)
 
 
 def _cut_pairs(g: BipGraph, side: str):

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: outputs, exit codes, determinism, round-trips."""
 
 import json
+import os
 
 import pytest
 
@@ -204,9 +205,13 @@ class TestErrors:
         code, _, _ = run(capsys, ["interior", cycle6_file, "--order", "e1,e2,zzz"])
         assert code == 2
 
-    def test_bad_threads(self, capsys, cycle6_file):
-        code, _, _ = run(capsys, ["interior", cycle6_file, "--threads", "0"])
-        assert code == 2
+    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--max-e", "5"]])
+    def test_removed_flags_are_usage_errors(self, cycle6_file, flag):
+        env = dict(os.environ)
+        with pytest.raises(SystemExit) as exc:
+            main(["interior", cycle6_file] + flag)
+        assert exc.value.code == 2
+        assert dict(os.environ) == env
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import complete_bipartite, connected_bipgraphs, cycle, path_graph
+from hytrex import graph
 from hytrex.errors import CapacityError, DisconnectedGraphError, GraphError
 from hytrex.graph import BipGraph, edge_subset, mu
 from hytrex.hypertrees import (
@@ -59,7 +60,7 @@ class TestPolymatroid:
         assert is_hypertree_by_polymatroid(complete_bipartite(3, 3), (2, 0, 0))
 
     def test_capacity_error(self, monkeypatch):
-        monkeypatch.setenv("HYTREX_MAX_E", "2")
+        monkeypatch.setattr(graph, "SUBSET_CAP", 2)
         with pytest.raises(CapacityError):
             is_hypertree_by_polymatroid(cycle(3), (0, 1, 1))
 
