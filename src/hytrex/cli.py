@@ -144,14 +144,13 @@ def _resolve_order(g: BipGraph, text):
 
 
 def _load_hyperedge_graph(args):
-    """The input graph with the chosen class as hyperedges, and the order;
-    the order in effect is echoed on stderr."""
+    """The input graph with the chosen class as hyperedges, and the order,
+    validated before it is echoed on stderr."""
     g = _load_bipartite(args)
     if args.hyperedges == "v":
         g = abstract_dual(g)
-    order = _resolve_order(g, args.order)
-    shown = order if order is not None else range(g.n_e)
-    print("order: " + ",".join(g.e_names[e] for e in shown), file=sys.stderr)
+    order = normalize_edge_order(g, _resolve_order(g, args.order))
+    print("order: " + ",".join(g.e_names[e] for e in order), file=sys.stderr)
     return g, order
 
 
@@ -164,19 +163,18 @@ def _cmd_polynomial(args, poly_fn, var) -> int:
 
 def _cmd_hypertrees(args) -> int:
     g, order = _load_hyperedge_graph(args)
-    norm = normalize_edge_order(g, order)
     b = enumerate_hypertrees(g)
     rows = []
     for f in b:
-        internal = internal_active_flags(b, f, norm)
-        external = external_active_flags(b, f, norm)
+        internal = internal_active_flags(b, f, order)
+        external = external_active_flags(b, f, order)
         rows.append({
             "f": list(f),
             "internal_inactivity": len(internal) - sum(internal),
             "external_inactivity": len(external) - sum(external),
         })
     if args.as_json:
-        out = {"order": [g.e_names[e] for e in norm], "hypertrees": rows}
+        out = {"order": [g.e_names[e] for e in order], "hypertrees": rows}
         print(json.dumps(out, separators=(",", ":")))
     else:
         print("hypertree\tinternal_inactivity\texternal_inactivity")

@@ -789,7 +789,15 @@ def run_all_checks(seed: int = 0, corpus=None, orders_per_graph: int = 20,
                    random_max_total: int = 14, names=None,
                    progress=None) -> list[CheckReport]:
     """Run the named checks (all by default) over one shared corpus.  The
-    enumeration-oracle gate always runs first."""
+    enumeration-oracle gate always runs first.  Parameters that would
+    silently skip checks are rejected with :class:`GraphError`."""
+    if orders_per_graph < 1:
+        raise GraphError(f"orders per graph must be at least 1, got {orders_per_graph}")
+    if random_count < 0:
+        raise GraphError(f"random graph count must be non-negative, got {random_count}")
+    if max_total < 2 or random_max_total < 2:
+        raise GraphError("corpus sizes |V| + |E| must be at least 2, got "
+                         f"{max_total} and {random_max_total}")
     if corpus is None:
         corpus = default_corpus(seed=seed, max_total=max_total,
                                 random_count=random_count,

@@ -205,6 +205,24 @@ class TestErrors:
         code, _, _ = run(capsys, ["interior", cycle6_file, "--order", "e1,e2,zzz"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["interior", "exterior", "hypertrees"])
+    def test_invalid_order_is_not_echoed(self, capsys, command):
+        code, out, err = run(capsys, [command, "family", "cycle", "4",
+                                      "--order", "e1,e1,e2,e3"])
+        assert code == 2
+        assert out == ""
+        assert "order:" not in err
+        assert "permutation" in err
+
+    @pytest.mark.parametrize("flag", [
+        ["--orders", "-1"], ["--orders", "0"], ["--random-count", "-1"],
+        ["--max-total", "1"], ["--random-max", "1"]])
+    def test_verify_rejects_parameters_that_skip_checks(self, capsys, flag):
+        code, out, err = run(capsys, ["verify", "invariance"] + flag)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     @pytest.mark.parametrize("flag", [["--threads", "2"], ["--max-e", "5"]])
     def test_removed_flags_are_usage_errors(self, cycle6_file, flag):
         env = dict(os.environ)

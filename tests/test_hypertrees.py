@@ -3,10 +3,10 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import complete_bipartite, connected_bipgraphs, cycle, path_graph
-from hytrex import graph
+from conftest import complete_bipartite, connected_bipgraphs, cycle, ladder, path_graph
+from hytrex import graph, hypertrees
 from hytrex.errors import CapacityError, DisconnectedGraphError, GraphError
-from hytrex.graph import BipGraph, edge_subset, mu
+from hytrex.graph import BipGraph, bits_of, edge_subset, mu
 from hytrex.hypertrees import (
     HypertreeSet,
     can_transfer,
@@ -18,7 +18,9 @@ from hytrex.hypertrees import (
     is_hypertree_by_tree_search,
     is_tight,
     tight_forest_check,
+    transfer,
 )
+from hytrex.verify import exhaustive_connected_bipartite
 
 
 class TestTreeSearch:
@@ -114,10 +116,139 @@ class TestEnumeration:
     def test_matches_brute_force(self, g):
         assert enumerate_hypertrees(g) == hypertrees_by_brute_force(g, "tree")
 
+    @settings(max_examples=60, deadline=None)
+    @given(connected_bipgraphs(max_v=6, max_e=6))
+    def test_matches_polymatroid_scan_beyond_census(self, g):
+        assert enumerate_hypertrees(g) == hypertrees_by_brute_force(g, "polymatroid")
+
     def test_disconnected_rejected(self):
         g = BipGraph(("a", "b"), ("c", "d"), [(0, 0), (1, 1)])
         with pytest.raises(DisconnectedGraphError):
             enumerate_hypertrees(g)
+
+
+class TestCertificates:
+    """The enumerator carries a spanning tree per hypertree instead of
+    searching for one; these tests pin that down."""
+
+    def test_no_tree_search_in_enumeration(self, monkeypatch):
+        graphs = (ladder(6), complete_bipartite(3, 4), cycle(7))
+        expected = [hypertrees_by_brute_force(g, "polymatroid") for g in graphs]
+
+        def forbidden(g, f):
+            raise AssertionError("tree search called during enumeration")
+
+        monkeypatch.setattr(hypertrees, "find_realizing_tree", forbidden)
+        for g, want in zip(graphs, expected):
+            # Bypass the cache so the enumeration really runs.
+            assert hypertrees._enumerate_cached.__wrapped__(g) == want
+
+    def test_witness_check_rejects_every_bad_single_move(self):
+        g = ladder(3)
+        w = hypertrees._Witnesses(g)
+        f = greedy_exterior_hypertree(g)
+        tree = w.kruskal()
+        w.root(f, tree)
+        edges = sorted(g.adj)
+        kinds = set()
+        for out in bits_of(tree):
+            for into in bits_of(~tree & ((1 << len(edges)) - 1)):
+                moved = tree ^ (1 << out) ^ (1 << into)
+                degree_ok = edges[out][1] == edges[into][1]
+                spanning = _is_spanning_tree(g, [edges[i] for i in bits_of(moved)])
+                if degree_ok and spanning:
+                    w.root(f, moved)
+                    continue
+                kinds.add("cycle" if degree_ok else "degree")
+                with pytest.raises(RuntimeError, match="internal error"):
+                    w.root(f, moved)
+        assert kinds == {"cycle", "degree"}
+
+    def test_stale_child_witness_is_caught(self, monkeypatch):
+        # A child that inherits its parent's tree unchanged has the wrong
+        # degrees; the check at expansion time must notice.
+        monkeypatch.setattr(hypertrees._Witnesses, "exchange",
+                            lambda self, tree, *rest: tree)
+        with pytest.raises(RuntimeError, match="internal error"):
+            hypertrees._enumerate_cached.__wrapped__(cycle(3))
+
+    def test_exchange_paths_have_no_shortcut(self, monkeypatch):
+        # The exchange is a spanning tree because no step x_i -> x_j with
+        # j > i + 1 exists along the path; breadth-first paths guarantee it.
+        expanded = []
+        root = hypertrees._Witnesses.root
+
+        def recording_root(self, f, tree):
+            expanded.append((self, f, tree))
+            return root(self, f, tree)
+
+        monkeypatch.setattr(hypertrees._Witnesses, "root", recording_root)
+        hypertrees._enumerate_cached.__wrapped__(ladder(6))
+        longest = 0
+        for w, f, tree in expanded:
+            step = w.step(tree, root(w, f, tree))
+            for b in range(len(step)):
+                prev = hypertrees._shortest_paths(step, b)
+                for a in prev:
+                    path = [a]
+                    while prev[path[-1]] is not None:
+                        path.append(prev[path[-1]])
+                    path.reverse()
+                    longest = max(longest, len(path) - 1)
+                    for i, x in enumerate(path):
+                        for y in path[i + 2:]:
+                            assert not step[x] >> y & 1, (f, path)
+        assert longest >= 5
+
+    def test_exchange_along_a_longer_path_can_break_the_tree(self):
+        # Negative control for the shortest-path rule: on this graph the
+        # transfer e1 -> e2 at f = (1, 0, 1) has the one-step path e2 -> e1
+        # and the detour e2 -> e3 -> e1, and the detour closes a cycle.
+        g = BipGraph(("v1", "v2", "v3"), ("e1", "e2", "e3"),
+                     [(0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 1), (2, 2)])
+        f, child = (1, 0, 1), (0, 1, 1)
+        w = hypertrees._Witnesses(g)
+        # v1-e1, v1-e2, v2-e1, v2-e3, v3-e3
+        tree = sum(1 << sorted(g.adj).index(ve)
+                   for ve in [(0, 0), (0, 1), (1, 0), (1, 2), (2, 2)])
+        rooted = w.root(f, tree)
+        step = w.step(tree, rooted)
+        assert step[1] >> 0 & 1 and step[1] >> 2 & 1 and step[2] >> 0 & 1
+        shortest = w.exchange(tree, rooted, {1: None, 0: 1}, 0)
+        w.root(child, shortest)
+        detour = w.exchange(tree, rooted, {1: None, 2: 1, 0: 2}, 0)
+        with pytest.raises(RuntimeError, match="internal error"):
+            w.root(child, detour)
+
+    def test_closure_decides_every_transfer_on_census_7(self):
+        for g in exhaustive_connected_bipartite(7):
+            brute = hypertrees_by_brute_force(g)
+            walked = []
+            for f, reach in hypertrees._walk(g):
+                walked.append(f)
+                for a in range(g.n_e):
+                    for b in range(g.n_e):
+                        if a != b:
+                            closure_says = bool(reach[b] >> a & 1)
+                            assert closure_says == (transfer(f, a, b) in brute), (g, f, a, b)
+            assert sorted(walked) == list(brute)
+
+
+def _is_spanning_tree(g, pairs):
+    """Union-find check, independent of the enumerator's own BFS."""
+    parent = list(range(g.n_v + g.n_e))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for v, e in pairs:
+        rv, rh = find(v), find(g.n_v + e)
+        if rv == rh:
+            return False
+        parent[rv] = rh
+    return len(pairs) == g.n_v + g.n_e - 1
 
 
 class TestCanTransfer:

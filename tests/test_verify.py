@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from hytrex.errors import GraphError
 from hytrex.graph import graph_to_json
 from hytrex.hypertrees import HypertreeSet, hypertrees_by_brute_force
 from hytrex.poly import IntPoly
@@ -106,6 +107,13 @@ class TestSuite:
         assert [r.name for r in reports] == ["interpolating", "linear_coefficients"]
         with pytest.raises(Exception):
             run_all_checks(seed=5, corpus=small_corpus, names=("nonsense",))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"orders_per_graph": 0}, {"orders_per_graph": -1}, {"random_count": -1},
+        {"max_total": 1}, {"random_max_total": 1}])
+    def test_parameters_that_skip_checks_are_rejected(self, small_corpus, kwargs):
+        with pytest.raises(GraphError):
+            run_all_checks(seed=5, corpus=small_corpus, **kwargs)
 
     def test_reports_serialize(self, small_corpus):
         reports = run_all_checks(seed=5, corpus=small_corpus,
