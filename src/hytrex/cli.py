@@ -117,13 +117,18 @@ def _load_multigraph(args) -> MultiGraph:
     if not isinstance(data, dict) or set(data) != {"vertices", "edges"}:
         raise GraphError("multigraph JSON must have exactly the keys "
                          "'vertices' and 'edges'")
-    labels = data["vertices"]
-    if not isinstance(labels, list) or len(set(labels)) != len(labels):
-        raise GraphError("'vertices' must be a list of distinct labels")
+    labels, items = data["vertices"], data["edges"]
+    # A label is any JSON scalar; lists and objects cannot be dict keys.
+    if (not isinstance(labels, list) or any(isinstance(x, (list, dict)) for x in labels)
+            or len(set(labels)) != len(labels)):
+        raise GraphError("'vertices' must be a list of distinct scalar labels")
+    if not isinstance(items, list):
+        raise GraphError("'edges' must be a list of [label, label] pairs")
     index = {name: i for i, name in enumerate(labels)}
     edges = []
-    for item in data["edges"]:
-        if not (isinstance(item, list) and len(item) == 2):
+    for item in items:
+        if not (isinstance(item, list) and len(item) == 2
+                and not any(isinstance(x, (list, dict)) for x in item)):
             raise GraphError(f"bad edge entry {item!r}")
         try:
             edges.append((index[item[0]], index[item[1]]))
@@ -235,14 +240,17 @@ def _cmd_verify(args) -> int:
 
     def progress(report):
         status = "pass" if report.passed else "FAIL"
-        print(f"{report.name}: {status} ({report.instances} instances)",
-              file=sys.stderr)
+        print(f"{report.name}: {status} ({report.instances} instances, "
+              f"{report.seconds:.1f}s)", file=sys.stderr)
+
+    def on_corpus(corpus, seconds):
+        print(f"corpus: {len(corpus)} graphs in {seconds:.1f}s", file=sys.stderr)
 
     start = time.perf_counter()
     reports = verify.run_all_checks(
         seed=args.seed, orders_per_graph=args.orders, max_total=args.max_total,
         random_count=args.random_count, random_max_total=args.random_max,
-        names=names, progress=progress)
+        names=names, progress=progress, on_corpus=on_corpus)
     elapsed = time.perf_counter() - start
     print(f"suite finished in {elapsed:.1f}s", file=sys.stderr)
     passed = all(r.passed for r in reports)

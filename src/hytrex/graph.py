@@ -375,7 +375,9 @@ def graph_from_json(data) -> BipGraph:
     if not isinstance(adj, list):
         raise GraphError("'adj' must be a list of [v-label, e-label] pairs")
     for item in adj:
-        if not (isinstance(item, list) and len(item) == 2):
-            raise GraphError(f"bad adjacency entry {item!r}")
+        if not (isinstance(item, list) and len(item) == 2
+                and all(isinstance(label, str) for label in item)):
+            raise GraphError(f"bad adjacency entry {item!r}: expected "
+                             f"[v-label, e-label] with string labels")
         pairs.append((item[0], item[1]))
     return build_bipartite(v_names, e_names, pairs)

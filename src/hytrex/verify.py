@@ -13,7 +13,9 @@ go unnoticed.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations
 
 from .errors import GraphError
@@ -64,6 +66,7 @@ __all__ = [
     "run_all_checks",
     "replay_counterexample",
     "CHECK_NAMES",
+    "CENSUS_CAP",
 ]
 
 
@@ -76,6 +79,9 @@ class CheckReport:
     instances: int
     passed: bool
     counterexample: dict | None = field(default=None)
+    # Wall time of the check, filled in by run_all_checks; not serialised,
+    # so reports stay byte-identical across runs.
+    seconds: float = field(default=0.0, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -100,45 +106,78 @@ def _ok(name, corpus, instances) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _masks_connected_and_covering(n_v: int, masks) -> bool:
-    return components(masks, (1 << len(masks)) - 1, (1 << n_v) - 1) == 1
+# The permuted class is at most this wide; wider ones would need up to
+# width! tables of 2^width entries.
+_CANONICAL_WIDTH = 5
 
 
-def _transpose_masks(n_v: int, e_masks) -> list[int]:
-    out = [0] * n_v
-    for e, mask in enumerate(e_masks):
-        for v in bits_of(mask):
-            out[v] |= 1 << e
-    return out
+@cache
+def _bit_map(targets) -> tuple:
+    """Table ``t`` with ``t[m]`` the mask that moves bit ``i`` of ``m`` to bit
+    ``targets[i]``, for every ``m`` below ``2^len(targets)``."""
+    table = [0] * (1 << len(targets))
+    for m in range(1, len(table)):
+        low = m & -m
+        table[m] = table[m ^ low] | 1 << targets[low.bit_length() - 1]
+    return tuple(table)
 
 
-def _canonical_bip_key(n_v: int, n_e: int, e_masks) -> tuple:
-    """Exact canonical form for class-distinguished bipartite graphs.
+@cache
+def _relabellings(width: int, stride: int, packed_degrees: int) -> tuple:
+    """Relabelling tables (see :func:`_bit_map`) for every permutation that
+    sends each point to a position of its degree, positions ordered by
+    decreasing degree.  Point ``i``'s degree is the ``stride``-bit field ``i``
+    of ``packed_degrees``."""
+    field_mask = (1 << stride) - 1
+    degrees = [packed_degrees >> i * stride & field_mask for i in range(width)]
+    by_position = sorted(degrees, reverse=True)
+    return tuple(_bit_map(perm) for perm in permutations(range(width))
+                 if all(by_position[p] == d for p, d in zip(perm, degrees)))
 
-    One side's labelling is quotiented by sorting the neighbourhood masks,
-    the other by minimising over its permutations; the smaller side is the
-    permuted one, which keeps this affordable for the census sizes.
+
+def _canonical_form(width: int, rows) -> tuple:
+    """Exact canonical form of a multiset of ``width``-bit masks under the
+    permutations of the bit positions.
+
+    Each mask is a member of one class (a hyperedge, or an edge of a simple
+    graph) given as its set of points in the other, permuted class.  The form
+    is the smallest sorted image over the permutations that list the points
+    by decreasing degree.  Isomorphic inputs have the same set of such images,
+    so the form is a complete invariant, and a census that keeps the first
+    graph of each form keeps the same graphs for any such form.
     """
+    if width > _CANONICAL_WIDTH:
+        raise GraphError(f"canonical form limited to a permuted class of "
+                         f"{_CANONICAL_WIDTH}, got {width}")
+    stride = len(rows).bit_length()
+    spread = _bit_map(range(0, width * stride, stride))
+    tables = _relabellings(width, stride, sum(map(spread.__getitem__, rows)))
+    return min(tuple(sorted(map(t.__getitem__, rows))) for t in tables)
+
+
+def _canonical_bip_key(n_v: int, n_e: int, e_masks, v_masks=None) -> tuple:
+    """Canonical key of a bipartite graph with distinguished classes: the
+    smaller class is permuted, the larger one quotiented by sorting.  The
+    V-vertices' masks of hyperedges, ``v_masks``, are computed when needed
+    and not given."""
     if n_v <= n_e:
-        small, masks = n_v, list(e_masks)
-    else:
-        small, masks = n_e, _transpose_masks(n_v, e_masks)
-    if small > 7:
-        raise GraphError("canonical form limited to a smallest class of 7")
-    best = None
-    for perm in permutations(range(small)):
-        remapped = tuple(sorted(
-            sum(1 << perm[b] for b in bits_of(m)) for m in masks))
-        if best is None or remapped < best:
-            best = remapped
-    return (n_v, n_e, best)
+        return (n_v, n_e, _canonical_form(n_v, e_masks))
+    if v_masks is None:
+        # Field v (n_e bits wide) of ``packed`` is V-vertex v's mask.
+        spread = _bit_map(range(0, n_v * n_e, n_e))
+        packed = 0
+        for e, mask in enumerate(e_masks):
+            packed |= spread[mask] << e
+        field_mask = (1 << n_e) - 1
+        v_masks = [packed >> v * n_e & field_mask for v in range(n_v)]
+    return (n_v, n_e, _canonical_form(n_e, v_masks))
 
 
 def _graph_key(g: BipGraph) -> tuple:
     # Exact canonicalisation is affordable only while the permuted class is
     # small; beyond that, keep the labelled key (duplicates are harmless).
-    if min(g.n_v, g.n_e) <= 5:
-        return _canonical_bip_key(g.n_v, g.n_e, g.e_masks)
+    if min(g.n_v, g.n_e) <= _CANONICAL_WIDTH:
+        return _canonical_bip_key(g.n_v, g.n_e, g.e_masks, g.v_masks)
     return (g.v_names, g.e_names, g.adj)
 
 
@@ -151,13 +190,15 @@ def _graph_from_masks(n_v: int, e_masks) -> BipGraph:
 
 def exhaustive_connected_bipartite(max_total: int = 9) -> list[BipGraph]:
     """Every connected bipartite graph with |V| + |E| <= max_total, one
-    representative per isomorphism class (classes distinguished)."""
+    representative per isomorphism class (classes distinguished): the one
+    whose sorted tuple of hyperedge masks comes first."""
     out = []
     for n_v in range(1, max_total):
         for n_e in range(1, max_total - n_v + 1):
+            all_e, all_v = (1 << n_e) - 1, (1 << n_v) - 1
             seen = set()
             for combo in combinations_with_replacement(range(1, 1 << n_v), n_e):
-                if not _masks_connected_and_covering(n_v, combo):
+                if components(combo, all_e, all_v) != 1:
                     continue
                 key = _canonical_bip_key(n_v, n_e, combo)
                 if key in seen:
@@ -618,8 +659,8 @@ def check_recursions(corpus, seed: int = 0) -> CheckReport:
 
 
 def _connected_simple_graphs(max_vertices: int, max_edges: int):
-    """All connected simple graphs up to isomorphism with the given caps,
-    by exact canonicalisation (minimum over vertex permutations)."""
+    """All connected simple graphs up to isomorphism with the given caps, one
+    per canonical form of the edges as two-bit vertex masks."""
     out = []
     for n in range(2, max_vertices + 1):
         all_pairs = list(combinations(range(n), 2))
@@ -631,12 +672,10 @@ def _connected_simple_graphs(max_vertices: int, max_edges: int):
                 mg = MultiGraph(n, chosen)
                 if not mg.connected:
                     continue
-                best = min(
-                    tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in chosen))
-                    for perm in permutations(range(n)))
-                if (n, best) in seen:
+                key = _canonical_form(n, [1 << u | 1 << v for u, v in chosen])
+                if key in seen:
                     continue
-                seen.add((n, best))
+                seen.add(key)
                 out.append(mg)
     return out
 
@@ -784,13 +823,22 @@ CHECK_NAMES = (
 )
 
 
+# Cap on the census size of run_all_checks.  On a 2-core CPython 3.11 host the
+# full suite takes about 11 s at max_total 9 and 85 s at 10, of which the
+# census is 0.7 s and 12 s.
+CENSUS_CAP = 9
+
+
 def run_all_checks(seed: int = 0, corpus=None, orders_per_graph: int = 20,
                    max_total: int = 9, random_count: int = 50,
                    random_max_total: int = 14, names=None,
-                   progress=None) -> list[CheckReport]:
+                   progress=None, on_corpus=None) -> list[CheckReport]:
     """Run the named checks (all by default) over one shared corpus.  The
     enumeration-oracle gate always runs first.  Parameters that would
-    silently skip checks are rejected with :class:`GraphError`."""
+    silently skip checks, or a census above :data:`CENSUS_CAP`, are rejected
+    with :class:`GraphError`.  ``progress`` is called with each report as it
+    is made, and ``on_corpus`` with the corpus and the seconds it took when
+    the corpus is built here."""
     if orders_per_graph < 1:
         raise GraphError(f"orders per graph must be at least 1, got {orders_per_graph}")
     if random_count < 0:
@@ -798,10 +846,17 @@ def run_all_checks(seed: int = 0, corpus=None, orders_per_graph: int = 20,
     if max_total < 2 or random_max_total < 2:
         raise GraphError("corpus sizes |V| + |E| must be at least 2, got "
                          f"{max_total} and {random_max_total}")
+    if max_total > CENSUS_CAP:
+        raise GraphError(f"census size |V| + |E| <= {max_total} is above the cap "
+                         f"of {CENSUS_CAP}; at 10 the full suite already takes "
+                         f"about 85 s")
     if corpus is None:
+        start = time.perf_counter()
         corpus = default_corpus(seed=seed, max_total=max_total,
                                 random_count=random_count,
                                 random_max_total=random_max_total)
+        if on_corpus is not None:
+            on_corpus(corpus, time.perf_counter() - start)
     selected = tuple(names) if names else CHECK_NAMES
     for n in selected:
         if n not in CHECK_NAMES:
@@ -820,7 +875,9 @@ def run_all_checks(seed: int = 0, corpus=None, orders_per_graph: int = 20,
     ordered = [n for n in CHECK_NAMES if n in selected]
     reports = []
     for check_name in ordered:
+        start = time.perf_counter()
         report = runners[check_name]()
+        report.seconds = time.perf_counter() - start
         reports.append(report)
         if progress is not None:
             progress(report)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -175,6 +176,27 @@ class TestVerifyCommand:
         assert [c["name"] for c in report["checks"]] == ["interpolating", "monic_ear"]
 
 
+    def test_stderr_reports_corpus_and_check_seconds(self, capsys):
+        argv = ["verify", "all", "--seed", "3", "--max-total", "5",
+                "--random-count", "3", "--random-max", "8", "--orders", "3"]
+        code, out, err = run(capsys, argv)
+        assert code == 0
+        lines = err.splitlines()
+        assert re.fullmatch(r"corpus: \d+ graphs in \d+\.\ds", lines[0])
+        assert len(lines) == 11
+        for line in lines[1:10]:
+            assert re.fullmatch(r"\w+: pass \(\d+ instances, \d+\.\ds\)", line)
+        assert re.fullmatch(r"suite finished in \d+\.\ds", lines[10])
+        # the timings go to stderr only: stdout is the same on a second run
+        assert run(capsys, argv)[1] == out
+
+    def test_census_above_the_cap_fails_fast(self, capsys):
+        code, out, err = run(capsys, ["verify", "all", "--max-total", "12"])
+        assert code == 2
+        assert out == ""
+        assert "cap of 9" in err and "85 s" in err
+
+
 class TestErrors:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["interior", "no_such_file.json"])
@@ -186,6 +208,33 @@ class TestErrors:
         path.write_text(json.dumps({"v": ["a"], "e": ["b"], "adj": [], "x": 1}))
         code, _, err = run(capsys, ["interior", str(path)])
         assert code == 2
+
+    @pytest.mark.parametrize("command,data", [
+        ("interior", {"v": ["a"], "e": ["x"], "adj": [[{"k": 1}, "x"]]}),
+        ("interior", {"v": ["a"], "e": ["x"], "adj": [["a", ["x"]]]}),
+        ("interior", {"v": [["a"]], "e": ["x"], "adj": []}),
+        ("tutte", {"v": ["a"], "e": ["x"], "adj": [[{"k": 1}, "x"]]}),
+        ("tutte", {"vertices": [["a"], "b"], "edges": []}),
+        ("tutte", {"vertices": [{"k": 1}], "edges": []}),
+        ("tutte", {"vertices": ["a", "b"], "edges": [[["a"], "b"]]}),
+        ("tutte", {"vertices": ["a", "b"], "edges": [["a", {"k": 1}]]}),
+        ("tutte", {"vertices": ["a", "b"], "edges": 5}),
+    ], ids=["adj-object-label", "adj-list-label", "v-list-label",
+            "tutte-adj-object-label", "vertices-list-label",
+            "vertices-object-label", "edge-list-endpoint",
+            "edge-object-endpoint", "edges-not-a-list"])
+    def test_unhashable_labels_are_input_errors(self, capsys, tmp_path, command, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, [command, str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_scalar_multigraph_labels_still_load(self, capsys, tmp_path):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"vertices": [1, 2], "edges": [[1, 2]]}))
+        assert run(capsys, ["tutte", str(path)])[:2] == (0, "x\n")
 
     def test_disconnected_graph_for_polynomial(self, capsys, tmp_path):
         path = tmp_path / "disc.json"

@@ -1,6 +1,7 @@
 """The check suite itself: corpus construction, determinism, replay, and the
 negative controls that prove the harness can fail."""
 
+import hashlib
 import json
 
 import pytest
@@ -9,7 +10,9 @@ from hytrex.errors import GraphError
 from hytrex.graph import graph_to_json
 from hytrex.hypertrees import HypertreeSet, hypertrees_by_brute_force
 from hytrex.poly import IntPoly
+from hytrex import verify
 from hytrex.verify import (
+    CENSUS_CAP,
     CHECK_NAMES,
     check_enumeration_oracles,
     check_negative_controls,
@@ -87,6 +90,49 @@ class TestCorpus:
         assert any(mg.n == 8 and len(mg.edges) == 7 for mg in graphs)
 
 
+def _sha256(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of the JSON of each corpus (``json.dumps(..., sort_keys=True)``),
+# recorded before the census moved from a minimum over all permutations to
+# the table-driven canonical form; any exact canonical form keeps the same
+# first graph of each class, so the corpora must not change.
+CENSUS_SHA256 = {
+    2: (1, "68246a044b772076899a40869f79ed9e085c53c37ac0e64d4216e23ce43e8476"),
+    3: (3, "5d57335e786b59f364f67e6ab36472003cf9cddaa9aa81fa209c0244542af636"),
+    4: (7, "12784d1ba2f8721aa885c78f13dc589a27dedba41aea0d248835f5998b715487"),
+    5: (17, "0476dd2f84465e0a96313d54845b994460baaf9901dda2788f917ca4c6bc11d8"),
+    6: (44, "14cbe333074ade52d7f7f01129f5fb2fe2553d8aa53e0cea0d77ee1f5d68c318"),
+    7: (132, "f370ad5ed5fd9374720d350a1aae49c5043206df1344abf91b0898803890a5b8"),
+    8: (460, "75cc54de991c5988e0a061632b30984a851882c83bb9ba7be9867cf84b6311dc"),
+    9: (1920, "39cfcb2e3abb819d33dd330981517e864ccc6a39d17efc1a0ad4a93228b647f6"),
+}
+DEFAULT_CORPUS_SEED7_SHA256 = (
+    1959, "669f8eee06f1fb9be2a0d6ea6f970bf70855c5296c1bb2435606371ccbbcdc46")
+TUTTE_CORPUS_SEED7_SHA256 = (
+    56, "03efa1ffadfe73837dcd3ceb91d37ab0dc35caa32da4e55957ef7319ab64e1c8")
+
+
+class TestCorpusUnchanged:
+    @pytest.mark.parametrize("max_total", sorted(CENSUS_SHA256))
+    def test_census(self, max_total):
+        census = exhaustive_connected_bipartite(max_total)
+        got = (len(census), _sha256([graph_to_json(g) for g in census]))
+        assert got == CENSUS_SHA256[max_total]
+
+    def test_default_corpus(self):
+        corpus = default_corpus(seed=7)
+        got = (len(corpus), _sha256([graph_to_json(g) for g in corpus]))
+        assert got == DEFAULT_CORPUS_SEED7_SHA256
+
+    def test_tutte_corpus(self):
+        corpus = tutte_graph_corpus(seed=7)
+        got = (len(corpus),
+               _sha256([[mg.n, [list(e) for e in mg.edges]] for mg in corpus]))
+        assert got == TUTTE_CORPUS_SEED7_SHA256
+
+
 class TestSuite:
     def test_all_checks_pass_on_small_corpus(self, small_corpus):
         reports = run_all_checks(seed=5, corpus=small_corpus, orders_per_graph=5)
@@ -114,6 +160,24 @@ class TestSuite:
     def test_parameters_that_skip_checks_are_rejected(self, small_corpus, kwargs):
         with pytest.raises(GraphError):
             run_all_checks(seed=5, corpus=small_corpus, **kwargs)
+
+    def test_census_above_the_cap_is_rejected_before_it_is_built(self, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("the corpus must not be built above the cap")
+
+        monkeypatch.setattr(verify, "default_corpus", build)
+        with pytest.raises(GraphError, match="cap of 9"):
+            run_all_checks(max_total=CENSUS_CAP + 1)
+        with pytest.raises(GraphError):
+            run_all_checks(max_total=12)
+
+    def test_seconds_are_recorded_but_not_serialised(self, small_corpus):
+        seen = []
+        reports = run_all_checks(seed=5, corpus=small_corpus,
+                                 names=("interpolating",), progress=seen.append)
+        assert seen == reports
+        assert reports[0].seconds > 0
+        assert "seconds" not in reports[0].to_json()
 
     def test_reports_serialize(self, small_corpus):
         reports = run_all_checks(seed=5, corpus=small_corpus,
