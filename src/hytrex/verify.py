@@ -15,9 +15,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from functools import cache
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement
 
+from .canonical import MAX_WIDTH, CanonicalForms
 from .errors import GraphError
 from .graph import (
     BipGraph,
@@ -106,78 +106,11 @@ def _ok(name, corpus, instances) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-# The permuted class is at most this wide; wider ones would need up to
-# width! tables of 2^width entries.
-_CANONICAL_WIDTH = 5
-
-
-@cache
-def _bit_map(targets) -> tuple:
-    """Table ``t`` with ``t[m]`` the mask that moves bit ``i`` of ``m`` to bit
-    ``targets[i]``, for every ``m`` below ``2^len(targets)``."""
-    table = [0] * (1 << len(targets))
-    for m in range(1, len(table)):
-        low = m & -m
-        table[m] = table[m ^ low] | 1 << targets[low.bit_length() - 1]
-    return tuple(table)
-
-
-@cache
-def _relabellings(width: int, stride: int, packed_degrees: int) -> tuple:
-    """Relabelling tables (see :func:`_bit_map`) for every permutation that
-    sends each point to a position of its degree, positions ordered by
-    decreasing degree.  Point ``i``'s degree is the ``stride``-bit field ``i``
-    of ``packed_degrees``."""
-    field_mask = (1 << stride) - 1
-    degrees = [packed_degrees >> i * stride & field_mask for i in range(width)]
-    by_position = sorted(degrees, reverse=True)
-    return tuple(_bit_map(perm) for perm in permutations(range(width))
-                 if all(by_position[p] == d for p, d in zip(perm, degrees)))
-
-
-def _canonical_form(width: int, rows) -> tuple:
-    """Exact canonical form of a multiset of ``width``-bit masks under the
-    permutations of the bit positions.
-
-    Each mask is a member of one class (a hyperedge, or an edge of a simple
-    graph) given as its set of points in the other, permuted class.  The form
-    is the smallest sorted image over the permutations that list the points
-    by decreasing degree.  Isomorphic inputs have the same set of such images,
-    so the form is a complete invariant, and a census that keeps the first
-    graph of each form keeps the same graphs for any such form.
-    """
-    if width > _CANONICAL_WIDTH:
-        raise GraphError(f"canonical form limited to a permuted class of "
-                         f"{_CANONICAL_WIDTH}, got {width}")
-    stride = len(rows).bit_length()
-    spread = _bit_map(range(0, width * stride, stride))
-    tables = _relabellings(width, stride, sum(map(spread.__getitem__, rows)))
-    return min(tuple(sorted(map(t.__getitem__, rows))) for t in tables)
-
-
-def _canonical_bip_key(n_v: int, n_e: int, e_masks, v_masks=None) -> tuple:
-    """Canonical key of a bipartite graph with distinguished classes: the
-    smaller class is permuted, the larger one quotiented by sorting.  The
-    V-vertices' masks of hyperedges, ``v_masks``, are computed when needed
-    and not given."""
-    if n_v <= n_e:
-        return (n_v, n_e, _canonical_form(n_v, e_masks))
-    if v_masks is None:
-        # Field v (n_e bits wide) of ``packed`` is V-vertex v's mask.
-        spread = _bit_map(range(0, n_v * n_e, n_e))
-        packed = 0
-        for e, mask in enumerate(e_masks):
-            packed |= spread[mask] << e
-        field_mask = (1 << n_e) - 1
-        v_masks = [packed >> v * n_e & field_mask for v in range(n_v)]
-    return (n_v, n_e, _canonical_form(n_e, v_masks))
-
-
-def _graph_key(g: BipGraph) -> tuple:
+def _graph_key(g: BipGraph, forms: CanonicalForms) -> tuple:
     # Exact canonicalisation is affordable only while the permuted class is
     # small; beyond that, keep the labelled key (duplicates are harmless).
-    if min(g.n_v, g.n_e) <= _CANONICAL_WIDTH:
-        return _canonical_bip_key(g.n_v, g.n_e, g.e_masks, g.v_masks)
+    if min(g.n_v, g.n_e) <= MAX_WIDTH:
+        return forms.bip_key(g.n_v, g.n_e, g.e_masks, g.v_masks)
     return (g.v_names, g.e_names, g.adj)
 
 
@@ -192,6 +125,7 @@ def exhaustive_connected_bipartite(max_total: int = 9) -> list[BipGraph]:
     """Every connected bipartite graph with |V| + |E| <= max_total, one
     representative per isomorphism class (classes distinguished): the one
     whose sorted tuple of hyperedge masks comes first."""
+    forms = CanonicalForms()
     out = []
     for n_v in range(1, max_total):
         for n_e in range(1, max_total - n_v + 1):
@@ -200,7 +134,7 @@ def exhaustive_connected_bipartite(max_total: int = 9) -> list[BipGraph]:
             for combo in combinations_with_replacement(range(1, 1 << n_v), n_e):
                 if components(combo, all_e, all_v) != 1:
                     continue
-                key = _canonical_bip_key(n_v, n_e, combo)
+                key = forms.bip_key(n_v, n_e, combo)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -289,10 +223,11 @@ def default_corpus(seed: int = 0, max_total: int = 9, random_count: int = 50,
     graphs = (exhaustive_connected_bipartite(max_total)
               + family_instances()
               + random_connected_bipartite(random_count, random_max_total, seed))
+    forms = CanonicalForms()
     seen = set()
     unique = []
     for g in graphs:
-        key = _graph_key(g)
+        key = _graph_key(g, forms)
         if key not in seen:
             seen.add(key)
             unique.append(g)
@@ -661,6 +596,7 @@ def check_recursions(corpus, seed: int = 0) -> CheckReport:
 def _connected_simple_graphs(max_vertices: int, max_edges: int):
     """All connected simple graphs up to isomorphism with the given caps, one
     per canonical form of the edges as two-bit vertex masks."""
+    forms = CanonicalForms()
     out = []
     for n in range(2, max_vertices + 1):
         all_pairs = list(combinations(range(n), 2))
@@ -672,7 +608,7 @@ def _connected_simple_graphs(max_vertices: int, max_edges: int):
                 mg = MultiGraph(n, chosen)
                 if not mg.connected:
                     continue
-                key = _canonical_form(n, [1 << u | 1 << v for u, v in chosen])
+                key = forms.form(n, [1 << u | 1 << v for u, v in chosen])
                 if key in seen:
                     continue
                 seen.add(key)

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 from networkx.algorithms.tree import SpanningTreeIterator
 
 from conftest import complete_bipartite, cycle, ladder
+from hytrex.canonical import CanonicalForms
 from hytrex.families import FamilySpec, generate
 from hytrex.graph import BipGraph, component_count, subgraph_components
 from hytrex.hypertrees import enumerate_hypertrees
-from hytrex import verify
 from hytrex.verify import (
     _components_without,
     _graph_key,
@@ -137,15 +137,16 @@ def connected_bipgraphs(draw, max_total=7):
 def test_random_graph_matches_exactly_one_census_member(g):
     matches = [h for h in CENSUS_7 if same_class(g, h)]
     assert len(matches) == 1
-    assert _graph_key(g) == _graph_key(matches[0])
+    forms = CanonicalForms()
+    assert _graph_key(g, forms) == _graph_key(matches[0], forms)
 
 
 def test_canonicaliser_missing_a_permutation_is_caught(monkeypatch):
-    full = verify._relabellings
+    full = CanonicalForms.relabellings
 
-    def one_dropped(*args):
-        tables = full(*args)
+    def one_dropped(self, *args):
+        tables = full(self, *args)
         return tables[:-1] if len(tables) > 1 else tables
 
-    monkeypatch.setattr(verify, "_relabellings", one_dropped)
+    monkeypatch.setattr(CanonicalForms, "relabellings", one_dropped)
     assert isomorphic_pairs(exhaustive_connected_bipartite(7)) != []
