@@ -93,12 +93,16 @@ class CheckReport:
         }
 
 
-def _fail(name, corpus, instances, ce) -> CheckReport:
-    return CheckReport(name, corpus, instances, False, ce)
-
-
-def _ok(name, corpus, instances) -> CheckReport:
-    return CheckReport(name, corpus, instances, True)
+def _sweep(name: str, desc: str, outcomes) -> CheckReport:
+    """The report of a check whose instances are the items of ``outcomes``:
+    None for an instance that holds, its counterexample for one that fails.
+    The sweep stops at the first counterexample."""
+    instances = 0
+    for ce in outcomes:
+        instances += 1
+        if ce is not None:
+            return CheckReport(name, desc, instances, False, ce)
+    return CheckReport(name, desc, instances, True)
 
 
 # ---------------------------------------------------------------------------
@@ -243,57 +247,63 @@ def _corpus_desc(corpus) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Checks
+# Checks.  Each property is asserted by one instance function, which returns
+# None or the counterexample of that instance; the check_* sweeps and
+# replay_counterexample both call it.
 # ---------------------------------------------------------------------------
+
+
+def _poly_pair(g: BipGraph, order=None):
+    b = enumerate_hypertrees(g)
+    return (interior_polynomial(g, order=order, hypertrees=b),
+            exterior_polynomial(g, order=order, hypertrees=b))
+
+
+def _enumeration(g: BipGraph):
+    bfs = enumerate_hypertrees(g)
+    brute_tree = hypertrees_by_brute_force(g, "tree")
+    brute_poly = hypertrees_by_brute_force(g, "polymatroid")
+    if bfs == brute_tree == brute_poly:
+        return None
+    return {
+        "kind": "enumeration",
+        "graph": graph_to_json(g),
+        "transfer_closure": bfs.to_json(),
+        "brute_force_tree": brute_tree.to_json(),
+        "brute_force_polymatroid": brute_poly.to_json(),
+        "detail": "the three hypertree enumerations disagree",
+    }
 
 
 def check_enumeration_oracles(corpus) -> CheckReport:
     """Transfer-closure enumeration must match both brute-force box scans
     (tree-search filter and polymatroid filter) on every graph."""
-    name, desc = "enumeration_oracles", _corpus_desc(corpus)
-    instances = 0
-    for g in corpus:
-        bfs = enumerate_hypertrees(g)
-        brute_tree = hypertrees_by_brute_force(g, "tree")
-        brute_poly = hypertrees_by_brute_force(g, "polymatroid")
-        instances += 1
-        if not (bfs == brute_tree == brute_poly):
-            ce = {
-                "kind": "enumeration",
-                "graph": graph_to_json(g),
-                "transfer_closure": bfs.to_json(),
-                "brute_force_tree": brute_tree.to_json(),
-                "brute_force_polymatroid": brute_poly.to_json(),
-                "detail": "the three hypertree enumerations disagree",
-            }
-            return _fail(name, desc, instances, ce)
-    return _ok(name, desc, instances)
+    return _sweep("enumeration_oracles", _corpus_desc(corpus), map(_enumeration, corpus))
 
 
 def _support_is_initial_interval(p: IntPoly) -> bool:
     return bool(p.coeffs) and all(c != 0 for c in p.coeffs)
 
 
+def _interpolating(g: BipGraph, which: str):
+    poly = (interior_polynomial if which == "interior" else exterior_polynomial)(g)
+    if _support_is_initial_interval(poly):
+        return None
+    return {
+        "kind": "interpolating",
+        "graph": graph_to_json(g),
+        "polynomial": poly.to_json(),
+        "which": which,
+        "detail": f"{which} polynomial support has a gap",
+    }
+
+
 def check_interpolating(corpus) -> CheckReport:
     """Supports of the interior and exterior polynomials must be gap-free
     initial intervals [0, d]."""
-    name, desc = "interpolating", _corpus_desc(corpus)
-    instances = 0
-    for g in corpus:
-        b = enumerate_hypertrees(g)
-        for which, poly in (("interior", interior_polynomial(g, hypertrees=b)),
-                            ("exterior", exterior_polynomial(g, hypertrees=b))):
-            instances += 1
-            if not _support_is_initial_interval(poly):
-                ce = {
-                    "kind": "interpolating",
-                    "graph": graph_to_json(g),
-                    "polynomial": poly.to_json(),
-                    "which": which,
-                    "detail": f"{which} polynomial support has a gap",
-                }
-                return _fail(name, desc, instances, ce)
-    return _ok(name, desc, instances)
+    return _sweep("interpolating", _corpus_desc(corpus),
+                  (_interpolating(g, which) for g in corpus
+                   for which in ("interior", "exterior")))
 
 
 def _components_without(g: BipGraph, removed) -> int:
@@ -332,58 +342,79 @@ def _disjoint_greedy(pairs):
     return chosen
 
 
+def _degree_bounds(g: BipGraph):
+    poly = interior_polynomial(g)
+    deg = poly.degree
+    basic = min(g.n_e - 1, g.n_v - 1)
+
+    def ce(detail, bound):
+        return {
+            "kind": "degree_bound",
+            "graph": graph_to_json(g),
+            "interior": poly.to_json(),
+            "bound": bound,
+            "detail": detail,
+        }
+
+    if deg > basic:
+        return ce("basic degree bound violated", basic)
+    e_cuts = _cut_pairs(g, "e")
+    v_cuts = _cut_pairs(g, "v")
+    for (_, t) in e_cuts:
+        bound = min(g.n_e - 1, g.n_v - t + 1)
+        if deg > bound:
+            return ce("two-cut bound violated (cut in E)", bound)
+    for (_, t) in v_cuts:
+        bound = min(g.n_v - 1, g.n_e - t + 1)
+        if deg > bound:
+            return ce("two-cut bound violated (cut in V)", bound)
+    if g.n_v == g.n_e:
+        n = g.n_v
+        if any(t >= 3 for _, t in e_cuts + v_cuts) and poly.coeff(n - 1) != 0:
+            return ce("top coefficient must vanish for a 3-way two-cut", n - 1)
+    # Disjoint collections of cuts; only asserted when strictly stronger.
+    v_chosen = _disjoint_greedy(v_cuts)
+    e_chosen = _disjoint_greedy(e_cuts)
+    t_sum = sum(t for _, t in v_chosen)
+    k_sum = sum(t for _, t in e_chosen)
+    general = min(g.n_e - t_sum + 2 * len(v_chosen) - 1,
+                  g.n_v - k_sum + 2 * len(e_chosen) - 1)
+    if general < basic and deg > general:
+        return ce("disjoint-pairs degree bound violated", general)
+    return None
+
+
 def check_degree_bounds(corpus) -> CheckReport:
     """Degree of the interior polynomial against the basic bound, the
     two-vertex-cut strengthening, the vanishing-top corollary for balanced
     graphs, and (when it binds) the disjoint-pairs generalization."""
-    name, desc = "degree_bounds", _corpus_desc(corpus)
-    instances = 0
-    for g in corpus:
-        poly = interior_polynomial(g)
-        deg = poly.degree
-        basic = min(g.n_e - 1, g.n_v - 1)
-        instances += 1
+    return _sweep("degree_bounds", _corpus_desc(corpus), map(_degree_bounds, corpus))
 
-        def ce(detail, bound):
-            return {
-                "kind": "degree_bound",
-                "graph": graph_to_json(g),
-                "interior": poly.to_json(),
-                "bound": bound,
-                "detail": detail,
-            }
 
-        if deg > basic:
-            return _fail(name, desc, instances, ce("basic degree bound violated", basic))
-        e_cuts = _cut_pairs(g, "e")
-        v_cuts = _cut_pairs(g, "v")
-        for (_, t) in e_cuts:
-            bound = min(g.n_e - 1, g.n_v - t + 1)
-            if deg > bound:
-                return _fail(name, desc, instances,
-                             ce("two-cut bound violated (cut in E)", bound))
-        for (_, t) in v_cuts:
-            bound = min(g.n_v - 1, g.n_e - t + 1)
-            if deg > bound:
-                return _fail(name, desc, instances,
-                             ce("two-cut bound violated (cut in V)", bound))
-        if g.n_v == g.n_e:
-            n = g.n_v
-            if any(t >= 3 for _, t in e_cuts + v_cuts) and poly.coeff(n - 1) != 0:
-                return _fail(name, desc, instances,
-                             ce("top coefficient must vanish for a 3-way two-cut",
-                                n - 1))
-        # Disjoint collections of cuts; only asserted when strictly stronger.
-        v_chosen = _disjoint_greedy(v_cuts)
-        e_chosen = _disjoint_greedy(e_cuts)
-        t_sum = sum(t for _, t in v_chosen)
-        k_sum = sum(t for _, t in e_chosen)
-        general = min(g.n_e - t_sum + 2 * len(v_chosen) - 1,
-                      g.n_v - k_sum + 2 * len(e_chosen) - 1)
-        if general < basic and deg > general:
-            return _fail(name, desc, instances,
-                         ce("disjoint-pairs degree bound violated", general))
-    return _ok(name, desc, instances)
+def _linear_coefficients(g: BipGraph):
+    interior, exterior = _poly_pair(g)
+
+    def ce(detail, poly):
+        return {
+            "kind": "linear_coefficient",
+            "graph": graph_to_json(g),
+            "polynomial": poly.to_json(),
+            "detail": detail,
+        }
+
+    if interior.coeff(0) != 1:
+        return ce("interior constant term is not 1", interior)
+    if exterior.coeff(0) != 1:
+        return ce("exterior constant term is not 1", exterior)
+    if interior.coeff(1) != nullity(g):
+        return ce(f"interior linear coefficient differs from the nullity {nullity(g)}",
+                  interior)
+    if g.n_e >= 2 and all(
+            _components_without(g, (g.n_v + e,)) == 1 for e in range(g.n_e)):
+        if exterior.coeff(1) != g.n_v - 1:
+            return ce(f"exterior linear coefficient differs from "
+                      f"|V| - 1 = {g.n_v - 1}", exterior)
+    return None
 
 
 def check_linear_coefficients(corpus) -> CheckReport:
@@ -391,39 +422,42 @@ def check_linear_coefficients(corpus) -> CheckReport:
     polynomial is the nullity; when removing any single hyperedge keeps the
     graph connected, the linear coefficient of the exterior polynomial is
     |V| - 1."""
-    name, desc = "linear_coefficients", _corpus_desc(corpus)
-    instances = 0
-    for g in corpus:
-        b = enumerate_hypertrees(g)
-        interior = interior_polynomial(g, hypertrees=b)
-        exterior = exterior_polynomial(g, hypertrees=b)
+    return _sweep("linear_coefficients", _corpus_desc(corpus),
+                  map(_linear_coefficients, corpus))
 
-        def ce(detail, poly):
-            return {
-                "kind": "linear_coefficient",
-                "graph": graph_to_json(g),
-                "polynomial": poly.to_json(),
-                "detail": detail,
-            }
 
-        instances += 1
-        if interior.coeff(0) != 1:
-            return _fail(name, desc, instances,
-                         ce("interior constant term is not 1", interior))
-        if exterior.coeff(0) != 1:
-            return _fail(name, desc, instances,
-                         ce("exterior constant term is not 1", exterior))
-        if interior.coeff(1) != nullity(g):
-            return _fail(name, desc, instances,
-                         ce(f"interior linear coefficient differs from the "
-                            f"nullity {nullity(g)}", interior))
-        if g.n_e >= 2 and all(
-                _components_without(g, (g.n_v + e,)) == 1 for e in range(g.n_e)):
-            if exterior.coeff(1) != g.n_v - 1:
-                return _fail(name, desc, instances,
-                             ce(f"exterior linear coefficient differs from "
-                                f"|V| - 1 = {g.n_v - 1}", exterior))
-    return _ok(name, desc, instances)
+def _invariance_ce(g: BipGraph, mode: str, order, detail: str, **polys) -> dict:
+    return {"kind": "invariance", "mode": mode, "graph": graph_to_json(g),
+            "order": order, **polys, "detail": detail}
+
+
+def _order_invariance(g: BipGraph, order, base):
+    """``base`` is ``_poly_pair(g)``, the polynomials in the default order."""
+    other = _poly_pair(g, order)
+    if other == base:
+        return None
+    return _invariance_ce(g, "order", list(order), "polynomials depend on the order",
+                          default_interior=base[0].to_json(),
+                          other_interior=other[0].to_json(),
+                          default_exterior=base[1].to_json(),
+                          other_exterior=other[1].to_json())
+
+
+def _dual_invariance(g: BipGraph, base_interior: IntPoly):
+    dual_interior = interior_polynomial(abstract_dual(g))
+    if dual_interior == base_interior:
+        return None
+    return _invariance_ce(g, "dual", None,
+                          "interior polynomial differs on the abstract dual",
+                          default_interior=base_interior.to_json(),
+                          other_interior=dual_interior.to_json())
+
+
+def _exterior_asymmetry(g: BipGraph):
+    if exterior_polynomial(g) != exterior_polynomial(g, hyperedge_side="v"):
+        return None
+    return _invariance_ce(g, "asymmetry", None, "expected exterior asymmetry "
+                          "between the two classes is missing")
 
 
 def check_invariance(corpus, orders_per_graph: int = 20, seed: int = 0) -> CheckReport:
@@ -432,165 +466,126 @@ def check_invariance(corpus, orders_per_graph: int = 20, seed: int = 0) -> Check
     allowed to differ between the two classes, and the recorded asymmetry
     witness (both sides of the complete bipartite graph on 2 + 3 vertices)
     must actually differ."""
-    name, desc = "invariance", _corpus_desc(corpus)
     rng = random.Random(f"{seed}:invariance")
-    instances = 0
-    for g in corpus:
-        b = enumerate_hypertrees(g)
-        base_i = interior_polynomial(g, hypertrees=b)
-        base_x = exterior_polynomial(g, hypertrees=b)
-        for _ in range(orders_per_graph):
-            order = list(range(g.n_e))
-            rng.shuffle(order)
-            instances += 1
-            other_i = interior_polynomial(g, order=order, hypertrees=b)
-            other_x = exterior_polynomial(g, order=order, hypertrees=b)
-            if other_i != base_i or other_x != base_x:
-                ce = {
-                    "kind": "invariance",
-                    "graph": graph_to_json(g),
-                    "order": list(order),
-                    "default_interior": base_i.to_json(),
-                    "other_interior": other_i.to_json(),
-                    "default_exterior": base_x.to_json(),
-                    "other_exterior": other_x.to_json(),
-                    "detail": "polynomials depend on the order",
-                }
-                return _fail(name, desc, instances, ce)
-        dual = abstract_dual(g)
-        dual_i = interior_polynomial(dual)
-        instances += 1
-        if dual_i != base_i:
-            ce = {
-                "kind": "invariance",
-                "graph": graph_to_json(g),
-                "order": None,
-                "default_interior": base_i.to_json(),
-                "other_interior": dual_i.to_json(),
-                "detail": "interior polynomial differs on the abstract dual",
-            }
-            return _fail(name, desc, instances, ce)
-    k23 = generate(FamilySpec("complete_bipartite", (2, 3)))
-    instances += 1
-    if exterior_polynomial(k23) == exterior_polynomial(k23, hyperedge_side="v"):
-        ce = {
-            "kind": "invariance",
-            "graph": graph_to_json(k23),
-            "order": None,
-            "detail": "expected exterior asymmetry between the two classes is missing",
-        }
-        return _fail(name, desc, instances, ce)
-    return _ok(name, desc, instances)
+
+    def outcomes():
+        for g in corpus:
+            base = _poly_pair(g)
+            for _ in range(orders_per_graph):
+                order = list(range(g.n_e))
+                rng.shuffle(order)
+                yield _order_invariance(g, order, base)
+            yield _dual_invariance(g, base[0])
+        yield _exterior_asymmetry(generate(FamilySpec("complete_bipartite", (2, 3))))
+
+    return _sweep("invariance", _corpus_desc(corpus), outcomes())
 
 
-def _poly_pair(g: BipGraph):
-    b = enumerate_hypertrees(g)
-    return (interior_polynomial(g, hypertrees=b),
-            exterior_polynomial(g, hypertrees=b))
+def _recursion_ce(g: BipGraph, mode: str, detail: str, **extra) -> dict:
+    return {"kind": "recursion", "mode": mode, "graph": graph_to_json(g),
+            "detail": detail, **extra}
+
+
+def _pendant(g: BipGraph, label: str, reduced: BipGraph, base):
+    """``reduced`` is ``g`` without the pendant vertex ``label``, and
+    ``base`` is ``_poly_pair(g)``."""
+    if _poly_pair(reduced) == base:
+        return None
+    return _recursion_ce(g, "pendant", f"pendant removal at {label!r} changed a polynomial",
+                         vertex=label)
+
+
+def _deletion_contraction(g: BipGraph, label: str, deleted: BipGraph, base):
+    """``deleted`` is ``g`` without the valence-2 vertex ``label``, and
+    ``base`` is ``_poly_pair(g)``; the exterior rule is asserted only at a
+    hyperedge."""
+    contracted = transforms.contract_vertex(g, label)
+    if base[0] != interior_polynomial(deleted) + interior_polynomial(contracted).shift(1):
+        return _recursion_ce(g, "deletion_contraction",
+                             f"interior deletion/contraction fails at {label!r}",
+                             vertex=label)
+    if label not in g.v_names and base[1] != (exterior_polynomial(deleted).shift(1)
+                                              + exterior_polynomial(contracted)):
+        return _recursion_ce(g, "deletion_contraction",
+                             f"exterior deletion/contraction fails at {label!r}",
+                             vertex=label)
+    return None
+
+
+def _join(g1: BipGraph, g2: BipGraph, how: str):
+    """Glue the first V-vertex (``how`` "v"), the first E-vertex ("e") or
+    the first edge ("edge") of each graph; both polynomials multiply."""
+    if how == "edge":
+        (v1, e1), (v2, e2) = sorted(g1.adj)[0], sorted(g2.adj)[0]
+        joined = transforms.edge_join(g1, g2, (g1.v_names[v1], g1.e_names[e1]),
+                                      (g2.v_names[v2], g2.e_names[e2]))
+    elif how == "v":
+        joined = transforms.one_point_join(g1, g2, g1.v_names[0], g2.v_names[0])
+    else:
+        joined = transforms.one_point_join(g1, g2, g1.e_names[0], g2.e_names[0])
+    (i1, x1), (i2, x2) = _poly_pair(g1), _poly_pair(g2)
+    if _poly_pair(joined) == (i1 * i2, x1 * x2):
+        return None
+    return _recursion_ce(joined, "join", "join product identity fails",
+                         factors=[graph_to_json(g1), graph_to_json(g2)], join=how)
+
+
+def _parallel_pair(g: BipGraph, e1: str, e2: str, t: int):
+    i_q = interior_polynomial(transforms.identify_pair(g, e1, e2))
+    i_t = interior_polynomial(transforms.add_parallel_pair_vertices(g, e1, e2, t))
+    if interior_polynomial(g) == i_t - (t * i_q).shift(1):
+        return None
+    return _recursion_ce(g, "parallel_pair", f"parallel-pair identity fails for t={t}",
+                         pair=[e1, e2], t=t)
+
+
+def _decomposition(g: BipGraph):
+    total = IntPoly.zero()
+    for term in transforms.balanced_decomposition(g):
+        if term.graph.n_v != term.graph.n_e:
+            return _recursion_ce(g, "decomposition",
+                                 "decomposition emitted an unbalanced graph")
+        total = total + (term.coefficient * interior_polynomial(term.graph)
+                         ).shift(term.exponent)
+    if total == interior_polynomial(g):
+        return None
+    return _recursion_ce(g, "decomposition", "balanced decomposition does not reassemble")
 
 
 def check_recursions(corpus, seed: int = 0) -> CheckReport:
     """Pendant insensitivity, the valence-2 deletion/contraction rules, join
     multiplicativity on sampled pairs, the parallel-pair identity, and the
     balanced-decomposition reassembly."""
-    name, desc = "recursions", _corpus_desc(corpus)
     rng = random.Random(f"{seed}:recursions")
-    instances = 0
 
-    def ce(g, detail, extra=None):
-        data = {"kind": "recursion", "graph": graph_to_json(g), "detail": detail}
-        if extra:
-            data.update(extra)
-        return data
+    def outcomes():
+        for g in corpus:
+            base = _poly_pair(g)
+            for node, label in enumerate(g.v_names + g.e_names):
+                on_v = node < g.n_v
+                degree = g.deg_v(node) if on_v else g.deg_e(node - g.n_v)
+                class_size = g.n_v if on_v else g.n_e
+                if degree == 1 and class_size >= 2 and g.n_v + g.n_e > 2:
+                    reduced = transforms.delete_valence1(g, label)
+                    if reduced.connected:
+                        yield _pendant(g, label, reduced, base)
+                if degree == 2 and class_size >= 2:
+                    deleted = transforms.delete_vertex(g, label)
+                    if deleted.connected:
+                        yield _deletion_contraction(g, label, deleted, base)
+        small = [g for g in corpus if g.n_v + g.n_e <= 6]
+        for _ in range(min(20, len(small) * (len(small) + 1) // 2)):
+            g1, g2 = rng.choice(small), rng.choice(small)
+            for how in ("v", "e", "edge"):
+                yield _join(g1, g2, how)
+        # Identifying two hyperedges keeps a connected graph connected.
+        for g in [h for h in corpus if h.n_e >= 2 and h.n_v + h.n_e <= 7][:60]:
+            for t in (1, 2):
+                yield _parallel_pair(g, g.e_names[0], g.e_names[1], t)
+        for g in [h for h in corpus if 0 <= h.n_e - h.n_v <= 3 and h.n_v + h.n_e <= 8][:150]:
+            yield _decomposition(g)
 
-    for g in corpus:
-        interior_g, exterior_g = _poly_pair(g)
-        labels = [("v", i, g.v_names[i]) for i in range(g.n_v)] + \
-                 [("e", i, g.e_names[i]) for i in range(g.n_e)]
-        for side, idx, label in labels:
-            degree = g.deg_v(idx) if side == "v" else g.deg_e(idx)
-            class_size = g.n_v if side == "v" else g.n_e
-            if degree == 1 and class_size >= 2 and g.n_v + g.n_e > 2:
-                reduced = transforms.delete_valence1(g, label)
-                if not reduced.connected:
-                    continue
-                instances += 1
-                if (interior_polynomial(reduced) != interior_g
-                        or exterior_polynomial(reduced) != exterior_g):
-                    return _fail(name, desc, instances,
-                                 ce(g, f"pendant removal at {label!r} changed a polynomial",
-                                    {"vertex": label}))
-            if degree == 2 and class_size >= 2:
-                deleted = transforms.delete_vertex(g, label)
-                if not deleted.connected:
-                    continue
-                contracted = transforms.contract_vertex(g, label)
-                instances += 1
-                i_del, _ = _poly_pair(deleted)
-                i_con, _ = _poly_pair(contracted)
-                if interior_g != i_del + i_con.shift(1):
-                    return _fail(name, desc, instances,
-                                 ce(g, f"interior deletion/contraction fails at {label!r}",
-                                    {"vertex": label}))
-                if side == "e":
-                    x_del = exterior_polynomial(deleted)
-                    x_con = exterior_polynomial(contracted)
-                    if exterior_g != x_del.shift(1) + x_con:
-                        return _fail(name, desc, instances,
-                                     ce(g, f"exterior deletion/contraction fails at {label!r}",
-                                        {"vertex": label}))
-
-    small = [g for g in corpus if g.n_v + g.n_e <= 6]
-    for _ in range(min(20, len(small) * (len(small) + 1) // 2) if small else 0):
-        g1, g2 = rng.choice(small), rng.choice(small)
-        i1, x1 = _poly_pair(g1)
-        i2, x2 = _poly_pair(g2)
-        joins = [
-            transforms.one_point_join(g1, g2, g1.v_names[0], g2.v_names[0]),
-            transforms.one_point_join(g1, g2, g1.e_names[0], g2.e_names[0]),
-        ]
-        v0, e0 = sorted(g1.adj)[0]
-        v1, e1 = sorted(g2.adj)[0]
-        joins.append(transforms.edge_join(
-            g1, g2, (g1.v_names[v0], g1.e_names[e0]),
-            (g2.v_names[v1], g2.e_names[e1])))
-        for joined in joins:
-            instances += 1
-            ij, xj = _poly_pair(joined)
-            if ij != i1 * i2 or xj != x1 * x2:
-                return _fail(name, desc, instances,
-                             ce(joined, "join product identity fails"))
-
-    for g in [h for h in corpus if h.n_e >= 2 and h.n_v + h.n_e <= 7][:60]:
-        e1, e2 = g.e_names[0], g.e_names[1]
-        quotient = transforms.identify_pair(g, e1, e2)
-        if not quotient.connected:
-            continue
-        i_g, _ = _poly_pair(g)
-        i_q, _ = _poly_pair(quotient)
-        for t in (1, 2):
-            extended = transforms.add_parallel_pair_vertices(g, e1, e2, t)
-            instances += 1
-            i_t, _ = _poly_pair(extended)
-            if i_g != i_t - (t * i_q).shift(1):
-                return _fail(name, desc, instances,
-                             ce(g, f"parallel-pair identity fails for t={t}",
-                                {"pair": [e1, e2], "t": t}))
-
-    for g in [h for h in corpus if 0 <= h.n_e - h.n_v <= 3 and h.n_v + h.n_e <= 8][:150]:
-        terms = transforms.balanced_decomposition(g)
-        total = IntPoly.zero()
-        for term in terms:
-            if term.graph.n_v != term.graph.n_e:
-                return _fail(name, desc, instances + 1,
-                             ce(g, "decomposition emitted an unbalanced graph"))
-            total = total + (term.coefficient * interior_polynomial(term.graph)
-                             ).shift(term.exponent)
-        instances += 1
-        if total != interior_polynomial(g):
-            return _fail(name, desc, instances,
-                         ce(g, "balanced decomposition does not reassemble"))
-    return _ok(name, desc, instances)
+    return _sweep("recursions", _corpus_desc(corpus), outcomes())
 
 
 def _connected_simple_graphs(max_vertices: int, max_edges: int):
@@ -636,127 +631,139 @@ def tutte_graph_corpus(seed: int = 0, sample: int = 25) -> list[MultiGraph]:
     return graphs
 
 
+def _tutte(mg: MultiGraph):
+    pipeline_i, pipeline_x = _poly_pair(subdivision(mg))
+    oracle_i = interior_from_tutte(mg)
+    oracle_x = exterior_from_tutte(mg)
+    if pipeline_i == oracle_i and pipeline_x == oracle_x:
+        return None
+    return {
+        "kind": "tutte",
+        "multigraph": {"n": mg.n, "edges": [list(e) for e in mg.edges]},
+        "pipeline_interior": pipeline_i.to_json(),
+        "tutte_interior": oracle_i.to_json(),
+        "pipeline_exterior": pipeline_x.to_json(),
+        "tutte_exterior": oracle_x.to_json(),
+        "detail": "subdivision pipeline disagrees with the Tutte specialization",
+    }
+
+
 def check_tutte(graph_corpus=None, seed: int = 0) -> CheckReport:
     """The hypertree pipeline on the subdivision must match both Tutte
     specializations for every ordinary graph in the corpus."""
     if graph_corpus is None:
         graph_corpus = tutte_graph_corpus(seed=seed)
-    name = "tutte"
-    desc = f"{len(graph_corpus)} connected simple graphs with at most 7 edges"
-    instances = 0
-    for mg in graph_corpus:
-        bip = subdivision(mg)
-        b = enumerate_hypertrees(bip)
-        instances += 1
-        pipeline_i = interior_polynomial(bip, hypertrees=b)
-        pipeline_x = exterior_polynomial(bip, hypertrees=b)
-        oracle_i = interior_from_tutte(mg)
-        oracle_x = exterior_from_tutte(mg)
-        if pipeline_i != oracle_i or pipeline_x != oracle_x:
-            ce = {
-                "kind": "tutte",
-                "multigraph": {"n": mg.n, "edges": [list(e) for e in mg.edges]},
-                "pipeline_interior": pipeline_i.to_json(),
-                "tutte_interior": oracle_i.to_json(),
-                "pipeline_exterior": pipeline_x.to_json(),
-                "tutte_exterior": oracle_x.to_json(),
-                "detail": "subdivision pipeline disagrees with the Tutte specialization",
-            }
-            return _fail(name, desc, instances, ce)
-    return _ok(name, desc, instances)
+    return _sweep("tutte", f"{len(graph_corpus)} connected simple graphs with at most 7 edges",
+                  map(_tutte, graph_corpus))
+
+
+def _monic_ear(g: BipGraph, what: str):
+    n = g.n_v
+    poly = interior_polynomial(g)
+    if g.n_v == g.n_e and poly.coeff(n - 1) == 1 and poly.degree == n - 1:
+        return None
+    return {
+        "kind": "monic",
+        "mode": "ear",
+        "graph": graph_to_json(g),
+        "interior": poly.to_json(),
+        "detail": f"{what} is not monic of degree {n - 1}",
+    }
+
+
+def _monic_cap(g: BipGraph):
+    poly = interior_polynomial(g)
+    if poly.coeff(g.n_v - 1) <= 1:
+        return None
+    return {
+        "kind": "monic",
+        "mode": "cap",
+        "graph": graph_to_json(g),
+        "interior": poly.to_json(),
+        "detail": "balanced graph with top coefficient above 1",
+    }
 
 
 def check_monic_ear(seeds=(0, 1, 2), sizes=((2, 1), (2, 2), (3, 1), (3, 2), (4, 1)),
                     corpus=()) -> CheckReport:
     """Seeded ear graphs have a monic interior polynomial of degree n - 1;
     balanced corpus graphs never exceed top coefficient 1."""
-    name = "monic_ear"
     desc = (f"{len(seeds) * len(sizes)} seeded ear graphs"
             + (f" + {len(corpus)} corpus graphs" if corpus else ""))
-    instances = 0
-    for seed in seeds:
-        for k, ears in sizes:
-            g = generate(FamilySpec("ear_graph", (k, ears), seed=seed))
-            n = g.n_v
-            instances += 1
-            poly = interior_polynomial(g)
-            if g.n_v != g.n_e or poly.coeff(n - 1) != 1 or poly.degree != n - 1:
-                ce = {
-                    "kind": "monic",
-                    "mode": "ear",
-                    "graph": graph_to_json(g),
-                    "interior": poly.to_json(),
-                    "detail": f"ear graph (k={k}, ears={ears}, seed={seed}) "
-                              f"is not monic of degree {n - 1}",
-                }
-                return _fail(name, desc, instances, ce)
-    for g in corpus:
-        if g.n_v != g.n_e:
-            continue
-        instances += 1
-        poly = interior_polynomial(g)
-        if poly.coeff(g.n_v - 1) > 1:
-            ce = {
-                "kind": "monic",
-                "mode": "cap",
-                "graph": graph_to_json(g),
-                "interior": poly.to_json(),
-                "detail": "balanced graph with top coefficient above 1",
-            }
-            return _fail(name, desc, instances, ce)
-    return _ok(name, desc, instances)
+
+    def outcomes():
+        for seed in seeds:
+            for k, ears in sizes:
+                g = generate(FamilySpec("ear_graph", (k, ears), seed=seed))
+                yield _monic_ear(g, f"ear graph (k={k}, ears={ears}, seed={seed})")
+        for g in corpus:
+            if g.n_v == g.n_e:
+                yield _monic_cap(g)
+
+    return _sweep("monic_ear", desc, outcomes())
+
+
+def _leaked(control: str, detail: str, **extra) -> dict:
+    return {"kind": "negative_control", "control": control, "detail": detail, **extra}
+
+
+def _corrupted_polynomial():
+    gapped = IntPoly([1, 0, 1])
+    if not _support_is_initial_interval(gapped):
+        return None
+    return _leaked("corrupted_polynomial",
+                   "the gapped polynomial 1 + x^2 passed the support check",
+                   polynomial=gapped.to_json())
+
+
+def _corrupted_hypertree():
+    c6, bogus = generate(FamilySpec("cycle", (3,))), (0, 0, 2)
+    if not (is_hypertree_by_tree_search(c6, bogus) or is_hypertree_by_polymatroid(c6, bogus)):
+        return None
+    return _leaked("corrupted_hypertree", "an out-of-box vector was accepted as a hypertree",
+                   graph=graph_to_json(c6), hypertree=list(bogus))
+
+
+def _corrupted_hypertree_set():
+    c6 = generate(FamilySpec("cycle", (3,)))
+    true_set = hypertrees_by_brute_force(c6, "tree")
+    with_extra = HypertreeSet(list(true_set) + [(0, 0, 2)])
+    missing = HypertreeSet([f for f in true_set if f != (0, 1, 1)])
+    if not (with_extra == true_set or missing == true_set):
+        return None
+    return _leaked("corrupted_hypertree_set",
+                   "a tampered hypertree set compared equal to the oracle",
+                   graph=graph_to_json(c6))
+
+
+_CONTROLS = {
+    "corrupted_polynomial": _corrupted_polynomial,
+    "corrupted_hypertree": _corrupted_hypertree,
+    "corrupted_hypertree_set": _corrupted_hypertree_set,
+}
 
 
 def check_negative_controls() -> CheckReport:
     """Corrupted fixtures must fail their validations; a control that slips
     through fails this check."""
-    name = "negative_controls"
-    desc = "3 deliberately corrupted fixtures"
-    c6 = generate(FamilySpec("cycle", (3,)))
-    instances = 0
-
-    def leaked(control, detail, extra=None):
-        data = {"kind": "negative_control", "control": control, "detail": detail}
-        if extra:
-            data.update(extra)
-        return _fail(name, desc, instances, data)
-
-    instances += 1
-    gapped = IntPoly([1, 0, 1])
-    if _support_is_initial_interval(gapped):
-        return leaked("corrupted_polynomial",
-                      "the gapped polynomial 1 + x^2 passed the support check",
-                      {"polynomial": gapped.to_json()})
-
-    instances += 1
-    bogus = (0, 0, 2)
-    if is_hypertree_by_tree_search(c6, bogus) or is_hypertree_by_polymatroid(c6, bogus):
-        return leaked("corrupted_hypertree",
-                      "an out-of-box vector was accepted as a hypertree",
-                      {"graph": graph_to_json(c6), "hypertree": list(bogus)})
-
-    instances += 1
-    true_set = hypertrees_by_brute_force(c6, "tree")
-    with_extra = HypertreeSet(list(true_set) + [bogus])
-    missing = HypertreeSet([f for f in true_set if f != (0, 1, 1)])
-    if with_extra == true_set or missing == true_set:
-        return leaked("corrupted_hypertree_set",
-                      "a tampered hypertree set compared equal to the oracle",
-                      {"graph": graph_to_json(c6)})
-    return _ok(name, desc, instances)
+    return _sweep("negative_controls", f"{len(_CONTROLS)} deliberately corrupted fixtures",
+                  (control() for control in _CONTROLS.values()))
 
 
-CHECK_NAMES = (
-    "enumeration_oracles",
-    "interpolating",
-    "degree_bounds",
-    "linear_coefficients",
-    "invariance",
-    "recursions",
-    "monic_ear",
-    "tutte",
-    "negative_controls",
-)
+# Every check, in the order run_all_checks runs them (the enumeration-oracle
+# gate first), as a runner of (corpus, seed, orders_per_graph).
+_CHECKS = {
+    "enumeration_oracles": lambda corpus, seed, orders: check_enumeration_oracles(corpus),
+    "interpolating": lambda corpus, seed, orders: check_interpolating(corpus),
+    "degree_bounds": lambda corpus, seed, orders: check_degree_bounds(corpus),
+    "linear_coefficients": lambda corpus, seed, orders: check_linear_coefficients(corpus),
+    "invariance": lambda corpus, seed, orders: check_invariance(corpus, orders, seed),
+    "recursions": lambda corpus, seed, orders: check_recursions(corpus, seed),
+    "monic_ear": lambda corpus, seed, orders: check_monic_ear(corpus=corpus),
+    "tutte": lambda corpus, seed, orders: check_tutte(seed=seed),
+    "negative_controls": lambda corpus, seed, orders: check_negative_controls(),
+}
+CHECK_NAMES = tuple(_CHECKS)
 
 
 # Cap on the census size of run_all_checks.  On a 2-core CPython 3.11 host the
@@ -770,11 +777,11 @@ def run_all_checks(seed: int = 0, corpus=None, orders_per_graph: int = 20,
                    random_max_total: int = 14, names=None,
                    progress=None, on_corpus=None) -> list[CheckReport]:
     """Run the named checks (all by default) over one shared corpus.  The
-    enumeration-oracle gate always runs first.  Parameters that would
-    silently skip checks, or a census above :data:`CENSUS_CAP`, are rejected
-    with :class:`GraphError`.  ``progress`` is called with each report as it
-    is made, and ``on_corpus`` with the corpus and the seconds it took when
-    the corpus is built here."""
+    enumeration-oracle gate always runs first.  Unknown check names,
+    parameters that would silently skip checks, or a census above
+    :data:`CENSUS_CAP` are rejected with :class:`GraphError`.  ``progress``
+    is called with each report as it is made, and ``on_corpus`` with the
+    corpus and the seconds it took when the corpus is built here."""
     if orders_per_graph < 1:
         raise GraphError(f"orders per graph must be at least 1, got {orders_per_graph}")
     if random_count < 0:
@@ -786,6 +793,10 @@ def run_all_checks(seed: int = 0, corpus=None, orders_per_graph: int = 20,
         raise GraphError(f"census size |V| + |E| <= {max_total} is above the cap "
                          f"of {CENSUS_CAP}; at 10 the full suite already takes "
                          f"about 85 s")
+    selected = tuple(names) if names else CHECK_NAMES
+    for n in selected:
+        if n not in _CHECKS:
+            raise GraphError(f"unknown check {n!r}")
     if corpus is None:
         start = time.perf_counter()
         corpus = default_corpus(seed=seed, max_total=max_total,
@@ -793,26 +804,12 @@ def run_all_checks(seed: int = 0, corpus=None, orders_per_graph: int = 20,
                                 random_max_total=random_max_total)
         if on_corpus is not None:
             on_corpus(corpus, time.perf_counter() - start)
-    selected = tuple(names) if names else CHECK_NAMES
-    for n in selected:
-        if n not in CHECK_NAMES:
-            raise GraphError(f"unknown check {n!r}")
-    runners = {
-        "enumeration_oracles": lambda: check_enumeration_oracles(corpus),
-        "interpolating": lambda: check_interpolating(corpus),
-        "degree_bounds": lambda: check_degree_bounds(corpus),
-        "linear_coefficients": lambda: check_linear_coefficients(corpus),
-        "invariance": lambda: check_invariance(corpus, orders_per_graph, seed),
-        "recursions": lambda: check_recursions(corpus, seed),
-        "monic_ear": lambda: check_monic_ear(corpus=corpus),
-        "tutte": lambda: check_tutte(seed=seed),
-        "negative_controls": check_negative_controls,
-    }
-    ordered = [n for n in CHECK_NAMES if n in selected]
     reports = []
-    for check_name in ordered:
+    for check_name, runner in _CHECKS.items():
+        if check_name not in selected:
+            continue
         start = time.perf_counter()
-        report = runners[check_name]()
+        report = runner(corpus, seed, orders_per_graph)
         report.seconds = time.perf_counter() - start
         reports.append(report)
         if progress is not None:
@@ -820,42 +817,40 @@ def run_all_checks(seed: int = 0, corpus=None, orders_per_graph: int = 20,
     return reports
 
 
+# (kind, mode) of a counterexample -> its instance, rebuilt from the graph the
+# counterexample records (None when it records none) and its other fields.
+_REPLAY = {
+    ("enumeration", None): lambda g, ce: _enumeration(g),
+    ("interpolating", None): lambda g, ce: _interpolating(g, ce["which"]),
+    ("degree_bound", None): lambda g, ce: _degree_bounds(g),
+    ("linear_coefficient", None): lambda g, ce: _linear_coefficients(g),
+    ("invariance", "order"): lambda g, ce: _order_invariance(g, ce["order"], _poly_pair(g)),
+    ("invariance", "dual"): lambda g, ce: _dual_invariance(g, interior_polynomial(g)),
+    ("invariance", "asymmetry"): lambda g, ce: _exterior_asymmetry(g),
+    ("recursion", "pendant"): lambda g, ce: _pendant(
+        g, ce["vertex"], transforms.delete_valence1(g, ce["vertex"]), _poly_pair(g)),
+    ("recursion", "deletion_contraction"): lambda g, ce: _deletion_contraction(
+        g, ce["vertex"], transforms.delete_vertex(g, ce["vertex"]), _poly_pair(g)),
+    ("recursion", "join"):
+        lambda g, ce: _join(*map(graph_from_json, ce["factors"]), ce["join"]),
+    ("recursion", "parallel_pair"): lambda g, ce: _parallel_pair(g, *ce["pair"], ce["t"]),
+    ("recursion", "decomposition"): lambda g, ce: _decomposition(g),
+    ("monic", "ear"): lambda g, ce: _monic_ear(g, "ear graph"),
+    ("monic", "cap"): lambda g, ce: _monic_cap(g),
+    ("tutte", None): lambda g, ce: _tutte(MultiGraph(
+        ce["multigraph"]["n"], [tuple(e) for e in ce["multigraph"]["edges"]])),
+    ("negative_control", None): lambda g, ce: _CONTROLS[ce["control"]](),
+}
+
+
 def replay_counterexample(counterexample: dict) -> bool:
-    """Re-run the assertion behind a counterexample in isolation; True means
-    the failure reproduces."""
-    kind = counterexample.get("kind")
-    if kind == "interpolating":
-        return not _support_is_initial_interval(
-            IntPoly.from_json(counterexample["polynomial"]))
-    if kind == "negative_control":
-        return not check_negative_controls().passed
-    if kind == "tutte":
-        data = counterexample["multigraph"]
-        mg = MultiGraph(data["n"], [tuple(e) for e in data["edges"]])
-        return not check_tutte(graph_corpus=[mg]).passed
-    g = graph_from_json(counterexample["graph"])
-    singleton = [g]
-    if kind == "enumeration":
-        return not check_enumeration_oracles(singleton).passed
-    if kind == "degree_bound":
-        return not check_degree_bounds(singleton).passed
-    if kind == "linear_coefficient":
-        return not check_linear_coefficients(singleton).passed
-    if kind == "invariance":
-        order = counterexample.get("order")
-        if order is None:
-            return interior_polynomial(g) != interior_polynomial(abstract_dual(g))
-        b = enumerate_hypertrees(g)
-        return (interior_polynomial(g, order=order, hypertrees=b)
-                != interior_polynomial(g, hypertrees=b)
-                or exterior_polynomial(g, order=order, hypertrees=b)
-                != exterior_polynomial(g, hypertrees=b))
-    if kind == "recursion":
-        return not check_recursions(singleton).passed
-    if kind == "monic":
-        poly = interior_polynomial(g)
-        if counterexample.get("mode") == "ear":
-            return not (g.n_v == g.n_e and poly.coeff(g.n_v - 1) == 1
-                        and poly.degree == g.n_v - 1)
-        return g.n_v == g.n_e and poly.coeff(g.n_v - 1) > 1
-    raise GraphError(f"cannot replay counterexample of kind {kind!r}")
+    """Rebuild the instance behind a counterexample and run the instance
+    function that made it again; True means the failure reproduces."""
+    kind, mode = counterexample.get("kind"), counterexample.get("mode")
+    replay = _REPLAY.get((kind, mode))
+    if replay is None:
+        raise GraphError(f"cannot replay counterexample of kind {kind!r}"
+                         + (f" in mode {mode!r}" if mode is not None else ""))
+    graph = counterexample.get("graph")
+    g = graph_from_json(graph) if graph is not None else None
+    return replay(g, counterexample) is not None

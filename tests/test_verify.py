@@ -7,15 +7,23 @@ import json
 import pytest
 
 from hytrex.errors import GraphError
-from hytrex.graph import graph_to_json
+from hytrex.graph import BipGraph, graph_to_json
 from hytrex.hypertrees import HypertreeSet, hypertrees_by_brute_force
 from hytrex.poly import IntPoly
-from hytrex import verify
+from hytrex.transforms import DecompositionTerm
+from hytrex import transforms, verify
 from hytrex.verify import (
     CENSUS_CAP,
     CHECK_NAMES,
+    check_degree_bounds,
     check_enumeration_oracles,
+    check_interpolating,
+    check_invariance,
+    check_linear_coefficients,
+    check_monic_ear,
     check_negative_controls,
+    check_recursions,
+    check_tutte,
     default_corpus,
     exhaustive_connected_bipartite,
     family_instances,
@@ -133,14 +141,43 @@ class TestCorpusUnchanged:
         assert got == TUTTE_CORPUS_SEED7_SHA256
 
 
+def _passing(name, corpus, instances):
+    return {"name": name, "corpus": corpus, "instances": instances,
+            "passed": True, "counterexample": None}
+
+
+SMALL = "81 connected bipartite graphs, largest |V|+|E| = 16"
+# Every report of run_all_checks(seed=5, corpus=small_corpus,
+# orders_per_graph=5), recorded before each property got one instance
+# function shared by the sweep and the replay; the verdicts, instance counts
+# and corpus descriptions must not move.
+SMALL_CORPUS_REPORTS = [
+    _passing("enumeration_oracles", SMALL, 81),
+    _passing("interpolating", SMALL, 162),
+    _passing("degree_bounds", SMALL, 81),
+    _passing("linear_coefficients", SMALL, 81),
+    _passing("invariance", SMALL, 487),
+    _passing("recursions", SMALL, 490),
+    _passing("monic_ear", "15 seeded ear graphs + 81 corpus graphs", 48),
+    _passing("tutte", "56 connected simple graphs with at most 7 edges", 56),
+    _passing("negative_controls", "3 deliberately corrupted fixtures", 3),
+]
+
+
 class TestSuite:
     def test_all_checks_pass_on_small_corpus(self, small_corpus):
         reports = run_all_checks(seed=5, corpus=small_corpus, orders_per_graph=5)
-        assert [r.name for r in reports] == list(CHECK_NAMES)
-        for report in reports:
-            assert report.passed, (report.name, report.counterexample)
-            assert report.counterexample is None
-            assert report.instances > 0
+        assert tuple(r.name for r in reports) == CHECK_NAMES
+        assert [r.to_json() for r in reports] == SMALL_CORPUS_REPORTS
+
+    def test_recursions_with_a_label_in_both_classes(self):
+        # V-vertex "a" is a leaf and E-vertex "a" has valence 2.  The
+        # surgeries resolve "a" to the V-vertex, and deleting it drops the
+        # edges of E-vertex "a" too; the check skips such an instance rather
+        # than hand a disconnected graph to the polynomials.
+        g = BipGraph(("a", "b"), ("a", "c"), [(0, 0), (1, 0), (1, 1)])
+        report = check_recursions([g])
+        assert (report.passed, report.instances) == (True, 7)
 
     def test_deterministic_given_corpus_and_seed(self, small_corpus):
         a = run_all_checks(seed=5, corpus=small_corpus, orders_per_graph=3)
@@ -204,10 +241,11 @@ class TestNegativeControls:
 
 
 class TestReplay:
-    def test_negative_control_counterexample_replays(self):
+    def test_replay_recomputes_from_the_graph(self):
+        # the recorded polynomial has a gap, but the graph's does not
         ce = {"kind": "interpolating", "polynomial": [1, 0, 1],
-              "graph": None, "which": "interior"}
-        assert replay_counterexample(ce) is True
+              "graph": graph_to_json(cycle(3)), "which": "interior"}
+        assert replay_counterexample(ce) is False
 
     def test_healthy_graph_does_not_reproduce_failure(self):
         g = cycle(3)
@@ -215,13 +253,142 @@ class TestReplay:
         assert replay_counterexample(ce) is False
         ce2 = {"kind": "degree_bound", "graph": graph_to_json(g)}
         assert replay_counterexample(ce2) is False
-        ce3 = {"kind": "invariance", "graph": graph_to_json(g),
+        ce3 = {"kind": "invariance", "mode": "order", "graph": graph_to_json(g),
                "order": [2, 0, 1]}
         assert replay_counterexample(ce3) is False
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(GraphError, match="cannot replay counterexample of kind"):
             replay_counterexample({"kind": "???"})
+
+
+_ONE_POINT_JOIN = transforms.one_point_join
+
+
+def _wrap(monkeypatch, owner, name, change):
+    """Replace ``owner.name`` by a function that hands the original's result
+    and the call's arguments to ``change``."""
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kwargs:
+                        change(original(*args, **kwargs), *args, **kwargs))
+
+
+def _grow(joined, *args):
+    """Glue a 4-cycle to a graph, which multiplies I by 1 + x."""
+    c4 = cycle(2)
+    return _ONE_POINT_JOIN(joined, c4, joined.v_names[0], c4.v_names[0])
+
+
+def _top_plus_one(p, g, *args, **kwargs):
+    return p + IntPoly.monomial(g.n_v - 1)
+
+
+def _order_sensitive(p, g, order=None, **kwargs):
+    return p + IntPoly.monomial(1) if order is not None and order != sorted(order) else p
+
+
+def _side_blind(monkeypatch):
+    exterior = verify.exterior_polynomial
+    monkeypatch.setattr(verify, "exterior_polynomial",
+                        lambda g, order=None, hyperedge_side="e", hypertrees=None:
+                        exterior(g, order=order, hypertrees=hypertrees))
+
+
+# (what the counterexample must say, fault injection, failing check)
+FAULTS = [
+    ({"kind": "enumeration"},
+     lambda mp: _wrap(mp, verify, "hypertrees_by_brute_force",
+                      lambda b, g, method: HypertreeSet(list(b)[:-1])
+                      if method == "polymatroid" else b),
+     check_enumeration_oracles),
+    ({"kind": "interpolating", "which": "exterior"},
+     lambda mp: _wrap(mp, verify, "exterior_polynomial",
+                      lambda p, *args, **kwargs: IntPoly((1, 0) + p.coeffs[1:])),
+     check_interpolating),
+    ({"kind": "degree_bound"},
+     lambda mp: _wrap(mp, verify, "interior_polynomial",
+                      lambda p, *args, **kwargs: p + IntPoly.monomial(p.degree + 1)),
+     check_degree_bounds),
+    ({"kind": "linear_coefficient"},
+     lambda mp: _wrap(mp, verify, "nullity", lambda n, g: n + 1),
+     check_linear_coefficients),
+    ({"kind": "invariance", "mode": "order"},
+     lambda mp: _wrap(mp, verify, "interior_polynomial", _order_sensitive),
+     lambda census: check_invariance(census, orders_per_graph=3)),
+    ({"kind": "invariance", "mode": "dual"},
+     lambda mp: mp.setattr(verify, "abstract_dual", lambda g: cycle(3)),
+     lambda census: check_invariance(census, orders_per_graph=1)),
+    ({"kind": "invariance", "mode": "asymmetry"},
+     _side_blind,
+     lambda census: check_invariance([], orders_per_graph=1)),
+    ({"kind": "recursion", "mode": "pendant"},
+     lambda mp: mp.setattr(transforms, "delete_valence1", lambda g, label: cycle(2)),
+     check_recursions),
+    ({"kind": "recursion", "mode": "deletion_contraction"},
+     lambda mp: mp.setattr(transforms, "contract_vertex", transforms.delete_vertex),
+     check_recursions),
+    ({"kind": "recursion", "mode": "join", "join": "v"},
+     lambda mp: _wrap(mp, transforms, "one_point_join",
+                      lambda j, g1, g2, l1, l2: _grow(j) if l1 in g1.v_names else j),
+     check_recursions),
+    ({"kind": "recursion", "mode": "join", "join": "e"},
+     lambda mp: _wrap(mp, transforms, "one_point_join",
+                      lambda j, g1, g2, l1, l2: _grow(j) if l1 in g1.e_names else j),
+     check_recursions),
+    ({"kind": "recursion", "mode": "join", "join": "edge"},
+     lambda mp: _wrap(mp, transforms, "edge_join", _grow),
+     check_recursions),
+    ({"kind": "recursion", "mode": "parallel_pair"},
+     lambda mp: _wrap(mp, transforms, "add_parallel_pair_vertices", _grow),
+     check_recursions),
+    ({"kind": "recursion", "mode": "decomposition"},
+     lambda mp: _wrap(mp, transforms, "balanced_decomposition", lambda terms, g: [
+         DecompositionTerm(t.coefficient + 1, t.exponent, t.graph) for t in terms]),
+     check_recursions),
+    ({"kind": "monic", "mode": "ear"},
+     lambda mp: _wrap(mp, verify, "interior_polynomial", _top_plus_one),
+     lambda census: check_monic_ear()),
+    ({"kind": "monic", "mode": "cap"},
+     lambda mp: _wrap(mp, verify, "interior_polynomial", _top_plus_one),
+     lambda census: check_monic_ear(seeds=(), corpus=census)),
+    ({"kind": "tutte"},
+     lambda mp: _wrap(mp, verify, "interior_from_tutte", lambda p, mg: p + 1),
+     lambda census: check_tutte()),
+    ({"kind": "negative_control", "control": "corrupted_polynomial"},
+     lambda mp: mp.setattr(verify, "_support_is_initial_interval", lambda p: True),
+     lambda census: check_negative_controls()),
+    ({"kind": "negative_control", "control": "corrupted_hypertree"},
+     lambda mp: mp.setattr(verify, "is_hypertree_by_polymatroid", lambda g, f: True),
+     lambda census: check_negative_controls()),
+    ({"kind": "negative_control", "control": "corrupted_hypertree_set"},
+     lambda mp: mp.setattr(verify, "HypertreeSet",
+                           lambda vectors: hypertrees_by_brute_force(cycle(3), "tree")),
+     lambda census: check_negative_controls()),
+]
+
+
+@pytest.fixture(scope="module")
+def census5():
+    return exhaustive_connected_bipartite(5)
+
+
+class TestFaultReplay:
+    """Each kind of counterexample, made by a check under an injected fault,
+    replays True after a JSON round trip while the fault is in place and
+    False once it is removed."""
+
+    @pytest.mark.parametrize("expected, inject, check", FAULTS,
+                             ids=["-".join(map(str, e.values())) for e, _, _ in FAULTS])
+    def test_counterexample_replays_only_under_its_fault(self, census5, monkeypatch,
+                                                         expected, inject, check):
+        inject(monkeypatch)
+        report = check(census5)
+        assert not report.passed
+        ce = json.loads(json.dumps(report.counterexample))
+        assert {key: ce.get(key) for key in expected} == expected
+        assert replay_counterexample(ce) is True
+        monkeypatch.undo()
+        assert replay_counterexample(ce) is False
 
 
 class TestGate:
