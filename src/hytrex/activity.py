@@ -1,10 +1,15 @@
 """Internal and external activity of hypertrees under a fixed order on E.
 
-The fast path decides activity by membership probes against the enumerated
-hypertree set: a hyperedge is internally inactive when it can send valence
-to some smaller hyperedge, externally inactive when it can receive valence
-from one.  The subset-scanning variants decide the same questions from
-tight sets alone and exist to cross-check the fast path.
+The fast path reads activity off the hypertree walk: for each hypertree it
+yields the closure ``reach``, whose bit ``a`` in ``reach[b]`` says that
+valence can move from ``a`` to ``b``.  One prefix-OR pass over an order then
+gives every flag (:func:`inactive_sets`), and :func:`walk_inactivity` folds
+any number of orders into a single walk.  The membership-probe flags decide
+the same questions by probing an enumerated hypertree set: a hyperedge is
+internally inactive when it can send valence to some smaller hyperedge,
+externally inactive when it can receive valence from one.  They and the
+subset-scanning variants, which use tight sets alone, exist to cross-check
+the fast path.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import GraphError
 from .graph import BipGraph, mu_table, normalize_edge_order, _require_subset_capacity
-from .hypertrees import HypertreeSet, transfer
+from .hypertrees import HypertreeSet, _walk, transfer
 
 __all__ = [
     "ActivityProfile",
@@ -24,6 +29,8 @@ __all__ = [
     "external_inactivity",
     "internal_inactive_by_tight_sets",
     "external_inactive_by_tight_sets",
+    "inactive_sets",
+    "walk_inactivity",
 ]
 
 
@@ -50,6 +57,38 @@ class ActivityProfile:
     @property
     def external_inactivity(self) -> int:
         return len(self.external_active) - self.external_activity
+
+
+def inactive_sets(reach, order) -> tuple[int, int]:
+    """Bitmasks of the internally and externally inactive hyperedges of one
+    hypertree under ``order``, from the closure ``reach`` that the walk
+    yields with it.
+
+    For ``a != b``, bit ``a`` of ``reach[b]`` is set exactly when one unit
+    of valence can move from ``a`` to ``b``, and never when ``f(a) = 0``.  So
+    ``e`` is internally inactive when bit ``e`` is set in the union of the
+    ``reach`` of the hyperedges before it, and externally inactive when
+    ``reach[e]`` meets the set of those hyperedges.
+    """
+    before = seen = internal = external = 0
+    for e in order:
+        bit = 1 << e
+        if before & bit:
+            internal |= bit
+        if reach[e] & seen:
+            external |= bit
+        before |= reach[e]
+        seen |= bit
+    return internal, external
+
+
+def walk_inactivity(g: BipGraph, orders):
+    """Yield ``(f, sets)`` for every hypertree ``f`` of ``g``, in walk order,
+    where ``sets[i]`` is :func:`inactive_sets` under ``orders[i]`` (None is
+    the input order).  One walk serves every order."""
+    orders = [normalize_edge_order(g, order) for order in orders]
+    for f, reach in _walk(g):
+        yield f, [inactive_sets(reach, order) for order in orders]
 
 
 def internal_active_flags(b: HypertreeSet, f, order) -> tuple[bool, ...]:

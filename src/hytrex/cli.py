@@ -27,8 +27,7 @@ from .graph import (
     graph_to_json,
     normalize_edge_order,
 )
-from .hypertrees import enumerate_hypertrees
-from .activity import external_active_flags, internal_active_flags
+from .activity import walk_inactivity
 from .poly import (
     MultiGraph,
     exterior_polynomial,
@@ -168,16 +167,10 @@ def _cmd_polynomial(args, poly_fn, var) -> int:
 
 def _cmd_hypertrees(args) -> int:
     g, order = _load_hyperedge_graph(args)
-    b = enumerate_hypertrees(g)
-    rows = []
-    for f in b:
-        internal = internal_active_flags(b, f, order)
-        external = external_active_flags(b, f, order)
-        rows.append({
-            "f": list(f),
-            "internal_inactivity": len(internal) - sum(internal),
-            "external_inactivity": len(external) - sum(external),
-        })
+    rows = [{"f": list(f),
+             "internal_inactivity": internal.bit_count(),
+             "external_inactivity": external.bit_count()}
+            for f, [(internal, external)] in sorted(walk_inactivity(g, [order]))]
     if args.as_json:
         out = {"order": [g.e_names[e] for e in order], "hypertrees": rows}
         print(json.dumps(out, separators=(",", ":")))

@@ -16,7 +16,6 @@ can be cross-checked rather than assumed complete.
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import DisconnectedGraphError, GraphError
@@ -200,12 +199,8 @@ def enumerate_hypertrees(g: BipGraph) -> HypertreeSet:
     transfers, seeded with the greedy exterior hypertree.  No candidate is
     searched for: each hypertree carries a spanning tree that realizes it,
     checked when the hypertree is expanded, and the tree decides which
-    transfers lead to hypertrees."""
-    return _enumerate_cached(g)
-
-
-@lru_cache(maxsize=16384)
-def _enumerate_cached(g: BipGraph) -> HypertreeSet:
+    transfers lead to hypertrees.  Nothing is cached: every call walks the
+    hypertrees afresh, and the polynomials do not need the set at all."""
     return HypertreeSet(f for f, _ in _walk(g))
 
 

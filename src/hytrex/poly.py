@@ -11,6 +11,9 @@ invariants of its subdivision.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+
 from .errors import CapacityError, DisconnectedGraphError, GraphError
 from .graph import (
     BipGraph,
@@ -19,8 +22,7 @@ from .graph import (
     from_hypergraph,
     normalize_edge_order,
 )
-from .activity import external_active_flags, internal_active_flags
-from .hypertrees import enumerate_hypertrees
+from .activity import external_active_flags, internal_active_flags, walk_inactivity
 
 __all__ = [
     "IntPoly",
@@ -28,6 +30,9 @@ __all__ = [
     "MultiGraph",
     "interior_polynomial",
     "exterior_polynomial",
+    "polynomial_pair",
+    "polynomial_pairs",
+    "pair_memo",
     "tutte_polynomial",
     "interior_from_tutte",
     "exterior_from_tutte",
@@ -282,14 +287,20 @@ def is_interpolating(p: IntPoly) -> bool:
 
 
 def interior_polynomial(g: BipGraph, order=None, hypertrees=None) -> IntPoly:
-    """Sum of x^(internal inactivity) over all hypertrees of ``g``."""
+    """Sum of x^(internal inactivity) over all hypertrees of ``g``.
+
+    Without ``hypertrees`` the inactivities are read off one hypertree walk
+    (:func:`polynomial_pairs`).  A given set ``hypertrees`` is counted by
+    membership probes instead: that is the oracle path, which trusts the
+    set it is handed."""
     return _inactivity_polynomial(g, order, hypertrees, internal_active_flags, "interior")
 
 
 def exterior_polynomial(g: BipGraph, order=None, hyperedge_side: str = "e",
                         hypertrees=None) -> IntPoly:
     """Sum of y^(external inactivity) over all hypertrees, with the chosen
-    colour class acting as the hyperedges."""
+    colour class acting as the hyperedges.  ``hypertrees`` is handled as in
+    :func:`interior_polynomial`."""
     if hyperedge_side not in ("v", "e"):
         raise GraphError("hyperedge_side must be 'v' or 'e'")
     if hyperedge_side == "v":
@@ -298,17 +309,62 @@ def exterior_polynomial(g: BipGraph, order=None, hyperedge_side: str = "e",
 
 
 def _inactivity_polynomial(g: BipGraph, order, hypertrees, flags_fn, what: str) -> IntPoly:
-    """Count the hypertrees by their number of inactive hyperedges, where
-    ``flags_fn(b, f, order)`` gives one activity flag per hyperedge."""
+    """Count the hypertrees by their number of inactive hyperedges: from the
+    walk, or over ``hypertrees`` with ``flags_fn(b, f, order)`` giving one
+    activity flag per hyperedge."""
     if not g.connected:
         raise DisconnectedGraphError(f"the {what} polynomial requires a connected graph")
     order = normalize_edge_order(g, order)
-    b = hypertrees if hypertrees is not None else enumerate_hypertrees(g)
+    if hypertrees is None:
+        pair = polynomial_pair(g) if order == tuple(range(g.n_e)) else (
+            polynomial_pairs(g, [order])[0])
+        return pair[0 if what == "interior" else 1]
     coeffs = [0] * (g.n_e + 1)
-    for f in b:
-        flags = flags_fn(b, f, order)
+    for f in hypertrees:
+        flags = flags_fn(hypertrees, f, order)
         coeffs[len(flags) - sum(flags)] += 1
     return IntPoly(coeffs)
+
+
+def polynomial_pairs(g: BipGraph, orders) -> list[tuple[IntPoly, IntPoly]]:
+    """``(I, X)`` of ``g`` under each order of ``orders`` (None is the input
+    order), all counted from one hypertree walk.  The polynomials do not
+    depend on the order; the orders are there to check that they do not."""
+    counts = [([0] * (g.n_e + 1), [0] * (g.n_e + 1)) for _ in orders]
+    for _, sets in walk_inactivity(g, orders):
+        for (interior, exterior), (internal, external) in zip(counts, sets):
+            interior[internal.bit_count()] += 1
+            exterior[external.bit_count()] += 1
+    return [(IntPoly(interior), IntPoly(exterior)) for interior, exterior in counts]
+
+
+# Input-order (I, X) by graph while a pair_memo() block is open in this
+# thread or task; None outside one.
+_pairs = ContextVar("hytrex_pairs", default=None)
+
+
+@contextmanager
+def pair_memo():
+    """Within the block, the input-order polynomials of each graph are
+    counted once and then reused.  The memo belongs to the outermost block
+    of the current thread or task and is dropped when that block exits."""
+    token = _pairs.set({}) if _pairs.get() is None else None
+    try:
+        yield
+    finally:
+        if token is not None:
+            _pairs.reset(token)
+
+
+def polynomial_pair(g: BipGraph) -> tuple[IntPoly, IntPoly]:
+    """``(I, X)`` of ``g`` in the input order, memoised inside pair_memo()."""
+    memo = _pairs.get()
+    pair = memo.get(g) if memo is not None else None
+    if pair is None:
+        pair = polynomial_pairs(g, [None])[0]
+        if memo is not None:
+            memo[g] = pair
+    return pair
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ Surgeries that would disconnect a graph are permitted structurally; the
 polynomial recursions that rely on connectivity guard their own
 preconditions instead.  Labels survive every operation (merged vertices
 join their constituent labels with "+") so counterexamples stay traceable.
+A label used in both classes names the V-vertex; the surgeries then act on
+that vertex alone, so its namesake in E keeps its edges.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ __all__ = [
 
 
 def _locate(g: BipGraph, label: str):
+    """The (side, index) of the vertex a label names; a label used in both
+    classes names the V-vertex."""
     if label in g._v_index:
         return "v", g._v_index[label]
     if label in g._e_index:
@@ -46,55 +50,69 @@ def _rebuild(v_names, e_names, pairs) -> BipGraph:
     return build_bipartite(v_names, e_names, pairs)
 
 
+# The vertex surgeries work on (side, index), never on labels, because the
+# two classes may share a label.  They see a graph from the side of the
+# vertex: "own" is that vertex's class, "other" the opposite one, and each
+# edge is an (own index, other index) pair.
+
+
+def _from_side(g: BipGraph, side: str):
+    if side == "v":
+        return g.v_names, g.e_names, g.adj
+    return g.e_names, g.v_names, [(e, v) for v, e in g.adj]
+
+
+def _to_side(side: str, own, other, pairs) -> BipGraph:
+    if not own or not other:
+        raise GraphError("operation would empty a colour class")
+    if side == "v":
+        return BipGraph(own, other, pairs)
+    return BipGraph(other, own, [(y, x) for x, y in pairs])
+
+
+def _delete(g: BipGraph, side: str, idx: int) -> BipGraph:
+    own, other, pairs = _from_side(g, side)
+    return _to_side(side, own[:idx] + own[idx + 1:], other,
+                    [(x - (x > idx), y) for x, y in pairs if x != idx])
+
+
+def _contract(g: BipGraph, side: str, idx: int) -> BipGraph:
+    own, other, pairs = _from_side(g, side)
+    merged = sorted(y for x, y in pairs if x == idx)
+    if not merged:
+        raise GraphError(f"cannot contract isolated vertex {own[idx]!r}")
+    # The neighbours collapse onto the first of them, which takes the joined
+    # label; the others drop out of the class.
+    first, gone = merged[0], set(merged[1:])
+    position, names = {}, []
+    for y, name in enumerate(other):
+        if y not in gone:
+            position[y] = len(names)
+            names.append("+".join(other[m] for m in merged) if y == first else name)
+    for y in gone:
+        position[y] = position[first]
+    return _to_side(side, own[:idx] + own[idx + 1:], names,
+                    [(x - (x > idx), position[y]) for x, y in pairs if x != idx])
+
+
 def delete_valence1(g: BipGraph, label: str) -> BipGraph:
     """Remove a pendant vertex; the polynomials are insensitive to this."""
     side, idx = _locate(g, label)
     degree = g.deg_v(idx) if side == "v" else g.deg_e(idx)
     if degree != 1:
         raise GraphError(f"{label!r} has valence {degree}, expected 1")
-    return delete_vertex(g, label)
+    return _delete(g, side, idx)
 
 
 def delete_vertex(g: BipGraph, label: str) -> BipGraph:
     """Remove a vertex and its incident edges."""
-    side, idx = _locate(g, label)
-    if side == "v":
-        v_names = [x for x in g.v_names if x != label]
-        e_names = list(g.e_names)
-    else:
-        v_names = list(g.v_names)
-        e_names = [x for x in g.e_names if x != label]
-    pairs = [(v, e) for v, e in _label_pairs(g) if label not in (v, e)]
-    return _rebuild(v_names, e_names, pairs)
+    return _delete(g, *_locate(g, label))
 
 
 def contract_vertex(g: BipGraph, label: str) -> BipGraph:
     """Remove a vertex and identify all its neighbours; multi-edges created
     by the identification collapse immediately."""
-    side, idx = _locate(g, label)
-    if side == "v":
-        merged_ids = g.v_nbrs[idx]
-        if not merged_ids:
-            raise GraphError(f"cannot contract isolated vertex {label!r}")
-        merged_labels = [g.e_names[e] for e in merged_ids]
-        merged = "+".join(merged_labels)
-        e_names = [merged if x == merged_labels[0] else x
-                   for x in g.e_names if x not in merged_labels[1:]]
-        v_names = [x for x in g.v_names if x != label]
-        rename = {old: merged for old in merged_labels}
-        pairs = [(v, rename.get(e, e)) for v, e in _label_pairs(g) if v != label]
-    else:
-        merged_ids = g.e_nbrs[idx]
-        if not merged_ids:
-            raise GraphError(f"cannot contract isolated vertex {label!r}")
-        merged_labels = [g.v_names[v] for v in merged_ids]
-        merged = "+".join(merged_labels)
-        v_names = [merged if x == merged_labels[0] else x
-                   for x in g.v_names if x not in merged_labels[1:]]
-        e_names = [x for x in g.e_names if x != label]
-        rename = {old: merged for old in merged_labels}
-        pairs = [(rename.get(v, v), e) for v, e in _label_pairs(g) if e != label]
-    return _rebuild(v_names, e_names, pairs)
+    return _contract(g, *_locate(g, label))
 
 
 def _fresh(labels_in_use, candidate: str) -> str:

@@ -1,6 +1,7 @@
 """Activity computations: membership-based fast path versus tight-set scans,
 plus the structural lemmas about activities."""
 
+import random
 from itertools import permutations
 
 import pytest
@@ -15,9 +16,15 @@ from hytrex.activity import (
     internal_active_flags,
     internal_inactive_by_tight_sets,
     internal_inactivity,
+    walk_inactivity,
 )
 from hytrex.errors import GraphError
-from hytrex.hypertrees import enumerate_hypertrees, greedy_exterior_hypertree
+from hytrex.hypertrees import (
+    enumerate_hypertrees,
+    greedy_exterior_hypertree,
+    hypertrees_by_brute_force,
+)
+from hytrex.verify import exhaustive_connected_bipartite
 
 
 IDENTITY3 = (0, 1, 2)
@@ -190,3 +197,44 @@ class TestOrderHandling:
             totals.add(tuple(total))
         # multiset of inactivities is order-independent
         assert len(totals) == 1
+
+
+def _inactive_mask(flags):
+    return sum(1 << e for e, active in enumerate(flags) if not active)
+
+
+class TestWalkInactivity:
+    """The bitmask rule read off the walk against the membership-probe flags
+    over the polymatroid scan, on every hypertree of the census."""
+
+    def test_matches_probe_flags_on_the_census_to_7(self):
+        rng = random.Random("walk-inactivity")
+        hypertrees = inactive = 0
+        for g in exhaustive_connected_bipartite(7):
+            natural = list(range(g.n_e))
+            orders = [natural, natural[::-1]]
+            for _ in range(3):
+                orders.append(rng.sample(natural, g.n_e))
+            b = hypertrees_by_brute_force(g, "polymatroid")
+            walked = dict(walk_inactivity(g, orders))
+            assert sorted(walked) == list(b)
+            for f, sets in walked.items():
+                hypertrees += 1
+                for order, (internal, external) in zip(orders, sets):
+                    assert internal == _inactive_mask(internal_active_flags(b, f, order)), \
+                        (g.e_masks, f, order)
+                    assert external == _inactive_mask(external_active_flags(b, f, order)), \
+                        (g.e_masks, f, order)
+                    inactive += bool(internal) + bool(external)
+        assert hypertrees == 378
+        assert inactive > 0
+
+    def test_none_is_the_input_order(self):
+        g = complete_bipartite(3, 3)
+        for (f1, sets1), (f2, sets2) in zip(walk_inactivity(g, [None]),
+                                            walk_inactivity(g, [(0, 1, 2)])):
+            assert (f1, sets1) == (f2, sets2)
+
+    def test_bad_order_rejected(self):
+        with pytest.raises(GraphError):
+            list(walk_inactivity(cycle(3), [(0, 0, 1)]))

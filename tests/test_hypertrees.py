@@ -140,8 +140,7 @@ class TestCertificates:
 
         monkeypatch.setattr(hypertrees, "find_realizing_tree", forbidden)
         for g, want in zip(graphs, expected):
-            # Bypass the cache so the enumeration really runs.
-            assert hypertrees._enumerate_cached.__wrapped__(g) == want
+            assert hypertrees.enumerate_hypertrees(g) == want
 
     def test_witness_check_rejects_every_bad_single_move(self):
         g = ladder(3)
@@ -170,7 +169,7 @@ class TestCertificates:
         monkeypatch.setattr(hypertrees._Witnesses, "exchange",
                             lambda self, tree, *rest: tree)
         with pytest.raises(RuntimeError, match="internal error"):
-            hypertrees._enumerate_cached.__wrapped__(cycle(3))
+            hypertrees.enumerate_hypertrees(cycle(3))
 
     def test_exchange_paths_have_no_shortcut(self, monkeypatch):
         # The exchange is a spanning tree because no step x_i -> x_j with
@@ -183,7 +182,7 @@ class TestCertificates:
             return root(self, f, tree)
 
         monkeypatch.setattr(hypertrees._Witnesses, "root", recording_root)
-        hypertrees._enumerate_cached.__wrapped__(ladder(6))
+        hypertrees.enumerate_hypertrees(ladder(6))
         longest = 0
         for w, f, tree in expanded:
             step = w.step(tree, root(w, f, tree))

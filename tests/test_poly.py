@@ -18,9 +18,13 @@ from hytrex.poly import (
     interior_from_tutte,
     interior_polynomial,
     is_interpolating,
+    pair_memo,
+    polynomial_pair,
+    polynomial_pairs,
     subdivision,
     tutte_polynomial,
 )
+from hytrex import poly
 
 
 class TestIntPoly:
@@ -123,6 +127,52 @@ class TestPipeline:
         assert interior == interior_polynomial(abstract_dual(g))
         assert sum(interior.coeffs) == len(b)
         assert sum(exterior.coeffs) == len(b)
+
+
+class TestWalkPath:
+    """The polynomials read off one walk, and the probe path they replace."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(connected_bipgraphs())
+    def test_walk_matches_the_probe_path_under_several_orders(self, g):
+        b = enumerate_hypertrees(g)
+        orders = [None, list(range(g.n_e))[::-1]]
+        for order, (interior, exterior) in zip(orders, polynomial_pairs(g, orders)):
+            assert interior == interior_polynomial(g, order=order, hypertrees=b)
+            assert exterior == exterior_polynomial(g, order=order, hypertrees=b)
+
+    def test_given_hypertrees_are_counted_as_given(self):
+        # The probe path trusts the set it is handed: drop a hypertree and
+        # the coefficients no longer sum to the number of hypertrees.
+        g = complete_bipartite(3, 3)
+        b = enumerate_hypertrees(g)
+        partial = type(b)(list(b)[1:])
+        assert sum(interior_polynomial(g, hypertrees=partial).coeffs) == len(b) - 1
+        assert sum(interior_polynomial(g).coeffs) == len(b)
+
+    def test_memo_lives_only_inside_the_block(self, monkeypatch):
+        g = complete_bipartite(2, 3)
+        walks = []
+        count = poly.polynomial_pairs
+        monkeypatch.setattr(poly, "polynomial_pairs",
+                            lambda *args: walks.append(1) or count(*args))
+        with pair_memo():
+            with pair_memo():
+                assert polynomial_pair(g) == (IntPoly([1, 2]), IntPoly([1, 1, 1]))
+            interior_polynomial(g)
+            exterior_polynomial(g)
+            assert len(walks) == 1
+        assert poly._pairs.get() is None
+        interior_polynomial(g)
+        assert len(walks) == 2
+
+    def test_no_module_level_cache(self):
+        import hytrex
+
+        for module in (hytrex, *(m for name, m in vars(hytrex).items()
+                                  if type(m) is type(hytrex))):
+            for name, value in vars(module).items():
+                assert not hasattr(value, "cache_info"), f"{module.__name__}.{name}"
 
 
 class TestTutte:

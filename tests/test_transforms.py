@@ -2,10 +2,11 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import complete_bipartite, connected_bipgraphs, cycle, path_graph
 from hytrex.errors import GraphError
-from hytrex.graph import BipGraph, build_bipartite
+from hytrex.graph import BipGraph, build_bipartite, graph_to_json
 from hytrex.poly import IntPoly, exterior_polynomial, interior_polynomial
 from hytrex.transforms import (
     add_parallel_pair_vertices,
@@ -98,6 +99,73 @@ class TestDeleteContract:
             + [("w", g.e_names[0])])
         assert interior_polynomial(grown) == interior_polynomial(g)
         assert exterior_polynomial(grown) == exterior_polynomial(g)
+
+
+def _relabel(g, v_names, e_names):
+    return BipGraph(v_names, e_names, g.adj)
+
+
+def _strip_class_tags(g):
+    """Drop the class tag ("v" or "e") from every part of every label;
+    labels a surgery made up itself carry no tag."""
+    def back(label):
+        return "+".join(part[1:] if part[0] in "ve" else part
+                        for part in label.split("+"))
+
+    return _relabel(g, [back(x) for x in g.v_names], [back(x) for x in g.e_names])
+
+
+def _outcome(surgery, g, label):
+    """The result as JSON, or the error with the label blanked out."""
+    try:
+        return graph_to_json(surgery(g, label))
+    except GraphError as exc:
+        return str(exc).replace(repr(label), "<label>")
+
+
+class TestSharedLabels:
+    """A label may name a V-vertex and an E-vertex at once; a surgery must
+    act on the vertex the label resolves to (the V one) and leave the other
+    vertex's edges alone."""
+
+    def test_delete_keeps_the_edges_of_the_namesake(self):
+        g = BipGraph(("a", "b"), ("a", "c"), [(0, 0), (1, 0), (1, 1)])
+        out = delete_vertex(g, "a")
+        assert out == build_bipartite(["b"], ["a", "c"], [("b", "a"), ("b", "c")])
+        assert out.connected
+        assert delete_valence1(g, "a") == out
+
+    def test_contract_keeps_the_edges_of_the_namesake(self):
+        g = BipGraph(("a", "b"), ("a", "c"), [(0, 0), (1, 0), (1, 1)])
+        assert contract_vertex(g, "b") == build_bipartite(["a"], ["a+c"], [("a", "a+c")])
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_bipgraphs(), st.integers(min_value=0, max_value=4))
+    def test_surgery_matches_a_copy_with_distinct_labels(self, g, shift):
+        # V-vertex i is letter i and E-vertex j letter j + shift, so the
+        # classes share labels whenever shift < |V|; the copy tags each
+        # label with its class.
+        letters = "abcdefgh"
+        v_names = [letters[i] for i in range(g.n_v)]
+        e_names = [letters[j + shift] for j in range(g.n_e)]
+        shared = _relabel(g, v_names, e_names)
+        distinct = _relabel(g, ["v" + x for x in v_names], ["e" + x for x in e_names])
+        # A shared label names the V-vertex, so E-vertices are reached only
+        # through labels of their own.
+        targets = [(x, "v" + x) for x in v_names]
+        targets += [(x, "e" + x) for x in e_names if x not in v_names]
+        for label, tagged in targets:
+            for surgery in (delete_vertex, delete_valence1, contract_vertex):
+                want = _outcome(lambda h, t: _strip_class_tags(surgery(h, t)),
+                                distinct, tagged)
+                got = _outcome(surgery, shared, label)
+                assert got == want, (surgery, label)
+        if g.n_e >= 2:
+            pair = (e_names[0], e_names[1])
+            for surgery in (identify_pair,
+                            lambda h, e1, e2: add_parallel_pair_vertices(h, e1, e2, 2)):
+                want = _strip_class_tags(surgery(distinct, *("e" + x for x in pair)))
+                assert surgery(shared, *pair) == want
 
 
 class TestJoins:

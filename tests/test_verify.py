@@ -11,7 +11,7 @@ from hytrex.graph import BipGraph, graph_to_json
 from hytrex.hypertrees import HypertreeSet, hypertrees_by_brute_force
 from hytrex.poly import IntPoly
 from hytrex.transforms import DecompositionTerm
-from hytrex import transforms, verify
+from hytrex import activity, transforms, verify
 from hytrex.verify import (
     CENSUS_CAP,
     CHECK_NAMES,
@@ -172,9 +172,10 @@ class TestSuite:
 
     def test_recursions_with_a_label_in_both_classes(self):
         # V-vertex "a" is a leaf and E-vertex "a" has valence 2.  The
-        # surgeries resolve "a" to the V-vertex, and deleting it drops the
-        # edges of E-vertex "a" too; the check skips such an instance rather
-        # than hand a disconnected graph to the polynomials.
+        # surgeries resolve "a" to the V-vertex, so the check runs the
+        # pendant removal at V-vertex "a" (which keeps E-vertex "a" and its
+        # edges) and skips the E-vertex and the E-join at its first
+        # hyperedge, which that label cannot reach.
         g = BipGraph(("a", "b"), ("a", "c"), [(0, 0), (1, 0), (1, 1)])
         report = check_recursions([g])
         assert (report.passed, report.instances) == (True, 7)
@@ -263,6 +264,7 @@ class TestReplay:
 
 
 _ONE_POINT_JOIN = transforms.one_point_join
+_INACTIVE_SETS = activity.inactive_sets
 
 
 def _wrap(monkeypatch, owner, name, change):
@@ -283,8 +285,23 @@ def _top_plus_one(p, g, *args, **kwargs):
     return p + IntPoly.monomial(g.n_v - 1)
 
 
-def _order_sensitive(p, g, order=None, **kwargs):
-    return p + IntPoly.monomial(1) if order is not None and order != sorted(order) else p
+def _order_sensitive(pairs, g, orders):
+    """Add x to I under every order other than the input order."""
+    return [(i + IntPoly.monomial(1), x) if order is not None and order != sorted(order)
+            else (i, x) for (i, x), order in zip(pairs, orders)]
+
+
+def _strict_internal(reach, order):
+    """The walk's rule with the internal test made strict: valence must be
+    able to move at least two places down the order, not just one."""
+    _, external = _INACTIVE_SETS(reach, order)
+    internal = before = 0
+    for prev, e in zip((None,) + tuple(order), order):
+        if before >> e & 1:
+            internal |= 1 << e
+        if prev is not None:
+            before |= reach[prev]
+    return internal, external
 
 
 def _side_blind(monkeypatch):
@@ -301,6 +318,9 @@ FAULTS = [
                       lambda b, g, method: HypertreeSet(list(b)[:-1])
                       if method == "polymatroid" else b),
      check_enumeration_oracles),
+    ({"kind": "enumeration", "mode": "activity"},
+     lambda mp: mp.setattr(activity, "inactive_sets", _strict_internal),
+     check_enumeration_oracles),
     ({"kind": "interpolating", "which": "exterior"},
      lambda mp: _wrap(mp, verify, "exterior_polynomial",
                       lambda p, *args, **kwargs: IntPoly((1, 0) + p.coeffs[1:])),
@@ -313,7 +333,7 @@ FAULTS = [
      lambda mp: _wrap(mp, verify, "nullity", lambda n, g: n + 1),
      check_linear_coefficients),
     ({"kind": "invariance", "mode": "order"},
-     lambda mp: _wrap(mp, verify, "interior_polynomial", _order_sensitive),
+     lambda mp: _wrap(mp, verify, "polynomial_pairs", _order_sensitive),
      lambda census: check_invariance(census, orders_per_graph=3)),
     ({"kind": "invariance", "mode": "dual"},
      lambda mp: mp.setattr(verify, "abstract_dual", lambda g: cycle(3)),
