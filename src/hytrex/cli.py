@@ -274,10 +274,8 @@ def main(argv=None) -> int:
     _apply = _DISPATCH[args.command]
     try:
         return _apply(args)
-    except (GraphError, CapacityError, ClosedFormUnavailable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (GraphError, CapacityError, ClosedFormUnavailable,
+            OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,8 @@ parallel-pair extension with its quotient, and the balanced decomposition.
 Surgeries that would disconnect a graph are permitted structurally; the
 polynomial recursions that rely on connectivity guard their own
 preconditions instead.  Labels survive every operation (merged vertices
-join their constituent labels with "+") so counterexamples stay traceable.
+join their constituent labels with "+", and a joined label already in use
+gets "'" appended until it is free) so counterexamples stay traceable.
 A label used in both classes names the V-vertex; the surgeries then act on
 that vertex alone, so its namesake in E keeps its edges.
 """
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import GraphError
-from .graph import BipGraph, build_bipartite
+from .graph import BipGraph
 
 __all__ = [
     "DecompositionTerm",
@@ -40,20 +41,10 @@ def _locate(g: BipGraph, label: str):
     raise GraphError(f"unknown vertex label {label!r}")
 
 
-def _label_pairs(g: BipGraph):
-    return [(g.v_names[v], g.e_names[e]) for (v, e) in sorted(g.adj)]
-
-
-def _rebuild(v_names, e_names, pairs) -> BipGraph:
-    if not v_names or not e_names:
-        raise GraphError("operation would empty a colour class")
-    return build_bipartite(v_names, e_names, pairs)
-
-
-# The vertex surgeries work on (side, index), never on labels, because the
-# two classes may share a label.  They see a graph from the side of the
-# vertex: "own" is that vertex's class, "other" the opposite one, and each
-# edge is an (own index, other index) pair.
+# The surgeries work on (side, index), never on labels, because the two
+# classes may share a label.  They see a graph from one side: "own" is the
+# class of that side, "other" the opposite one, and each edge is an
+# (own index, other index) pair.  Each surgery builds its result once.
 
 
 def _from_side(g: BipGraph, side: str):
@@ -70,29 +61,50 @@ def _to_side(side: str, own, other, pairs) -> BipGraph:
     return BipGraph(other, own, [(y, x) for x, y in pairs])
 
 
-def _delete(g: BipGraph, side: str, idx: int) -> BipGraph:
-    own, other, pairs = _from_side(g, side)
-    return _to_side(side, own[:idx] + own[idx + 1:], other,
-                    [(x - (x > idx), y) for x, y in pairs if x != idx])
+def _fresh(labels_in_use, candidate: str) -> str:
+    label = candidate
+    while label in labels_in_use:
+        label += "'"
+    return label
 
 
-def _contract(g: BipGraph, side: str, idx: int) -> BipGraph:
-    own, other, pairs = _from_side(g, side)
-    merged = sorted(y for x, y in pairs if x == idx)
-    if not merged:
-        raise GraphError(f"cannot contract isolated vertex {own[idx]!r}")
-    # The neighbours collapse onto the first of them, which takes the joined
-    # label; the others drop out of the class.
-    first, gone = merged[0], set(merged[1:])
+def _drop(own, pairs, idx: int):
+    """Remove own vertex ``idx`` and its edges."""
+    return (own[:idx] + own[idx + 1:],
+            [(x - (x > idx), y) for x, y in pairs if x != idx])
+
+
+def _merge(other, pairs, members):
+    """Identify the other-class vertices ``members`` with the first of them,
+    which takes their "+"-joined label, primed by ``_fresh`` while a vertex
+    that stays uses it; the rest drop out and multi-edges collapse."""
+    first, gone = members[0], set(members[1:])
+    merged = _fresh(set(other) - {other[m] for m in members},
+                    "+".join(other[m] for m in members))
     position, names = {}, []
     for y, name in enumerate(other):
         if y not in gone:
             position[y] = len(names)
-            names.append("+".join(other[m] for m in merged) if y == first else name)
+            names.append(merged if y == first else name)
     for y in gone:
         position[y] = position[first]
-    return _to_side(side, own[:idx] + own[idx + 1:], names,
-                    [(x - (x > idx), position[y]) for x, y in pairs if x != idx])
+    return names, [(x, position[y]) for x, y in pairs]
+
+
+def _delete(g: BipGraph, side: str, idx: int) -> BipGraph:
+    own, other, pairs = _from_side(g, side)
+    own, pairs = _drop(own, pairs, idx)
+    return _to_side(side, own, other, pairs)
+
+
+def _contract(g: BipGraph, side: str, idx: int) -> BipGraph:
+    own, other, pairs = _from_side(g, side)
+    members = sorted(y for x, y in pairs if x == idx)
+    if not members:
+        raise GraphError(f"cannot contract isolated vertex {own[idx]!r}")
+    own, pairs = _drop(own, pairs, idx)
+    other, pairs = _merge(other, pairs, members)
+    return _to_side(side, own, other, pairs)
 
 
 def delete_valence1(g: BipGraph, label: str) -> BipGraph:
@@ -115,63 +127,51 @@ def contract_vertex(g: BipGraph, label: str) -> BipGraph:
     return _contract(g, *_locate(g, label))
 
 
-def _fresh(labels_in_use, candidate: str) -> str:
-    label = candidate
-    while label in labels_in_use:
-        label += "'"
-    return label
-
-
-def _disjoint_union_labels(g1: BipGraph, g2: BipGraph):
-    """Labels for G2 renamed away from clashes with G1, per class."""
-    v_map, e_map = {}, {}
-    used_v = set(g1.v_names)
-    used_e = set(g1.e_names)
-    for x in g2.v_names:
-        v_map[x] = _fresh(used_v, x)
-        used_v.add(v_map[x])
-    for x in g2.e_names:
-        e_map[x] = _fresh(used_e, x)
-        used_e.add(e_map[x])
-    return v_map, e_map
+def _glue(g1: BipGraph, g2: BipGraph, glued) -> BipGraph:
+    """Disjoint union with the labels of ``g2`` renamed away from those of
+    ``g1``, class by class and in class order, then each ``glued[side] =
+    (index in g1, index in g2)`` identified under the g1 label.  A glued
+    label still reserves its fresh name, so later names do not depend on
+    where the graphs are glued."""
+    classes = []
+    for side, names1, names2 in (("v", g1.v_names, g2.v_names),
+                                 ("e", g1.e_names, g2.e_names)):
+        at1, at2 = glued.get(side, (None, None))
+        used, names, position = set(names1), list(names1), []
+        for y, name in enumerate(names2):
+            label = _fresh(used, name)
+            used.add(label)
+            if y == at2:
+                position.append(at1)
+            else:
+                position.append(len(names))
+                names.append(label)
+        classes.append((names, position))
+    (v_names, v_at), (e_names, e_at) = classes
+    return BipGraph(v_names, e_names,
+                    [*g1.adj, *((v_at[v], e_at[e]) for v, e in g2.adj)])
 
 
 def one_point_join(g1: BipGraph, g2: BipGraph, label1: str, label2: str) -> BipGraph:
     """Glue two graphs at a single vertex; both polynomials multiply."""
-    side1, _ = _locate(g1, label1)
-    side2, _ = _locate(g2, label2)
+    side1, idx1 = _locate(g1, label1)
+    side2, idx2 = _locate(g2, label2)
     if side1 != side2:
         raise GraphError("one-point join requires vertices of the same class")
-    v_map, e_map = _disjoint_union_labels(g1, g2)
-    if side1 == "v":
-        v_map[label2] = label1
-    else:
-        e_map[label2] = label1
-    v_names = list(g1.v_names) + [v_map[x] for x in g2.v_names
-                                  if v_map[x] not in g1.v_names]
-    e_names = list(g1.e_names) + [e_map[x] for x in g2.e_names
-                                  if e_map[x] not in g1.e_names]
-    pairs = _label_pairs(g1) + [(v_map[v], e_map[e]) for v, e in _label_pairs(g2)]
-    return _rebuild(v_names, e_names, pairs)
+    return _glue(g1, g2, {side1: (idx1, idx2)})
 
 
 def edge_join(g1: BipGraph, g2: BipGraph, edge1, edge2) -> BipGraph:
     """Glue two graphs along one edge (a V-vertex and an E-vertex of each
     are identified pairwise); both polynomials multiply."""
     (v1, e1), (v2, e2) = tuple(edge1), tuple(edge2)
-    if (g1.v_index(v1), g1.e_index(e1)) not in g1.adj:
+    ends1 = (g1.v_index(v1), g1.e_index(e1))
+    if ends1 not in g1.adj:
         raise GraphError(f"({v1!r}, {e1!r}) is not an edge of the first graph")
-    if (g2.v_index(v2), g2.e_index(e2)) not in g2.adj:
+    ends2 = (g2.v_index(v2), g2.e_index(e2))
+    if ends2 not in g2.adj:
         raise GraphError(f"({v2!r}, {e2!r}) is not an edge of the second graph")
-    v_map, e_map = _disjoint_union_labels(g1, g2)
-    v_map[v2] = v1
-    e_map[e2] = e1
-    v_names = list(g1.v_names) + [v_map[x] for x in g2.v_names
-                                  if v_map[x] not in g1.v_names]
-    e_names = list(g1.e_names) + [e_map[x] for x in g2.e_names
-                                  if e_map[x] not in g1.e_names]
-    pairs = _label_pairs(g1) + [(v_map[v], e_map[e]) for v, e in _label_pairs(g2)]
-    return _rebuild(v_names, e_names, pairs)
+    return _glue(g1, g2, {"v": (ends1[0], ends2[0]), "e": (ends1[1], ends2[1])})
 
 
 def add_parallel_pair_vertices(g: BipGraph, e1: str, e2: str, t: int) -> BipGraph:
@@ -180,31 +180,23 @@ def add_parallel_pair_vertices(g: BipGraph, e1: str, e2: str, t: int) -> BipGrap
         raise GraphError("the two hyperedges must be distinct")
     if t < 1:
         raise GraphError("t must be at least 1")
-    g.e_index(e1)
-    g.e_index(e2)
-    v_names = list(g.v_names)
-    pairs = _label_pairs(g)
-    used = set(v_names)
+    ends = (g.e_index(e1), g.e_index(e2))
+    own, other, pairs = _from_side(g, "v")
+    own, pairs = list(own), list(pairs)
     for i in range(t):
-        label = _fresh(used, f"p{i + 1}")
-        used.add(label)
-        v_names.append(label)
-        pairs.append((label, e1))
-        pairs.append((label, e2))
-    return _rebuild(v_names, list(g.e_names), pairs)
+        pairs += [(len(own), y) for y in ends]
+        own.append(_fresh(own, f"p{i + 1}"))
+    return _to_side("v", own, other, pairs)
 
 
 def identify_pair(g: BipGraph, e1: str, e2: str) -> BipGraph:
-    """Merge two E-vertices into one and collapse multi-edges."""
+    """Merge two E-vertices into one and collapse multi-edges; the merged
+    vertex takes e1's place and the label e1+e2, primed while in use."""
     if e1 == e2:
         raise GraphError("the two hyperedges must be distinct")
-    g.e_index(e1)
-    g.e_index(e2)
-    merged = f"{e1}+{e2}"
-    e_names = [merged if x == e1 else x for x in g.e_names if x != e2]
-    rename = {e1: merged, e2: merged}
-    pairs = [(v, rename.get(e, e)) for v, e in _label_pairs(g)]
-    return _rebuild(list(g.v_names), e_names, pairs)
+    own, other, pairs = _from_side(g, "v")
+    other, pairs = _merge(other, pairs, [g.e_index(e1), g.e_index(e2)])
+    return _to_side("v", own, other, pairs)
 
 
 @dataclass(frozen=True)

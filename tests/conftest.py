@@ -1,9 +1,17 @@
 """Shared builders and hypothesis strategies for the test suite."""
 
+import hashlib
+import json
+
 from hypothesis import strategies as st
 
 from hytrex.families import FamilySpec, generate
 from hytrex.graph import BipGraph
+
+
+def sha256_json(obj) -> str:
+    """sha256 of ``json.dumps(obj, sort_keys=True)``, for pinning outputs."""
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
 def cycle(n):

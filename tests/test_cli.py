@@ -136,6 +136,18 @@ class TestFamilyAndTransform:
         g = graph_from_json(json.loads(out))
         assert (g.n_v, g.n_e, g.n_edges) == (2, 2, 4)
 
+    def test_transform_contract_onto_a_label_in_use(self, capsys, tmp_path):
+        # Contracting x merges a and b; "a+b" is taken, so the merged
+        # vertex is "a+b'".
+        path = tmp_path / "taken.json"
+        path.write_text(json.dumps({
+            "v": ["x", "y"], "e": ["a", "b", "a+b"],
+            "adj": [["x", "a"], ["x", "b"], ["y", "b"], ["y", "a+b"]]}))
+        code, out, _ = run(capsys, ["transform", str(path), "--op", "contract",
+                                    "--vertex", "x"])
+        assert code == 0
+        assert json.loads(out)["e"] == ["a+b'", "a+b"]
+
     def test_transform_add_parallel(self, capsys, cycle6_file):
         code, out, _ = run(capsys,
                            ["transform", cycle6_file, "--op", "add-parallel",

@@ -1,10 +1,18 @@
 """Graph surgeries and the polynomial identities they support."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_bipartite, connected_bipgraphs, cycle, path_graph
+from conftest import (
+    complete_bipartite,
+    connected_bipgraphs,
+    cycle,
+    path_graph,
+    sha256_json,
+)
 from hytrex.errors import GraphError
 from hytrex.graph import BipGraph, build_bipartite, graph_to_json
 from hytrex.poly import IntPoly, exterior_polynomial, interior_polynomial
@@ -18,6 +26,7 @@ from hytrex.transforms import (
     identify_pair,
     one_point_join,
 )
+from hytrex.verify import exhaustive_connected_bipartite
 
 
 class TestPendantRemoval:
@@ -121,6 +130,24 @@ def _outcome(surgery, g, label):
         return graph_to_json(surgery(g, label))
     except GraphError as exc:
         return str(exc).replace(repr(label), "<label>")
+
+
+class TestMergedLabels:
+    """A merged vertex whose "+"-joined label is already in use gets "'"
+    appended until the label is free in its class."""
+
+    def _graph(self):
+        return build_bipartite(["x", "y"], ["a", "b", "a+b"],
+                               [("x", "a"), ("x", "b"), ("y", "b"), ("y", "a+b")])
+
+    def test_contract_takes_a_fresh_label(self):
+        assert contract_vertex(self._graph(), "x") == build_bipartite(
+            ["y"], ["a+b'", "a+b"], [("y", "a+b'"), ("y", "a+b")])
+
+    def test_identify_pair_takes_a_fresh_label(self):
+        assert identify_pair(self._graph(), "a", "b") == build_bipartite(
+            ["x", "y"], ["a+b'", "a+b"],
+            [("x", "a+b'"), ("y", "a+b'"), ("y", "a+b")])
 
 
 class TestSharedLabels:
@@ -283,3 +310,72 @@ class TestBalancedDecomposition:
             total = total + (term.coefficient
                              * interior_polynomial(term.graph)).shift(term.exponent)
         assert total == interior_polynomial(g)
+
+
+def _json_or_error(surgery, *args):
+    try:
+        return graph_to_json(surgery(*args))
+    except GraphError as exc:
+        return f"error: {exc}"
+
+
+def _partners(g):
+    """What each graph is joined with: itself; a copy with "'" appended to
+    every label; and a copy whose labels in each class are the first label
+    followed by 0, 1, 2, ... primes, so renaming it away from ``g`` walks
+    each name onto the next one and pins the order of the renaming."""
+    def relabel(v_names, e_names):
+        return BipGraph(v_names, e_names, g.adj)
+
+    return (g,
+            relabel([x + "'" for x in g.v_names], [x + "'" for x in g.e_names]),
+            relabel([g.v_names[0] + "'" * i for i in range(g.n_v)],
+                    [g.e_names[0] + "'" * i for i in range(g.n_e)]))
+
+
+def _edges(g):
+    return [(g.v_names[v], g.e_names[e]) for v, e in sorted(g.adj)]
+
+
+def _vertex_cases(surgery):
+    return lambda g: [(surgery, g, x) for x in g.v_names + g.e_names]
+
+
+# Every call each surgery makes on a census graph, as (surgery, *args).
+SURGERY_CASES = {
+    "delete": _vertex_cases(delete_vertex),
+    "delete_leaf": _vertex_cases(delete_valence1),
+    "contract": _vertex_cases(contract_vertex),
+    "identify_pair": lambda g: [(identify_pair, g, a, b)
+                                for a, b in permutations(g.e_names, 2)],
+    "add_parallel": lambda g: [(add_parallel_pair_vertices, g, a, b, t)
+                               for a, b in permutations(g.e_names, 2) for t in (1, 2)],
+    "one_point_join": lambda g: [(one_point_join, g, h, x, y)
+                                 for h in _partners(g)
+                                 for ours, theirs in ((g.v_names, h.v_names),
+                                                      (g.e_names, h.e_names))
+                                 for x in ours for y in theirs],
+    "edge_join": lambda g: [(edge_join, g, h, a, b)
+                            for h in _partners(g) for a in _edges(g) for b in _edges(h)],
+}
+# (number of calls, sha256 of the JSON of every result or error text) over
+# the 44 graphs of exhaustive_connected_bipartite(6), recorded before the
+# surgeries moved onto one index-level core; outputs, labels, vertex order
+# and error texts must not move.
+SURGERIES_SHA256 = {
+    "add_parallel": (476, "f62d820cc5725f9c7451ccbe6f31db17212e51b8c8a1f605e5c14fc7d4548c23"),
+    "contract": (236, "df9e8df30601e275bfa7952aab1f12667b907872db3377402d04e59822ac61f9"),
+    "delete": (236, "4ec561ddab00294172cf55d82123402bc311cb456ee19599d23c508464a2d854"),
+    "delete_leaf": (236, "825f08175522b89376a6cf48e3fc1671150bbda105f5c307f13ddaf9a41ae24b"),
+    "edge_join": (3978, "2f67abaec01574351c468a6976538bdd4330be00ca03ed20c966ad9271ba89e6"),
+    "identify_pair": (238, "8d299d030ff4af3287df067767bc4141f540609b543e53fd4cfffc5e5e2c5f1f"),
+    "one_point_join": (2136, "73e8081d3e333c77a31af96e021ca715a8915d332a1616fb1c83cf9f76f51968"),
+}
+
+
+class TestSurgeriesUnchanged:
+    @pytest.mark.parametrize("name", sorted(SURGERY_CASES))
+    def test_surgery(self, name):
+        outcomes = [_json_or_error(*case) for g in exhaustive_connected_bipartite(6)
+                    for case in SURGERY_CASES[name](g)]
+        assert (len(outcomes), sha256_json(outcomes)) == SURGERIES_SHA256[name]

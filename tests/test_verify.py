@@ -1,7 +1,6 @@
 """The check suite itself: corpus construction, determinism, replay, and the
 negative controls that prove the harness can fail."""
 
-import hashlib
 import json
 
 import pytest
@@ -32,7 +31,7 @@ from hytrex.verify import (
     run_all_checks,
     tutte_graph_corpus,
 )
-from conftest import cycle
+from conftest import cycle, sha256_json
 
 
 @pytest.fixture(scope="module")
@@ -98,10 +97,6 @@ class TestCorpus:
         assert any(mg.n == 8 and len(mg.edges) == 7 for mg in graphs)
 
 
-def _sha256(obj) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
-
-
 # sha256 of the JSON of each corpus (``json.dumps(..., sort_keys=True)``),
 # recorded before the census moved from a minimum over all permutations to
 # the table-driven canonical form; any exact canonical form keeps the same
@@ -126,18 +121,18 @@ class TestCorpusUnchanged:
     @pytest.mark.parametrize("max_total", sorted(CENSUS_SHA256))
     def test_census(self, max_total):
         census = exhaustive_connected_bipartite(max_total)
-        got = (len(census), _sha256([graph_to_json(g) for g in census]))
+        got = (len(census), sha256_json([graph_to_json(g) for g in census]))
         assert got == CENSUS_SHA256[max_total]
 
     def test_default_corpus(self):
         corpus = default_corpus(seed=7)
-        got = (len(corpus), _sha256([graph_to_json(g) for g in corpus]))
+        got = (len(corpus), sha256_json([graph_to_json(g) for g in corpus]))
         assert got == DEFAULT_CORPUS_SEED7_SHA256
 
     def test_tutte_corpus(self):
         corpus = tutte_graph_corpus(seed=7)
         got = (len(corpus),
-               _sha256([[mg.n, [list(e) for e in mg.edges]] for mg in corpus]))
+               sha256_json([[mg.n, [list(e) for e in mg.edges]] for mg in corpus]))
         assert got == TUTTE_CORPUS_SEED7_SHA256
 
 
