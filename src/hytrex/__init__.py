@@ -24,7 +24,6 @@ from .graph import (
     from_hypergraph,
     graph_from_json,
     graph_to_json,
-    labels_of_subset,
     mu,
     mu_table,
     normalize_edge_order,
@@ -35,7 +34,6 @@ from .graph import (
 )
 from .hypertrees import (
     HypertreeSet,
-    can_transfer,
     enumerate_hypertrees,
     find_realizing_tree,
     greedy_exterior_hypertree,
@@ -47,14 +45,10 @@ from .hypertrees import (
     transfer,
 )
 from .activity import (
-    ActivityProfile,
-    activity_profile,
     external_active_flags,
     external_inactive_by_tight_sets,
-    external_inactivity,
     internal_active_flags,
     internal_inactive_by_tight_sets,
-    internal_inactivity,
 )
 from .poly import (
     IntPoly,

@@ -14,49 +14,17 @@ the fast path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import GraphError
 from .graph import BipGraph, mu_table, normalize_edge_order, _require_subset_capacity
 from .hypertrees import HypertreeSet, _walk, transfer
 
 __all__ = [
-    "ActivityProfile",
-    "activity_profile",
     "internal_active_flags",
     "external_active_flags",
-    "internal_inactivity",
-    "external_inactivity",
     "internal_inactive_by_tight_sets",
     "external_inactive_by_tight_sets",
     "inactive_sets",
     "walk_inactivity",
 ]
-
-
-@dataclass(frozen=True)
-class ActivityProfile:
-    """Per-hyperedge activity flags for one hypertree (True means active)."""
-
-    hypertree: tuple[int, ...]
-    internal_active: tuple[bool, ...]
-    external_active: tuple[bool, ...]
-
-    @property
-    def internal_activity(self) -> int:
-        return sum(self.internal_active)
-
-    @property
-    def internal_inactivity(self) -> int:
-        return len(self.internal_active) - self.internal_activity
-
-    @property
-    def external_activity(self) -> int:
-        return sum(self.external_active)
-
-    @property
-    def external_inactivity(self) -> int:
-        return len(self.external_active) - self.external_activity
 
 
 def inactive_sets(reach, order) -> tuple[int, int]:
@@ -117,37 +85,6 @@ def external_active_flags(b: HypertreeSet, f, order) -> tuple[bool, ...]:
                 flags[e] = False
                 break
     return tuple(flags)
-
-
-def _check_member(b: HypertreeSet, f) -> tuple[int, ...]:
-    f = tuple(f)
-    if f not in b:
-        raise GraphError("f is not a member of the hypertree set")
-    return f
-
-
-def internal_inactivity(g: BipGraph, b: HypertreeSet, f, order=None) -> int:
-    f = _check_member(b, f)
-    order = normalize_edge_order(g, order)
-    flags = internal_active_flags(b, f, order)
-    return len(flags) - sum(flags)
-
-
-def external_inactivity(g: BipGraph, b: HypertreeSet, f, order=None) -> int:
-    f = _check_member(b, f)
-    order = normalize_edge_order(g, order)
-    flags = external_active_flags(b, f, order)
-    return len(flags) - sum(flags)
-
-
-def activity_profile(g: BipGraph, b: HypertreeSet, f, order=None) -> ActivityProfile:
-    f = _check_member(b, f)
-    order = normalize_edge_order(g, order)
-    return ActivityProfile(
-        hypertree=f,
-        internal_active=internal_active_flags(b, f, order),
-        external_active=external_active_flags(b, f, order),
-    )
 
 
 def _tight_masks(g: BipGraph, f) -> list[int]:

@@ -149,14 +149,20 @@ def generate(spec: FamilySpec) -> BipGraph:
     raise GraphError(f"unknown family {spec.tag!r}")
 
 
-def _cycle(n: int) -> BipGraph:
+def _cycle_labels(n: int):
+    """The names of both classes and the label pairs of the cycle
+    v1 e1 v2 e2 ... vn en v1, as lists that the callers may extend."""
     v_names = [f"v{i + 1}" for i in range(n)]
     e_names = [f"e{i + 1}" for i in range(n)]
     adj = []
     for i in range(n):
         adj.append((v_names[i], e_names[i]))
         adj.append((v_names[(i + 1) % n], e_names[i]))
-    return build_bipartite(v_names, e_names, adj)
+    return v_names, e_names, adj
+
+
+def _cycle(n: int) -> BipGraph:
+    return build_bipartite(*_cycle_labels(n))
 
 
 def _tree(n: int, rng: random.Random) -> BipGraph:
@@ -179,10 +185,7 @@ def _tree(n: int, rng: random.Random) -> BipGraph:
 
 
 def _unicyclic(n: int, extra: int, rng: random.Random) -> BipGraph:
-    g = _cycle(n)
-    v_names = list(g.v_names)
-    e_names = list(g.e_names)
-    adj = [(g.v_names[v], g.e_names[e]) for (v, e) in sorted(g.adj)]
+    v_names, e_names, adj = _cycle_labels(n)
     for k in range(extra):
         side = rng.choice(("v", "e"))
         if side == "v":
@@ -238,11 +241,8 @@ def _kmn_minus_matching(m: int, n: int, q: int) -> BipGraph:
 
 
 def _ear_graph(k: int, ears: int, rng: random.Random):
-    g = _cycle(k)
-    v_names = list(g.v_names)
-    e_names = list(g.e_names)
+    v_names, e_names, adj = _cycle_labels(k)
     v_set = set(v_names)
-    adj = [(g.v_names[v], g.e_names[e]) for (v, e) in sorted(g.adj)]
     decomposition = []
     for ear in range(ears):
         start = rng.choice(v_names)

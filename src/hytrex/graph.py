@@ -27,7 +27,6 @@ __all__ = [
     "abstract_dual",
     "restriction",
     "edge_subset",
-    "labels_of_subset",
     "mu",
     "mu_table",
     "components",
@@ -104,15 +103,7 @@ class BipGraph:
     def __init__(self, v_names, e_names, adj):
         v_names = tuple(v_names)
         e_names = tuple(e_names)
-        if not v_names or not e_names:
-            raise GraphError("both colour classes must be non-empty")
-        for name in v_names + e_names:
-            if not isinstance(name, str):
-                raise GraphError(f"labels must be strings, got {name!r}")
-        if len(set(v_names)) != len(v_names):
-            raise GraphError("duplicate label in the V class")
-        if len(set(e_names)) != len(e_names):
-            raise GraphError("duplicate label in the E class")
+        _check_names(v_names, e_names)
         self.v_names = v_names
         self.e_names = e_names
 
@@ -157,16 +148,10 @@ class BipGraph:
         return len(self.e_nbrs[e])
 
     def v_index(self, label: str) -> int:
-        try:
-            return self._v_index[label]
-        except KeyError:
-            raise GraphError(f"unknown V label {label!r}") from None
+        return _lookup(self._v_index, label, "V")
 
     def e_index(self, label: str) -> int:
-        try:
-            return self._e_index[label]
-        except KeyError:
-            raise GraphError(f"unknown E label {label!r}") from None
+        return _lookup(self._e_index, label, "E")
 
     def __eq__(self, other):
         if not isinstance(other, BipGraph):
@@ -183,12 +168,37 @@ class BipGraph:
                 f"edges={self.n_edges}, connected={self.connected})")
 
 
+def _check_names(v_names: tuple, e_names: tuple) -> None:
+    """Both classes non-empty, every label a string, no label twice in a
+    class; the string check comes first, so an unhashable label is a
+    GraphError too."""
+    if not v_names or not e_names:
+        raise GraphError("both colour classes must be non-empty")
+    for name in v_names + e_names:
+        if not isinstance(name, str):
+            raise GraphError(f"labels must be strings, got {name!r}")
+    if len(set(v_names)) != len(v_names):
+        raise GraphError("duplicate label in the V class")
+    if len(set(e_names)) != len(e_names):
+        raise GraphError("duplicate label in the E class")
+
+
+def _lookup(index: dict, label: str, side: str) -> int:
+    try:
+        return index[label]
+    except KeyError:
+        raise GraphError(f"unknown {side} label {label!r}") from None
+
+
 def build_bipartite(v_names, e_names, adj_pairs) -> BipGraph:
     """Build a graph from label pairs; duplicate pairs collapse to one edge."""
-    g = BipGraph(v_names, e_names, [])
-    pairs = set()
+    v_names, e_names = tuple(v_names), tuple(e_names)
+    _check_names(v_names, e_names)
+    v_index = {name: i for i, name in enumerate(v_names)}
+    e_index = {name: i for i, name in enumerate(e_names)}
+    pairs = []
     for v_label, e_label in adj_pairs:
-        pairs.add((g.v_index(v_label), g.e_index(e_label)))
+        pairs.append((_lookup(v_index, v_label, "V"), _lookup(e_index, e_label, "E")))
     return BipGraph(v_names, e_names, pairs)
 
 
@@ -230,10 +240,6 @@ def edge_subset(g: BipGraph, labels) -> int:
     for label in labels:
         mask |= 1 << g.e_index(label)
     return mask
-
-
-def labels_of_subset(g: BipGraph, subset: int) -> tuple[str, ...]:
-    return tuple(g.e_names[e] for e in bits_of(subset))
 
 
 def restriction(g: BipGraph, subset: int) -> BipGraph:

@@ -38,7 +38,6 @@ __all__ = [
     "is_hypertree_by_polymatroid",
     "enumerate_hypertrees",
     "hypertrees_by_brute_force",
-    "can_transfer",
     "is_tight",
     "tight_forest_check",
     "greedy_exterior_hypertree",
@@ -453,16 +452,6 @@ def hypertrees_by_brute_force(g: BipGraph, method: str = "tree") -> HypertreeSet
 
     rec(0, target)
     return HypertreeSet(out)
-
-
-def can_transfer(g: BipGraph, b: HypertreeSet, f, e: int, e_prime: int) -> bool:
-    """Whether one valence unit can move from ``e`` to ``e_prime`` at ``f``."""
-    if e == e_prime:
-        raise ValueError("transfer endpoints must be distinct hyperedges")
-    f = tuple(f)
-    if f not in b:
-        raise GraphError("f is not a member of the hypertree set")
-    return transfer(f, e, e_prime) in b
 
 
 def is_tight(g: BipGraph, f, subset: int) -> bool:

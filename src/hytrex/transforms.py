@@ -34,10 +34,9 @@ __all__ = [
 def _locate(g: BipGraph, label: str):
     """The (side, index) of the vertex a label names; a label used in both
     classes names the V-vertex."""
-    if label in g._v_index:
-        return "v", g._v_index[label]
-    if label in g._e_index:
-        return "e", g._e_index[label]
+    for side, names in (("v", g.v_names), ("e", g.e_names)):
+        if label in names:
+            return side, names.index(label)
     raise GraphError(f"unknown vertex label {label!r}")
 
 

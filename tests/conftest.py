@@ -14,6 +14,20 @@ def sha256_json(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
+def count_builds(monkeypatch, make) -> int:
+    """How many ``BipGraph`` instances ``make()`` constructs."""
+    builds = []
+    init = BipGraph.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BipGraph, "__init__", counting)
+    make()
+    return len(builds)
+
+
 def cycle(n):
     return generate(FamilySpec("cycle", (n,)))
 

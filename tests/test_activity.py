@@ -1,5 +1,5 @@
-"""Activity computations: membership-based fast path versus tight-set scans,
-plus the structural lemmas about activities."""
+"""Activity computations: the walk, the membership-probe flags and the
+tight-set scans, plus the structural lemmas about activities."""
 
 import random
 from itertools import permutations
@@ -9,13 +9,10 @@ from hypothesis import given, settings
 
 from conftest import complete_bipartite, connected_bipgraphs, cycle, path_graph
 from hytrex.activity import (
-    activity_profile,
     external_active_flags,
     external_inactive_by_tight_sets,
-    external_inactivity,
     internal_active_flags,
     internal_inactive_by_tight_sets,
-    internal_inactivity,
     walk_inactivity,
 )
 from hytrex.errors import GraphError
@@ -30,60 +27,51 @@ from hytrex.verify import exhaustive_connected_bipartite
 IDENTITY3 = (0, 1, 2)
 
 
+def _inactivities(g, order=None):
+    """Internal and external inactivity of every hypertree of ``g`` under
+    ``order``, read off the walk."""
+    return {f: (internal.bit_count(), external.bit_count())
+            for f, [(internal, external)] in walk_inactivity(g, [order])}
+
+
 class TestHexagonTable:
     """The full activity table of the hexagon under e1 < e2 < e3."""
 
     def setup_method(self):
-        self.g = cycle(3)
-        self.b = enumerate_hypertrees(self.g)
+        self.table = _inactivities(cycle(3))
 
     def test_internal_inactivities(self):
-        assert internal_inactivity(self.g, self.b, (0, 1, 1)) == 2
-        assert internal_inactivity(self.g, self.b, (1, 0, 1)) == 1
-        assert internal_inactivity(self.g, self.b, (1, 1, 0)) == 0
+        assert self.table[(0, 1, 1)][0] == 2
+        assert self.table[(1, 0, 1)][0] == 1
+        assert self.table[(1, 1, 0)][0] == 0
 
     def test_external_inactivities(self):
-        assert external_inactivity(self.g, self.b, (0, 1, 1)) == 0
-        assert external_inactivity(self.g, self.b, (1, 0, 1)) == 1
-        assert external_inactivity(self.g, self.b, (1, 1, 0)) == 1
+        assert self.table[(0, 1, 1)][1] == 0
+        assert self.table[(1, 0, 1)][1] == 1
+        assert self.table[(1, 1, 0)][1] == 1
 
-    def test_non_member_rejected(self):
-        with pytest.raises(GraphError):
-            internal_inactivity(self.g, self.b, (0, 0, 2))
 
-    def test_profile_counts_partition(self):
-        for f in self.b:
-            profile = activity_profile(self.g, self.b, f)
-            assert profile.internal_activity + profile.internal_inactivity == 3
-            assert profile.external_activity + profile.external_inactivity == 3
+def _zero_external(g):
+    return [f for f, (_, external) in _inactivities(g).items() if external == 0]
 
 
 class TestTreesAndGreedy:
     def test_tree_has_everything_active(self):
         g = path_graph()
-        b = enumerate_hypertrees(g)
-        (f,) = list(b)
-        assert internal_inactivity(g, b, f) == 0
-        assert external_inactivity(g, b, f) == 0
+        (f,) = list(enumerate_hypertrees(g))
+        assert _inactivities(g) == {f: (0, 0)}
 
     def test_k33_example(self):
-        g = complete_bipartite(3, 3)
-        b = enumerate_hypertrees(g)
-        assert internal_inactivity(g, b, (0, 1, 1)) == 2
+        assert _inactivities(complete_bipartite(3, 3))[(0, 1, 1)][0] == 2
 
     def test_greedy_has_zero_external_inactivity_and_is_unique(self):
         for g in (cycle(3), complete_bipartite(2, 3), complete_bipartite(3, 3)):
-            b = enumerate_hypertrees(g)
-            greedy = greedy_exterior_hypertree(g)
-            zeros = [f for f in b if external_inactivity(g, b, f) == 0]
-            assert zeros == [greedy]
+            assert _zero_external(g) == [greedy_exterior_hypertree(g)]
 
     @settings(max_examples=25, deadline=None)
     @given(connected_bipgraphs())
     def test_greedy_uniqueness_everywhere(self, g):
-        b = enumerate_hypertrees(g)
-        zeros = [f for f in b if external_inactivity(g, b, f) == 0]
-        assert zeros == [greedy_exterior_hypertree(g)]
+        assert _zero_external(g) == [greedy_exterior_hypertree(g)]
 
 
 class TestTightSetVariants:
@@ -121,9 +109,8 @@ class TestInterpolationWitnesses:
     """Whenever inactivity k >= 1 occurs, inactivity k - 1 occurs too."""
 
     def _levels(self, g, kind):
-        b = enumerate_hypertrees(g)
-        fn = internal_inactivity if kind == "internal" else external_inactivity
-        return {fn(g, b, f) for f in b}
+        which = 0 if kind == "internal" else 1
+        return {pair[which] for pair in _inactivities(g).values()}
 
     @pytest.mark.parametrize("kind", ["internal", "external"])
     def test_named_graphs(self, kind):
@@ -190,10 +177,9 @@ def _moved(f, a, c):
 class TestOrderHandling:
     def test_flags_depend_on_order_but_counts_summarize(self):
         g = cycle(3)
-        b = enumerate_hypertrees(g)
         totals = set()
         for order in permutations(range(3)):
-            total = sorted(internal_inactivity(g, b, f, order) for f in b)
+            total = sorted(internal for internal, _ in _inactivities(g, order).values())
             totals.add(tuple(total))
         # multiset of inactivities is order-independent
         assert len(totals) == 1

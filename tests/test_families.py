@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import count_builds, sha256_json
 from hytrex.errors import ClosedFormUnavailable, GraphError
 from hytrex.families import (
     FamilySpec,
@@ -10,6 +11,8 @@ from hytrex.families import (
     ear_decomposition,
     generate,
 )
+from hytrex.graph import graph_to_json
+from hytrex.verify import family_instances
 from hytrex.hypertrees import enumerate_hypertrees
 from hytrex.poly import IntPoly, exterior_polynomial, interior_polynomial
 from hytrex import transforms
@@ -173,3 +176,55 @@ class TestLadderJoinIdentity:
             assert exterior_polynomial(g) == expected
             assert interior_polynomial(g) == closed_form_interior(
                 FamilySpec("ladder", (n,)))
+
+
+# One spec per family tag.
+ONE_PER_TAG = [FamilySpec("tree", (7,), seed=5), FamilySpec("cycle", (4,)),
+               FamilySpec("unicyclic", (3, 6), seed=12), FamilySpec("ladder", (4,)),
+               FamilySpec("complete_bipartite", (2, 3)),
+               FamilySpec("kmn_minus_matching", (3, 4, 2)),
+               FamilySpec("ear_graph", (3, 2), seed=1)]
+
+
+@pytest.mark.parametrize("spec", ONE_PER_TAG, ids=lambda spec: spec.tag)
+def test_generate_builds_one_graph(monkeypatch, spec):
+    assert count_builds(monkeypatch, lambda: generate(spec)) == 1
+
+
+# The family sources of the CLI benchmark cases (perfbench/data/cli_cases.json).
+CLI_FAMILY_SPECS = [FamilySpec("cycle", (5,)), FamilySpec("ladder", (4,)),
+                    FamilySpec("complete_bipartite", (3, 4)),
+                    FamilySpec("complete_bipartite", (2, 3)), FamilySpec("cycle", (3,)),
+                    FamilySpec("ladder", (3,)), FamilySpec("tree", (6,), seed=3),
+                    FamilySpec("kmn_minus_matching", (3, 4, 2))]
+
+
+def _seeded_cycle_growths():
+    out = []
+    for seed in range(10):
+        ears = FamilySpec("ear_graph", (3, 3), seed=seed)
+        out += [graph_to_json(generate(FamilySpec("unicyclic", (3, 5), seed=seed))),
+                graph_to_json(generate(ears)),
+                [list(path) for path in ear_decomposition(ears)]]
+    return out
+
+
+class TestFamiliesUnchanged:
+    """(count, sha256 of the graph_to_json list) of the generated graphs,
+    recorded before the cycle-based generators shared one label helper; the
+    labels and edges must not move."""
+
+    def test_family_instances(self):
+        graphs = [graph_to_json(g) for g in family_instances()]
+        assert (len(graphs), sha256_json(graphs)) == (
+            52, "8367b0c24cb70ff4c429ac7dd60594c739e7a4024c7a093aa3ce60553c71fd10")
+
+    def test_cli_family_sources(self):
+        graphs = [graph_to_json(generate(spec)) for spec in CLI_FAMILY_SPECS]
+        assert (len(graphs), sha256_json(graphs)) == (
+            8, "3e57acc6db721a7391ab29b5565458b0f2989af98def62490355d5f1470df990")
+
+    def test_seeded_unicyclic_and_ear_graphs(self):
+        out = _seeded_cycle_growths()
+        assert (len(out), sha256_json(out)) == (
+            30, "23365b04b6242dc76755da37de7551c84f15ad125fce54951759d3a01e5fe01d")

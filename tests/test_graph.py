@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from conftest import complete_bipartite, connected_bipgraphs, cycle, path_graph
+from conftest import complete_bipartite, connected_bipgraphs, count_builds, cycle, path_graph
 from hytrex.errors import GraphError
 from hytrex.graph import (
     Hypergraph,
@@ -51,6 +51,10 @@ class TestBuild:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(GraphError):
             build_bipartite(["v1", "v1"], ["e1"], [])
+
+    def test_one_build_per_graph(self, monkeypatch):
+        data = graph_to_json(cycle(3))
+        assert count_builds(monkeypatch, lambda: graph_from_json(data)) == 1
 
     def test_connectivity_flag_matches_fresh_search(self):
         g = build_bipartite(["a", "b"], ["c", "d"], [("a", "c"), ("b", "d")])

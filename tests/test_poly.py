@@ -88,7 +88,7 @@ class TestPipeline:
         assert interior_polynomial(g) == IntPoly([1, 2])
         assert exterior_polynomial(g) == IntPoly([1, 1, 1])
         # the other class as hyperedges gives a different exterior polynomial
-        assert exterior_polynomial(g, hyperedge_side="v") == IntPoly([1, 2])
+        assert exterior_polynomial(abstract_dual(g)) == IntPoly([1, 2])
 
     def test_k33_derived(self):
         g = complete_bipartite(3, 3)
