@@ -6,10 +6,15 @@ Grammar::
            [--order a,b,c] [--hyperedges v|e] [--json] [--seed N]
 
 Subcommands: interior, exterior, hypertrees, tutte, family, transform,
-verify.  Results go to stdout and are byte-identical across runs for the
-same inputs; the hyperedge order in effect is echoed on stderr because
-activities (though not the polynomials) depend on it.  Exit status: 0 on
-success, 1 when a verification check fails, 2 on usage or input errors.
+verify.  ``--order`` and ``--hyperedges`` apply to interior, exterior and
+hypertrees, and ``--json`` to those and tutte; family and transform always
+print JSON.  Family tags and parameters: tree N, cycle N, unicyclic N EXTRA,
+ladder N, complete_bipartite M N, kmn_minus_matching M N Q, ear_graph K EARS
+(``--seed`` seeds tree, unicyclic and ear_graph).  Results go to stdout and
+are byte-identical across runs for the same inputs; the hyperedge order in
+effect is echoed on stderr because activities (though not the polynomials)
+depend on it.  Exit status: 0 on success, 1 when a verification check
+fails, 2 on usage or input errors.
 """
 
 from __future__ import annotations
@@ -47,18 +52,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "graphs, hypertree enumeration, and a theorem-check suite.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, order=True, side=True):
+    def add_common(p, hyperedges=True, as_json=True):
         p.add_argument("input", nargs="+",
                        help="graph JSON file, or: family <tag> <params...>")
-        if order:
+        if hyperedges:
             p.add_argument("--order", default=None,
                            help="comma-separated hyperedge labels, smallest first "
                                 "(default: input order)")
-        if side:
             p.add_argument("--hyperedges", choices=("v", "e"), default="e",
                            help="which colour class acts as the hyperedges")
-        p.add_argument("--json", action="store_true", dest="as_json",
-                       help="emit JSON instead of ASCII")
+        if as_json:
+            p.add_argument("--json", action="store_true", dest="as_json",
+                           help="emit JSON instead of ASCII")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for seeded families")
 
@@ -67,11 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("hypertrees",
                               help="hypertrees with their inactivity counts"))
     add_common(sub.add_parser("tutte", help="Tutte polynomial of a multigraph"),
-               order=False, side=False)
+               hyperedges=False)
     add_common(sub.add_parser("family", help="emit a family graph as JSON"),
-               order=False, side=False)
+               hyperedges=False, as_json=False)
     p_tr = sub.add_parser("transform", help="apply a graph surgery")
-    add_common(p_tr, order=False, side=False)
+    add_common(p_tr, hyperedges=False, as_json=False)
     p_tr.add_argument("--op", choices=_TRANSFORM_OPS, required=True)
     p_tr.add_argument("--vertex", default=None, help="vertex label for delete/contract")
     p_tr.add_argument("--pair", default=None,
@@ -89,13 +94,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _family_graph(tokens, seed) -> BipGraph:
+    """The graph named by ``<tag> <params...>``."""
+    if not tokens:
+        raise GraphError("family needs a tag")
+    return families.generate(families.spec_from_cli(tokens[0], tokens[1:], seed))
+
+
 def _load_bipartite(args) -> BipGraph:
     tokens = args.input
     if tokens[0] == "family":
-        if len(tokens) < 2:
-            raise GraphError("family input needs a tag")
-        spec = families.spec_from_cli(tokens[1], tokens[2:], getattr(args, "seed", None))
-        return families.generate(spec)
+        return _family_graph(tokens[1:], args.seed)
     if len(tokens) != 1:
         raise GraphError("expected one input file or: family <tag> <params...>")
     with open(tokens[0], "r", encoding="utf-8") as fh:
@@ -193,11 +202,7 @@ def _cmd_family(args) -> int:
     tokens = args.input
     if tokens[0] == "family":
         tokens = tokens[1:]
-    if not tokens:
-        raise GraphError("family needs a tag")
-    spec = families.spec_from_cli(tokens[0], tokens[1:], args.seed)
-    g = families.generate(spec)
-    print(json.dumps(graph_to_json(g)))
+    print(json.dumps(graph_to_json(_family_graph(tokens, args.seed))))
     return 0
 
 

@@ -10,7 +10,7 @@ as oracles that are independent of the hypertree pipeline:
 * complete bipartite K_{m,n}: sum C(n-1,i) C(m-1,i) x^i and
   sum C(m+i-2,i) y^i with the n-side as hyperedges
 * K_{m,n} minus a q-edge matching: the same sums with the linear
-  (respectively top) coefficient reduced by q
+  (respectively top) coefficient reduced by q; K_{m,n} is the case q = 0
 
 Ear graphs (an even cycle grown by odd class-crossing ears) have no stated
 closed form; they exist to exercise the monic top coefficient property.
@@ -36,26 +36,6 @@ __all__ = [
     "spec_from_cli",
 ]
 
-FAMILY_TAGS = (
-    "tree",
-    "cycle",
-    "unicyclic",
-    "ladder",
-    "complete_bipartite",
-    "kmn_minus_matching",
-    "ear_graph",
-)
-
-_PARAM_COUNT = {
-    "tree": 1,
-    "cycle": 1,
-    "unicyclic": 2,
-    "ladder": 1,
-    "complete_bipartite": 2,
-    "kmn_minus_matching": 3,
-    "ear_graph": 2,
-}
-
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -68,43 +48,20 @@ class FamilySpec:
     def __post_init__(self):
         if self.tag not in FAMILY_TAGS:
             raise GraphError(f"unknown family {self.tag!r}")
-        object.__setattr__(self, "params", tuple(int(p) for p in self.params))
-        if len(self.params) != _PARAM_COUNT[self.tag]:
+        params = tuple(self.params)
+        # bool is an int subclass; True is no parameter value either.
+        if any(type(p) is not int for p in params):
+            raise GraphError(f"family parameters must be integers, got {self.params!r}")
+        object.__setattr__(self, "params", params)
+        count, valid, message, _ = _FAMILIES[self.tag]
+        if len(params) != count:
             raise GraphError(
-                f"family {self.tag!r} takes {_PARAM_COUNT[self.tag]} parameters, "
-                f"got {len(self.params)}")
-        _validate(self.tag, self.params)
+                f"family {self.tag!r} takes {count} parameters, got {len(params)}")
+        if not valid(*params):
+            raise GraphError(message)
 
     def rng(self) -> random.Random:
         return random.Random(0 if self.seed is None else self.seed)
-
-
-def _validate(tag: str, params: tuple[int, ...]) -> None:
-    if tag == "tree":
-        if params[0] < 2:
-            raise GraphError("a tree needs at least 2 vertices")
-    elif tag == "cycle":
-        if params[0] < 2:
-            raise GraphError("cycle parameter n (half the length) must be at least 2")
-    elif tag == "unicyclic":
-        n, extra = params
-        if n < 2 or extra < 0:
-            raise GraphError("unicyclic needs cycle parameter >= 2 and extra >= 0")
-    elif tag == "ladder":
-        if params[0] < 1:
-            raise GraphError("ladder parameter n must be at least 1")
-    elif tag == "complete_bipartite":
-        m, n = params
-        if not 1 <= m <= n:
-            raise GraphError("complete_bipartite needs 1 <= m <= n")
-    elif tag == "kmn_minus_matching":
-        m, n, q = params
-        if not (1 <= m <= n and 0 <= q <= m):
-            raise GraphError("kmn_minus_matching needs 1 <= m <= n and 0 <= q <= m")
-    elif tag == "ear_graph":
-        k, ears = params
-        if k < 2 or ears < 0:
-            raise GraphError("ear_graph needs cycle parameter >= 2 and ears >= 0")
 
 
 def spec_from_cli(tag: str, params, seed=None) -> FamilySpec:
@@ -132,21 +89,7 @@ def _binom(a: int, b: int) -> int:
 
 def generate(spec: FamilySpec) -> BipGraph:
     """The named graph; same spec and seed always give the same labels."""
-    if spec.tag == "tree":
-        return _tree(spec.params[0], spec.rng())
-    if spec.tag == "cycle":
-        return _cycle(spec.params[0])
-    if spec.tag == "unicyclic":
-        return _unicyclic(spec.params[0], spec.params[1], spec.rng())
-    if spec.tag == "ladder":
-        return _ladder(spec.params[0])
-    if spec.tag == "complete_bipartite":
-        return _complete_bipartite(*spec.params)
-    if spec.tag == "kmn_minus_matching":
-        return _kmn_minus_matching(*spec.params)
-    if spec.tag == "ear_graph":
-        return _ear_graph(spec.params[0], spec.params[1], spec.rng())[0]
-    raise GraphError(f"unknown family {spec.tag!r}")
+    return _FAMILIES[spec.tag][3](*spec.params, spec.rng())
 
 
 def _cycle_labels(n: int):
@@ -159,10 +102,6 @@ def _cycle_labels(n: int):
         adj.append((v_names[i], e_names[i]))
         adj.append((v_names[(i + 1) % n], e_names[i]))
     return v_names, e_names, adj
-
-
-def _cycle(n: int) -> BipGraph:
-    return build_bipartite(*_cycle_labels(n))
 
 
 def _tree(n: int, rng: random.Random) -> BipGraph:
@@ -221,13 +160,6 @@ def _ladder(n: int) -> BipGraph:
     return build_bipartite(v_names, e_names, adj)
 
 
-def _complete_bipartite(m: int, n: int) -> BipGraph:
-    v_names = [f"v{i + 1}" for i in range(m)]
-    e_names = [f"e{j + 1}" for j in range(n)]
-    adj = [(v, e) for v in v_names for e in e_names]
-    return build_bipartite(v_names, e_names, adj)
-
-
 def _kmn_minus_matching(m: int, n: int, q: int) -> BipGraph:
     removed = {(f"v{i + 1}", f"e{i + 1}") for i in range(q)}
     v_names = [f"v{i + 1}" for i in range(m)]
@@ -267,6 +199,32 @@ def _ear_graph(k: int, ears: int, rng: random.Random):
     return build_bipartite(v_names, e_names, adj), tuple(decomposition)
 
 
+# One row per family: the parameter count, the parameter test, the error it
+# raises, and the builder, which generate calls with (*params, rng).
+_FAMILIES = {
+    "tree": (1, lambda n: n >= 2, "a tree needs at least 2 vertices", _tree),
+    "cycle": (1, lambda n: n >= 2,
+              "cycle parameter n (half the length) must be at least 2",
+              lambda n, rng: build_bipartite(*_cycle_labels(n))),
+    "unicyclic": (2, lambda n, extra: n >= 2 and extra >= 0,
+                  "unicyclic needs cycle parameter >= 2 and extra >= 0",
+                  _unicyclic),
+    "ladder": (1, lambda n: n >= 1, "ladder parameter n must be at least 1",
+               lambda n, rng: _ladder(n)),
+    "complete_bipartite": (2, lambda m, n: 1 <= m <= n,
+                           "complete_bipartite needs 1 <= m <= n",
+                           lambda m, n, rng: _kmn_minus_matching(m, n, 0)),
+    "kmn_minus_matching": (3, lambda m, n, q: 1 <= m <= n and 0 <= q <= m,
+                           "kmn_minus_matching needs 1 <= m <= n and 0 <= q <= m",
+                           lambda m, n, q, rng: _kmn_minus_matching(m, n, q)),
+    "ear_graph": (2, lambda k, ears: k >= 2 and ears >= 0,
+                  "ear_graph needs cycle parameter >= 2 and ears >= 0",
+                  lambda k, ears, rng: _ear_graph(k, ears, rng)[0]),
+}
+
+FAMILY_TAGS = tuple(_FAMILIES)
+
+
 def ear_decomposition(spec: FamilySpec):
     """The ears (as label paths) the seeded generator attached; certifies
     that every ear runs from a V-vertex to an E-vertex with odd length."""
@@ -289,11 +247,8 @@ def closed_form_interior(spec: FamilySpec) -> IntPoly:
         return IntPoly([1] * n)
     if tag == "ladder":
         return IntPoly([1, 1]) ** params[0]
-    if tag == "complete_bipartite":
-        m, n = params
-        return IntPoly([_binom(n - 1, i) * _binom(m - 1, i) for i in range(m)])
-    if tag == "kmn_minus_matching":
-        m, n, q = params
+    if tag in ("complete_bipartite", "kmn_minus_matching"):
+        m, n, q = (*params, 0)[:3]  # K_{m,n} is the case q = 0
         coeffs = [_binom(n - 1, i) * _binom(m - 1, i) for i in range(m)]
         if m >= 2:
             coeffs[1] -= q
@@ -312,11 +267,8 @@ def closed_form_exterior(spec: FamilySpec) -> IntPoly:
         return IntPoly([1, n - 1])
     if tag == "ladder":
         return IntPoly([1, 1]) ** params[0]
-    if tag == "complete_bipartite":
-        m, n = params
-        return IntPoly([_binom(m + i - 2, i) for i in range(n)])
-    if tag == "kmn_minus_matching":
-        m, n, q = params
+    if tag in ("complete_bipartite", "kmn_minus_matching"):
+        m, n, q = (*params, 0)[:3]  # K_{m,n} is the case q = 0
         if m == 2 and q == 2:
             # The usual correction assumes the adjusted hypertrees are
             # distinct from the single-support ones, which fails here; the

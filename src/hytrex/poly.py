@@ -532,29 +532,25 @@ def subdivision(graph: MultiGraph) -> BipGraph:
     return from_hypergraph(Hypergraph(vertices, hyperedges))
 
 
-def interior_from_tutte(graph: MultiGraph) -> IntPoly:
-    """x^(|V|-1) T(1/x, 1), computed by reindexing Tutte coefficients."""
+def _tutte_reversed(graph: MultiGraph, axis: int, bound: int, overflow: str) -> IntPoly:
+    """The Tutte coefficients summed over the other variable, with the
+    exponent k of variable ``axis`` (0 for x, 1 for y) moved to bound - k."""
     if not graph.connected:
         raise DisconnectedGraphError("the Tutte specialization requires a connected graph")
-    t = tutte_polynomial(graph)
-    rank = graph.n - 1
-    coeffs = [0] * (rank + 1)
-    for (i, j), c in t.terms.items():
-        if i > rank:
-            raise RuntimeError("internal error: Tutte x-degree exceeds the rank")
-        coeffs[rank - i] += c
+    coeffs = [0] * (bound + 1)
+    for exponents, c in tutte_polynomial(graph).terms.items():
+        if exponents[axis] > bound:
+            raise RuntimeError(f"internal error: Tutte {overflow}")
+        coeffs[bound - exponents[axis]] += c
     return IntPoly(coeffs)
+
+
+def interior_from_tutte(graph: MultiGraph) -> IntPoly:
+    """x^(|V|-1) T(1/x, 1), computed by reindexing Tutte coefficients."""
+    return _tutte_reversed(graph, 0, graph.n - 1, "x-degree exceeds the rank")
 
 
 def exterior_from_tutte(graph: MultiGraph) -> IntPoly:
     """y^(|E|-|V|+1) T(1, 1/y), computed by reindexing Tutte coefficients."""
-    if not graph.connected:
-        raise DisconnectedGraphError("the Tutte specialization requires a connected graph")
-    t = tutte_polynomial(graph)
-    null = len(graph.edges) - graph.n + 1
-    coeffs = [0] * (null + 1)
-    for (i, j), c in t.terms.items():
-        if j > null:
-            raise RuntimeError("internal error: Tutte y-degree exceeds the nullity")
-        coeffs[null - j] += c
-    return IntPoly(coeffs)
+    return _tutte_reversed(graph, 1, len(graph.edges) - graph.n + 1,
+                           "y-degree exceeds the nullity")

@@ -43,6 +43,7 @@ from .poly import (
     exterior_polynomial,
     interior_from_tutte,
     interior_polynomial,
+    is_interpolating,
     pair_memo,
     polynomial_pair,
     polynomial_pairs,
@@ -295,13 +296,9 @@ def check_enumeration_oracles(corpus) -> CheckReport:
     return _sweep("enumeration_oracles", _corpus_desc(corpus), map(_enumeration, corpus))
 
 
-def _support_is_initial_interval(p: IntPoly) -> bool:
-    return bool(p.coeffs) and all(c != 0 for c in p.coeffs)
-
-
 def _interpolating(g: BipGraph, which: str):
     poly = (interior_polynomial if which == "interior" else exterior_polynomial)(g)
-    if _support_is_initial_interval(poly):
+    if is_interpolating(poly) and poly.coeff(0) != 0:
         return None
     return {
         "kind": "interpolating",
@@ -737,7 +734,7 @@ def _leaked(control: str, detail: str, **extra) -> dict:
 
 def _corrupted_polynomial():
     gapped = IntPoly([1, 0, 1])
-    if not _support_is_initial_interval(gapped):
+    if not (is_interpolating(gapped) and gapped.coeff(0) != 0):
         return None
     return _leaked("corrupted_polynomial",
                    "the gapped polynomial 1 + x^2 passed the support check",

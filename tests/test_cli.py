@@ -284,11 +284,16 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ")
 
-    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--max-e", "5"]])
-    def test_removed_flags_are_usage_errors(self, cycle6_file, flag):
+    # family and transform always print JSON, so they take no --json.
+    @pytest.mark.parametrize("argv", [
+        ["interior", "FILE", "--threads", "2"], ["interior", "FILE", "--max-e", "5"],
+        ["family", "ladder", "1", "--json"],
+        ["transform", "FILE", "--op", "dual", "--json"],
+    ], ids=["threads", "max-e", "family-json", "transform-json"])
+    def test_removed_flags_are_usage_errors(self, cycle6_file, argv):
         env = dict(os.environ)
         with pytest.raises(SystemExit) as exc:
-            main(["interior", cycle6_file] + flag)
+            main([cycle6_file if arg == "FILE" else arg for arg in argv])
         assert exc.value.code == 2
         assert dict(os.environ) == env
 

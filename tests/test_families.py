@@ -75,6 +75,12 @@ class TestGenerators:
         with pytest.raises(GraphError):
             FamilySpec("cycle", (2, 2))
 
+    @pytest.mark.parametrize("params", [(2.9,), ("x",), (None,), (True,), (3.0,)],
+                             ids=["float", "str", "None", "bool", "whole-float"])
+    def test_non_integer_parameters_rejected(self, params):
+        with pytest.raises(GraphError, match="family parameters must be integers"):
+            FamilySpec("cycle", params)
+
     def test_disconnected_matching_deletion_rejected(self):
         with pytest.raises(GraphError):
             generate(FamilySpec("kmn_minus_matching", (2, 2, 2)))

@@ -224,10 +224,17 @@ class TestNegativeControls:
         report = check_negative_controls()
         assert report.passed
 
-    def test_corrupted_polynomial_fails_support_check(self):
-        from hytrex.verify import _support_is_initial_interval
-
-        assert not _support_is_initial_interval(IntPoly([1, 0, 1]))
+    def test_corrupted_polynomial_fails_support_check(self, monkeypatch):
+        # A gap, a zero constant term and the zero polynomial all fail the check.
+        for coeffs in ([1, 0, 1], [0, 2, 5], []):
+            monkeypatch.setattr(verify, "interior_polynomial",
+                                lambda g, p=IntPoly(coeffs): p)
+            assert not check_interpolating([cycle(2)]).passed
+        # A support test that accepts everything lets the control leak.
+        monkeypatch.setattr(verify, "is_interpolating", lambda p: True)
+        report = check_negative_controls()
+        assert not report.passed
+        assert report.counterexample["control"] == "corrupted_polynomial"
 
     def test_corrupted_hypertree_set_diverges_from_oracle(self):
         g = cycle(3)
@@ -363,7 +370,7 @@ FAULTS = [
      lambda mp: _wrap(mp, verify, "interior_from_tutte", lambda p, mg: p + 1),
      lambda census: check_tutte()),
     ({"kind": "negative_control", "control": "corrupted_polynomial"},
-     lambda mp: mp.setattr(verify, "_support_is_initial_interval", lambda p: True),
+     lambda mp: mp.setattr(verify, "is_interpolating", lambda p: True),
      lambda census: check_negative_controls()),
     ({"kind": "negative_control", "control": "corrupted_hypertree"},
      lambda mp: mp.setattr(verify, "is_hypertree_by_polymatroid", lambda g, f: True),
