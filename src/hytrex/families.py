@@ -48,10 +48,16 @@ class FamilySpec:
     def __post_init__(self):
         if self.tag not in FAMILY_TAGS:
             raise GraphError(f"unknown family {self.tag!r}")
-        params = tuple(self.params)
+        try:
+            params = tuple(self.params)
+        except TypeError:
+            raise GraphError(
+                f"family parameters must be a sequence of integers, got {self.params!r}") from None
         # bool is an int subclass; True is no parameter value either.
         if any(type(p) is not int for p in params):
             raise GraphError(f"family parameters must be integers, got {self.params!r}")
+        if self.seed is not None and type(self.seed) is not int:
+            raise GraphError(f"family seed must be an integer or None, got {self.seed!r}")
         object.__setattr__(self, "params", params)
         count, valid, message, _ = _FAMILIES[self.tag]
         if len(params) != count:

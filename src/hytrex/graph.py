@@ -3,10 +3,12 @@
 A :class:`BipGraph` has two colour classes, ``V`` and ``E``.  The ``E`` class
 doubles as the hyperedge set of the hypergraph induced by the graph, so the
 structural quantities defined here (the submodular rank ``mu``, nullity,
-restrictions, abstract duals) are all relative to that split.  Instances are
-immutable after construction and safe to share between threads, apart from
-one slot: ``_mu_table`` starts empty and :func:`mu_table` fills it on first
-use with a value determined by the graph.
+restrictions, abstract duals) are all relative to that split.  A graph stores
+its labels and one neighbour bitmask per vertex of each class; the edge set
+``adj``, the degrees and the label positions are derived from them.
+Instances are immutable after construction and safe to share between
+threads, apart from one slot: ``_mu_table`` starts empty and
+:func:`mu_table` fills it on first use with a value determined by the graph.
 
 Subsets of the ``E`` class travel as integer bitmasks: bit ``i`` stands for
 the hyperedge with index ``i``.
@@ -89,16 +91,15 @@ class Hypergraph:
 class BipGraph:
     """Simple bipartite graph with distinguished colour classes V and E.
 
-    ``adj`` is a frozenset of (v-index, e-index) pairs.  Construction
-    validates indices, collapses duplicate pairs and records whether the
-    graph is connected.
+    Stored are the labels and one neighbour bitmask per vertex: the edge
+    ``(v, e)`` is bit ``e`` of ``v_masks[v]`` and bit ``v`` of ``e_masks[e]``.
+    ``adj`` (the frozenset of (v-index, e-index) pairs), the degrees and the
+    label positions are derived.  Construction validates indices, collapses
+    duplicate pairs and records whether the graph is connected.
     """
 
-    __slots__ = (
-        "v_names", "e_names", "adj", "connected",
-        "v_nbrs", "e_nbrs", "v_masks", "e_masks",
-        "_v_index", "_e_index", "_hash", "_mu_table",
-    )
+    __slots__ = ("v_names", "e_names", "v_masks", "e_masks", "connected",
+                 "_hash", "_mu_table")
 
     def __init__(self, v_names, e_names, adj):
         v_names = tuple(v_names)
@@ -107,27 +108,26 @@ class BipGraph:
         self.v_names = v_names
         self.e_names = e_names
 
-        pairs = set()
+        v_masks = [0] * len(v_names)
+        e_masks = [0] * len(e_names)
         for v, e in adj:
+            # bool is an int subclass; True is no index either.
+            if type(v) is not int or type(e) is not int:
+                raise GraphError(f"adjacency pair ({v!r}, {e!r}) must hold integer indices")
             if not (0 <= v < len(v_names) and 0 <= e < len(e_names)):
                 raise GraphError(f"adjacency pair ({v}, {e}) out of range")
-            pairs.add((int(v), int(e)))
-        self.adj = frozenset(pairs)
-
-        v_nbrs = [[] for _ in v_names]
-        e_nbrs = [[] for _ in e_names]
-        for v, e in sorted(pairs):
-            v_nbrs[v].append(e)
-            e_nbrs[e].append(v)
-        self.v_nbrs = tuple(tuple(x) for x in v_nbrs)
-        self.e_nbrs = tuple(tuple(x) for x in e_nbrs)
-        self.v_masks = tuple(sum(1 << e for e in nbrs) for nbrs in self.v_nbrs)
-        self.e_masks = tuple(sum(1 << v for v in nbrs) for nbrs in self.e_nbrs)
-        self._v_index = {name: i for i, name in enumerate(v_names)}
-        self._e_index = {name: i for i, name in enumerate(e_names)}
+            v_masks[v] |= 1 << e
+            e_masks[e] |= 1 << v
+        self.v_masks = tuple(v_masks)
+        self.e_masks = tuple(e_masks)
         self.connected = component_count(self) == 1
-        self._hash = hash((self.v_names, self.e_names, self.adj))
+        self._hash = hash((v_names, e_names, self.e_masks))
         self._mu_table = None
+
+    @property
+    def adj(self) -> frozenset:
+        """The edges as (v-index, e-index) pairs."""
+        return frozenset((v, e) for v, m in enumerate(self.v_masks) for e in bits_of(m))
 
     @property
     def n_v(self) -> int:
@@ -139,26 +139,26 @@ class BipGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.adj)
+        return sum(m.bit_count() for m in self.e_masks)
 
     def deg_v(self, v: int) -> int:
-        return len(self.v_nbrs[v])
+        return self.v_masks[v].bit_count()
 
     def deg_e(self, e: int) -> int:
-        return len(self.e_nbrs[e])
+        return self.e_masks[e].bit_count()
 
     def v_index(self, label: str) -> int:
-        return _lookup(self._v_index, label, "V")
+        return _lookup(self.v_names.index, label, "V")
 
     def e_index(self, label: str) -> int:
-        return _lookup(self._e_index, label, "E")
+        return _lookup(self.e_names.index, label, "E")
 
     def __eq__(self, other):
         if not isinstance(other, BipGraph):
             return NotImplemented
         return (self.v_names == other.v_names
                 and self.e_names == other.e_names
-                and self.adj == other.adj)
+                and self.e_masks == other.e_masks)
 
     def __hash__(self):
         return self._hash
@@ -183,10 +183,11 @@ def _check_names(v_names: tuple, e_names: tuple) -> None:
         raise GraphError("duplicate label in the E class")
 
 
-def _lookup(index: dict, label: str, side: str) -> int:
+def _lookup(position, label: str, side: str) -> int:
+    """``position(label)``; an unknown label is a GraphError."""
     try:
-        return index[label]
-    except KeyError:
+        return position(label)
+    except (KeyError, ValueError):
         raise GraphError(f"unknown {side} label {label!r}") from None
 
 
@@ -198,7 +199,8 @@ def build_bipartite(v_names, e_names, adj_pairs) -> BipGraph:
     e_index = {name: i for i, name in enumerate(e_names)}
     pairs = []
     for v_label, e_label in adj_pairs:
-        pairs.append((_lookup(v_index, v_label, "V"), _lookup(e_index, e_label, "E")))
+        pairs.append((_lookup(v_index.__getitem__, v_label, "V"),
+                      _lookup(e_index.__getitem__, e_label, "E")))
     return BipGraph(v_names, e_names, pairs)
 
 
@@ -222,7 +224,7 @@ def from_hypergraph(h: Hypergraph) -> BipGraph:
 
 def to_hypergraph(g: BipGraph) -> Hypergraph:
     """Read the E class back as a multiset of hyperedges over the V labels."""
-    hyperedges = tuple(frozenset(g.v_names[v] for v in g.e_nbrs[e]) for e in range(g.n_e))
+    hyperedges = tuple(frozenset(g.v_names[v] for v in bits_of(m)) for m in g.e_masks)
     for e, h in enumerate(hyperedges):
         if not h:
             raise GraphError(f"hyperedge {g.e_names[e]!r} is empty")
@@ -231,7 +233,8 @@ def to_hypergraph(g: BipGraph) -> Hypergraph:
 
 def abstract_dual(g: BipGraph) -> BipGraph:
     """Swap the roles of the two colour classes."""
-    return BipGraph(g.e_names, g.v_names, [(e, v) for (v, e) in g.adj])
+    return BipGraph(g.e_names, g.v_names,
+                    [(e, v) for e, m in enumerate(g.e_masks) for v in bits_of(m)])
 
 
 def edge_subset(g: BipGraph, labels) -> int:
@@ -256,8 +259,7 @@ def restriction(g: BipGraph, subset: int) -> BipGraph:
     if not v_keep:
         raise GraphError("restriction has no V-vertices")
     v_pos = {v: i for i, v in enumerate(v_keep)}
-    e_pos = {e: i for i, e in enumerate(e_keep)}
-    pairs = [(v_pos[v], e_pos[e]) for (v, e) in g.adj if e in e_pos]
+    pairs = [(v_pos[v], i) for i, e in enumerate(e_keep) for v in bits_of(g.e_masks[e])]
     return BipGraph(
         tuple(g.v_names[v] for v in v_keep),
         tuple(g.e_names[e] for e in e_keep),

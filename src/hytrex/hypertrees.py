@@ -22,7 +22,6 @@ from .errors import DisconnectedGraphError, GraphError
 from .graph import (
     BipGraph,
     bits_of,
-    components,
     mu,
     mu_table,
     normalize_edge_order,
@@ -122,7 +121,7 @@ def find_realizing_tree(g: BipGraph, f):
     def feasible(start):
         for j in range(start, len(actives)):
             e = actives[j]
-            roots = {find(v) for v in g.e_nbrs[e]}
+            roots = {find(v) for v in bits_of(g.e_masks[e])}
             if len(roots) < f[e] + 1:
                 return False
         return True
@@ -133,7 +132,7 @@ def find_realizing_tree(g: BipGraph, f):
         e = actives[i]
         need = f[e] + 1
         reps = {}
-        for v in g.e_nbrs[e]:
+        for v in bits_of(g.e_masks[e]):
             r = find(v)
             if r not in reps:
                 reps[r] = v
@@ -161,7 +160,7 @@ def find_realizing_tree(g: BipGraph, f):
         edges.extend((v, e) for v in chosen[i])
     for e in range(g.n_e):
         if f[e] == 0:
-            edges.append((g.e_nbrs[e][0], e))
+            edges.append((next(bits_of(g.e_masks[e])), e))
     return tuple(sorted(edges))
 
 
@@ -285,10 +284,11 @@ def _shortest_paths(step, b):
 class _Witnesses:
     """Spanning trees of one graph as bitmasks over its edge ids.
 
-    Edge ``i`` is the ``i``-th pair of ``sorted(g.adj)``.  Nodes are the
-    V-vertices ``0..n_v-1`` followed by the hyperedges; ``adj[x]`` lists
-    ``(y, i)`` for the edges at node ``x``, ``inc[x]`` is their bitmask, and
-    ``ebit[x]`` is the hyperedge bit of node ``x`` (0 for a V-vertex).
+    Edge ``i`` is the ``i``-th pair of ``sorted(g.adj)``, which is the order
+    ``g.v_masks`` lists them in.  Nodes are the V-vertices ``0..n_v-1``
+    followed by the hyperedges; ``adj[x]`` lists ``(y, i)`` for the edges at
+    node ``x``, ``inc[x]`` is their bitmask, and ``ebit[x]`` is the
+    hyperedge bit of node ``x`` (0 for a V-vertex).
     """
 
     __slots__ = ("n_v", "adj", "inc", "ebit")
@@ -298,7 +298,8 @@ class _Witnesses:
         n = n_v + g.n_e
         self.adj = [[] for _ in range(n)]
         self.inc = [0] * n
-        for i, (v, e) in enumerate(sorted(g.adj)):
+        pairs = ((v, e) for v, m in enumerate(g.v_masks) for e in bits_of(m))
+        for i, (v, e) in enumerate(pairs):
             h = n_v + e
             self.adj[v].append((h, i))
             self.adj[h].append((v, i))
@@ -472,34 +473,23 @@ def tight_forest_check(g: BipGraph, f, witness, subset: int) -> bool:
         raise GraphError("witness uses edges that are not in the graph")
     if len(edges) != g.n_v + g.n_e - 1:
         raise GraphError("witness does not realize f")
-    degs = [0] * g.n_e
-    for _, e in edges:
-        degs[e] += 1
-    if any(degs[e] != f[e] + 1 for e in range(g.n_e)):
+    tree = BipGraph(g.v_names, g.e_names, edges)
+    if any(tree.deg_e(e) != f[e] + 1 for e in range(g.n_e)):
         raise GraphError("witness does not realize f")
-    if not _spans(g, edges):
+    if not tree.connected:
         raise GraphError("witness does not realize f")
 
-    union_a = 0
+    union_a = covered = tau_edges = 0
     for e in bits_of(subset):
         union_a |= g.e_masks[e]
-    tau_edges = [(v, e) for (v, e) in edges if subset >> e & 1]
-    covered = 0
-    for v, _ in tau_edges:
-        covered |= 1 << v
+        covered |= tree.e_masks[e]
+        tau_edges += tree.deg_e(e)
     if covered != union_a:
         return False
     # The restricted witness is a forest, so components = vertices - edges.
     n_nodes = union_a.bit_count() + bin(subset).count("1")
-    tau_comps = n_nodes - len(tau_edges)
+    tau_comps = n_nodes - tau_edges
     return tau_comps == subgraph_components(g, subset)
-
-
-def _spans(g: BipGraph, edges) -> bool:
-    masks = [0] * g.n_e
-    for v, e in edges:
-        masks[e] |= 1 << v
-    return components(masks, (1 << g.n_e) - 1, (1 << g.n_v) - 1) == 1
 
 
 def greedy_exterior_hypertree(g: BipGraph, order=None) -> tuple[int, ...]:

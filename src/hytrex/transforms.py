@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import GraphError
-from .graph import BipGraph
+from .graph import BipGraph, bits_of
 
 __all__ = [
     "DecompositionTerm",
@@ -34,9 +34,11 @@ __all__ = [
 def _locate(g: BipGraph, label: str):
     """The (side, index) of the vertex a label names; a label used in both
     classes names the V-vertex."""
-    for side, names in (("v", g.v_names), ("e", g.e_names)):
-        if label in names:
-            return side, names.index(label)
+    for side, index in (("v", g.v_index), ("e", g.e_index)):
+        try:
+            return side, index(label)
+        except GraphError:
+            pass
     raise GraphError(f"unknown vertex label {label!r}")
 
 
@@ -47,9 +49,9 @@ def _locate(g: BipGraph, label: str):
 
 
 def _from_side(g: BipGraph, side: str):
-    if side == "v":
-        return g.v_names, g.e_names, g.adj
-    return g.e_names, g.v_names, [(e, v) for v, e in g.adj]
+    own, other, masks = ((g.v_names, g.e_names, g.v_masks) if side == "v"
+                         else (g.e_names, g.v_names, g.e_masks))
+    return own, other, [(x, y) for x, m in enumerate(masks) for y in bits_of(m)]
 
 
 def _to_side(side: str, own, other, pairs) -> BipGraph:

@@ -119,7 +119,7 @@ def _graph_key(g: BipGraph, forms: CanonicalForms) -> tuple:
     # small; beyond that, keep the labelled key (duplicates are harmless).
     if min(g.n_v, g.n_e) <= MAX_WIDTH:
         return forms.bip_key(g.n_v, g.n_e, g.e_masks, g.v_masks)
-    return (g.v_names, g.e_names, g.adj)
+    return (g.v_names, g.e_names, g.e_masks)
 
 
 def _graph_from_masks(n_v: int, e_masks) -> BipGraph:

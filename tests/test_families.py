@@ -81,6 +81,15 @@ class TestGenerators:
         with pytest.raises(GraphError, match="family parameters must be integers"):
             FamilySpec("cycle", params)
 
+    def test_non_iterable_parameters_rejected(self):
+        with pytest.raises(GraphError, match="family parameters must be a sequence of integers"):
+            FamilySpec("cycle", 3)
+
+    @pytest.mark.parametrize("seed", ["x", 2.5, True], ids=["str", "float", "bool"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(GraphError, match="family seed must be an integer or None"):
+            FamilySpec("tree", (5,), seed=seed)
+
     def test_disconnected_matching_deletion_rejected(self):
         with pytest.raises(GraphError):
             generate(FamilySpec("kmn_minus_matching", (2, 2, 2)))

@@ -1,13 +1,16 @@
 """Graph data model: construction, mu, duals, restrictions, JSON format."""
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import complete_bipartite, connected_bipgraphs, count_builds, cycle, path_graph
 from hytrex.errors import GraphError
 from hytrex.graph import (
+    BipGraph,
     Hypergraph,
     abstract_dual,
     build_bipartite,
@@ -52,6 +55,12 @@ class TestBuild:
         with pytest.raises(GraphError):
             build_bipartite(["v1", "v1"], ["e1"], [])
 
+    @pytest.mark.parametrize("pair", [(1.5, 0), (True, 0), ("0", 0), (0, 0.0), (0, None)],
+                             ids=["float", "bool", "str", "float-e", "None-e"])
+    def test_non_integer_index_rejected(self, pair):
+        with pytest.raises(GraphError, match="must hold integer indices"):
+            BipGraph(("a", "b"), ("e",), [pair, (0, 0)])
+
     def test_one_build_per_graph(self, monkeypatch):
         data = graph_to_json(cycle(3))
         assert count_builds(monkeypatch, lambda: graph_from_json(data)) == 1
@@ -60,6 +69,59 @@ class TestBuild:
         g = build_bipartite(["a", "b"], ["c", "d"], [("a", "c"), ("b", "d")])
         assert not g.connected
         assert component_count(g) == 2
+
+
+class TestModelContract:
+    """The masks are the only stored form; everything read off a graph must
+    agree with the pairs it was built from, whatever their order."""
+
+    @staticmethod
+    def _rebuild(g, data):
+        pairs = sorted(g.adj)
+        extra = data.draw(st.lists(st.sampled_from(pairs), max_size=4))
+        given_pairs = data.draw(st.permutations(pairs + extra))
+        return pairs, BipGraph(g.v_names, g.e_names, given_pairs)
+
+    @settings(max_examples=50, deadline=None)
+    @given(connected_bipgraphs(), st.data())
+    def test_adj_equality_and_hash_follow_the_pairs(self, g, data):
+        pairs, h = self._rebuild(g, data)
+        assert h.adj == set(pairs)
+        _, h2 = self._rebuild(g, data)
+        assert h == h2 == g
+        assert hash(h) == hash(h2) == hash(g)
+
+    @settings(max_examples=50, deadline=None)
+    @given(connected_bipgraphs(), st.data())
+    def test_one_edge_or_label_changed_is_unequal(self, g, data):
+        pairs, h = self._rebuild(g, data)
+        v = data.draw(st.integers(0, g.n_v - 1))
+        e = data.draw(st.integers(0, g.n_e - 1))
+        assert BipGraph(g.v_names, g.e_names, set(pairs) ^ {(v, e)}) != h
+        v_names = g.v_names[:v] + (g.v_names[v] + "'",) + g.v_names[v + 1:]
+        assert BipGraph(v_names, g.e_names, pairs) != h
+        e_names = g.e_names[:e] + (g.e_names[e] + "'",) + g.e_names[e + 1:]
+        assert BipGraph(g.v_names, e_names, pairs) != h
+
+    @settings(max_examples=50, deadline=None)
+    @given(connected_bipgraphs(), st.data())
+    def test_degrees_match_pair_counts(self, g, data):
+        pairs, h = self._rebuild(g, data)
+        v_count = Counter(v for v, _ in pairs)
+        e_count = Counter(e for _, e in pairs)
+        assert [h.deg_v(v) for v in range(h.n_v)] == [v_count[v] for v in range(h.n_v)]
+        assert [h.deg_e(e) for e in range(h.n_e)] == [e_count[e] for e in range(h.n_e)]
+        assert h.n_edges == len(pairs)
+
+    @settings(max_examples=20, deadline=None)
+    @given(connected_bipgraphs())
+    def test_label_positions(self, g):
+        assert [g.v_index(name) for name in g.v_names] == list(range(g.n_v))
+        assert [g.e_index(name) for name in g.e_names] == list(range(g.n_e))
+        with pytest.raises(GraphError, match=r"^unknown V label 'e1'$"):
+            g.v_index("e1")
+        with pytest.raises(GraphError, match=r"^unknown E label 'v1'$"):
+            g.e_index("v1")
 
 
 class TestHypergraph:
