@@ -20,17 +20,13 @@ from .graph import (
     abstract_dual,
     build_bipartite,
     component_count,
-    edge_subset,
     from_hypergraph,
     graph_from_json,
     graph_to_json,
-    mu,
     mu_table,
     normalize_edge_order,
     nullity,
-    restriction,
     subgraph_components,
-    to_hypergraph,
 )
 from .hypertrees import (
     HypertreeSet,
@@ -40,16 +36,9 @@ from .hypertrees import (
     hypertrees_by_brute_force,
     is_hypertree_by_polymatroid,
     is_hypertree_by_tree_search,
-    is_tight,
-    tight_forest_check,
     transfer,
 )
-from .activity import (
-    external_active_flags,
-    external_inactive_by_tight_sets,
-    internal_active_flags,
-    internal_inactive_by_tight_sets,
-)
+from .activity import external_active_flags, internal_active_flags
 from .poly import (
     IntPoly,
     IntPoly2,

@@ -7,21 +7,18 @@ gives every flag (:func:`inactive_sets`), and :func:`walk_inactivity` folds
 any number of orders into a single walk.  The membership-probe flags decide
 the same questions by probing an enumerated hypertree set: a hyperedge is
 internally inactive when it can send valence to some smaller hyperedge,
-externally inactive when it can receive valence from one.  They and the
-subset-scanning variants, which use tight sets alone, exist to cross-check
-the fast path.
+externally inactive when it can receive valence from one.  They exist to
+cross-check the fast path.
 """
 
 from __future__ import annotations
 
-from .graph import BipGraph, mu_table, normalize_edge_order, _require_subset_capacity
+from .graph import BipGraph, normalize_edge_order
 from .hypertrees import HypertreeSet, _walk, transfer
 
 __all__ = [
     "internal_active_flags",
     "external_active_flags",
-    "internal_inactive_by_tight_sets",
-    "external_inactive_by_tight_sets",
     "inactive_sets",
     "walk_inactivity",
 ]
@@ -86,52 +83,3 @@ def external_active_flags(b: HypertreeSet, f, order) -> tuple[bool, ...]:
                 break
     return tuple(flags)
 
-
-def _tight_masks(g: BipGraph, f) -> list[int]:
-    _require_subset_capacity(g.n_e)
-    table = mu_table(g)
-    size = 1 << g.n_e
-    sums = [0] * size
-    out = []
-    for mask in range(1, size):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + f[low.bit_length() - 1]
-        if sums[mask] == table[mask]:
-            out.append(mask)
-    return out
-
-
-def internal_inactive_by_tight_sets(g: BipGraph, f, order, e: int) -> bool:
-    """Internal inactivity of ``e`` decided from tight sets only: ``f(e)``
-    must be positive and some smaller hyperedge must lie in no tight set
-    that avoids ``e``."""
-    f = tuple(f)
-    order = normalize_edge_order(g, order)
-    if f[e] == 0:
-        return False
-    tight = _tight_masks(g, f)
-    bit_e = 1 << e
-    pos = order.index(e)
-    for smaller in order[:pos]:
-        bit_s = 1 << smaller
-        if not any(mask & bit_s and not mask & bit_e for mask in tight):
-            return True
-    return False
-
-
-def external_inactive_by_tight_sets(g: BipGraph, f, order, e: int) -> bool:
-    """External inactivity of ``e`` from tight sets only: some smaller
-    hyperedge with positive valence must avoid every tight set through
-    ``e``."""
-    f = tuple(f)
-    order = normalize_edge_order(g, order)
-    tight = _tight_masks(g, f)
-    bit_e = 1 << e
-    pos = order.index(e)
-    for smaller in order[:pos]:
-        if f[smaller] == 0:
-            continue
-        bit_s = 1 << smaller
-        if not any(mask & bit_e and not mask & bit_s for mask in tight):
-            return True
-    return False

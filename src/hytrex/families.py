@@ -232,8 +232,9 @@ FAMILY_TAGS = tuple(_FAMILIES)
 
 
 def ear_decomposition(spec: FamilySpec):
-    """The ears (as label paths) the seeded generator attached; certifies
-    that every ear runs from a V-vertex to an E-vertex with odd length."""
+    """The ears (as label paths) the seeded generator attached, in order;
+    ``verify.check_monic_ear`` checks that each runs from a V-vertex to an
+    E-vertex with odd length through new inner vertices."""
     if spec.tag != "ear_graph":
         raise GraphError("ear_decomposition only applies to ear_graph specs")
     return _ear_graph(spec.params[0], spec.params[1], spec.rng())[1]

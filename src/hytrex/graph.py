@@ -3,9 +3,9 @@
 A :class:`BipGraph` has two colour classes, ``V`` and ``E``.  The ``E`` class
 doubles as the hyperedge set of the hypergraph induced by the graph, so the
 structural quantities defined here (the submodular rank ``mu``, nullity,
-restrictions, abstract duals) are all relative to that split.  A graph stores
-its labels and one neighbour bitmask per vertex of each class; the edge set
-``adj``, the degrees and the label positions are derived from them.
+abstract duals) are all relative to that split.  A graph stores its labels
+and one neighbour bitmask per vertex of each class; the edge set ``adj``,
+the degrees and the label positions are derived from them.
 Instances are immutable after construction and safe to share between
 threads, apart from one slot: ``_mu_table`` starts empty and
 :func:`mu_table` fills it on first use with a value determined by the graph.
@@ -25,11 +25,7 @@ __all__ = [
     "Hypergraph",
     "build_bipartite",
     "from_hypergraph",
-    "to_hypergraph",
     "abstract_dual",
-    "restriction",
-    "edge_subset",
-    "mu",
     "mu_table",
     "components",
     "subgraph_components",
@@ -222,54 +218,10 @@ def from_hypergraph(h: Hypergraph) -> BipGraph:
     return BipGraph(v_names, e_names, pairs)
 
 
-def to_hypergraph(g: BipGraph) -> Hypergraph:
-    """Read the E class back as a multiset of hyperedges over the V labels."""
-    hyperedges = tuple(frozenset(g.v_names[v] for v in bits_of(m)) for m in g.e_masks)
-    for e, h in enumerate(hyperedges):
-        if not h:
-            raise GraphError(f"hyperedge {g.e_names[e]!r} is empty")
-    return Hypergraph(g.v_names, hyperedges)
-
-
 def abstract_dual(g: BipGraph) -> BipGraph:
     """Swap the roles of the two colour classes."""
     return BipGraph(g.e_names, g.v_names,
                     [(e, v) for e, m in enumerate(g.e_masks) for v in bits_of(m)])
-
-
-def edge_subset(g: BipGraph, labels) -> int:
-    """Bitmask for the given E labels."""
-    mask = 0
-    for label in labels:
-        mask |= 1 << g.e_index(label)
-    return mask
-
-
-def restriction(g: BipGraph, subset: int) -> BipGraph:
-    """Subgraph formed by the hyperedges in ``subset``, their incident edges
-    and the V-vertices they touch."""
-    if subset == 0:
-        raise GraphError("restriction to the empty hyperedge set")
-    _check_subset(g, subset)
-    e_keep = list(bits_of(subset))
-    v_union = 0
-    for e in e_keep:
-        v_union |= g.e_masks[e]
-    v_keep = list(bits_of(v_union))
-    if not v_keep:
-        raise GraphError("restriction has no V-vertices")
-    v_pos = {v: i for i, v in enumerate(v_keep)}
-    pairs = [(v_pos[v], i) for i, e in enumerate(e_keep) for v in bits_of(g.e_masks[e])]
-    return BipGraph(
-        tuple(g.v_names[v] for v in v_keep),
-        tuple(g.e_names[e] for e in e_keep),
-        pairs,
-    )
-
-
-def _check_subset(g: BipGraph, subset: int) -> None:
-    if subset < 0 or subset >= (1 << g.n_e):
-        raise GraphError(f"subset mask {subset} out of range for |E|={g.n_e}")
 
 
 def components(masks, subset: int, v_all: int = 0) -> int:
@@ -305,24 +257,14 @@ def components(masks, subset: int, v_all: int = 0) -> int:
 
 def subgraph_components(g: BipGraph, subset: int) -> int:
     """Number of connected components of the restriction to ``subset``."""
-    _check_subset(g, subset)
+    if subset < 0 or subset >= (1 << g.n_e):
+        raise GraphError(f"subset mask {subset} out of range for |E|={g.n_e}")
     return components(g.e_masks, subset)
 
 
-def mu(g: BipGraph, subset: int) -> int:
-    """Submodular rank of a hyperedge set: |union| - #components, 0 for the
-    empty set."""
-    if subset == 0:
-        return 0
-    _check_subset(g, subset)
-    union = 0
-    for e in bits_of(subset):
-        union |= g.e_masks[e]
-    return union.bit_count() - subgraph_components(g, subset)
-
-
 def mu_table(g: BipGraph) -> tuple[int, ...]:
-    """``mu`` for every subset mask, computed once per graph and cached."""
+    """The submodular rank ``mu`` of every subset mask, computed once per
+    graph and cached: |union| - #components, 0 for the empty set."""
     if g._mu_table is None:
         _require_subset_capacity(g.n_e)
         size = 1 << g.n_e

@@ -22,7 +22,6 @@ from .errors import DisconnectedGraphError, GraphError
 from .graph import (
     BipGraph,
     bits_of,
-    mu,
     mu_table,
     normalize_edge_order,
     subgraph_components,
@@ -37,8 +36,6 @@ __all__ = [
     "is_hypertree_by_polymatroid",
     "enumerate_hypertrees",
     "hypertrees_by_brute_force",
-    "is_tight",
-    "tight_forest_check",
     "greedy_exterior_hypertree",
 ]
 
@@ -453,43 +450,6 @@ def hypertrees_by_brute_force(g: BipGraph, method: str = "tree") -> HypertreeSet
 
     rec(0, target)
     return HypertreeSet(out)
-
-
-def is_tight(g: BipGraph, f, subset: int) -> bool:
-    """Whether the subset meets its mu bound with equality at ``f``."""
-    total = sum(f[e] for e in bits_of(subset))
-    return total == mu(g, subset)
-
-
-def tight_forest_check(g: BipGraph, f, witness, subset: int) -> bool:
-    """Decide tightness from a realizing tree: ``subset`` is tight exactly
-    when the witness restricted to it is a spanning forest of the graph
-    restricted to it."""
-    f = tuple(f)
-    edges = set(witness)
-    if len(edges) != len(tuple(witness)):
-        raise GraphError("witness has repeated edges")
-    if not edges <= g.adj:
-        raise GraphError("witness uses edges that are not in the graph")
-    if len(edges) != g.n_v + g.n_e - 1:
-        raise GraphError("witness does not realize f")
-    tree = BipGraph(g.v_names, g.e_names, edges)
-    if any(tree.deg_e(e) != f[e] + 1 for e in range(g.n_e)):
-        raise GraphError("witness does not realize f")
-    if not tree.connected:
-        raise GraphError("witness does not realize f")
-
-    union_a = covered = tau_edges = 0
-    for e in bits_of(subset):
-        union_a |= g.e_masks[e]
-        covered |= tree.e_masks[e]
-        tau_edges += tree.deg_e(e)
-    if covered != union_a:
-        return False
-    # The restricted witness is a forest, so components = vertices - edges.
-    n_nodes = union_a.bit_count() + bin(subset).count("1")
-    tau_comps = n_nodes - tau_edges
-    return tau_comps == subgraph_components(g, subset)
 
 
 def greedy_exterior_hypertree(g: BipGraph, order=None) -> tuple[int, ...]:

@@ -64,12 +64,6 @@ class IntPoly:
     def one(cls) -> "IntPoly":
         return cls((1,))
 
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "IntPoly":
-        if exponent < 0:
-            raise ValueError("exponent must be non-negative")
-        return cls([0] * exponent + [coefficient])
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -177,12 +171,6 @@ class IntPoly:
     def to_json(self) -> list[int]:
         return list(self.coeffs)
 
-    @classmethod
-    def from_json(cls, data) -> "IntPoly":
-        if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
-            raise GraphError("polynomial JSON must be a list of integers")
-        return cls(data)
-
 
 class IntPoly2:
     """Sparse bivariate polynomial: map (i, j) -> non-zero integer."""
@@ -199,15 +187,8 @@ class IntPoly2:
         self.terms = dict(sorted(clean.items()))
 
     @classmethod
-    def zero(cls) -> "IntPoly2":
-        return cls()
-
-    @classmethod
     def monomial(cls, i: int, j: int, coefficient: int = 1) -> "IntPoly2":
         return cls({(i, j): coefficient})
-
-    def coeff(self, i: int, j: int) -> int:
-        return self.terms.get((i, j), 0)
 
     def __add__(self, other):
         if not isinstance(other, IntPoly2):
@@ -216,20 +197,6 @@ class IntPoly2:
         for key, c in other.terms.items():
             out[key] = out.get(key, 0) + c
         return IntPoly2(out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly2({k: c * other for k, c in self.terms.items()})
-        if not isinstance(other, IntPoly2):
-            return NotImplemented
-        out = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return IntPoly2(out)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, IntPoly2):
@@ -400,11 +367,6 @@ class MultiGraph:
     def cycle(cls, n_vertices: int) -> "MultiGraph":
         return cls(n_vertices,
                    [(i, (i + 1) % n_vertices) for i in range(n_vertices)])
-
-    @classmethod
-    def complete(cls, n_vertices: int) -> "MultiGraph":
-        return cls(n_vertices, [(i, j) for i in range(n_vertices)
-                                for j in range(i + 1, n_vertices)])
 
     @classmethod
     def star(cls, leaves: int) -> "MultiGraph":

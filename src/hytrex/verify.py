@@ -35,7 +35,7 @@ from .hypertrees import (
     is_hypertree_by_polymatroid,
     is_hypertree_by_tree_search,
 )
-from .families import FamilySpec, generate
+from .families import FamilySpec, ear_decomposition, generate
 from .poly import (
     IntPoly,
     MultiGraph,
@@ -122,11 +122,8 @@ def _graph_key(g: BipGraph, forms: CanonicalForms) -> tuple:
     return (g.v_names, g.e_names, g.e_masks)
 
 
-def _graph_from_masks(n_v: int, e_masks) -> BipGraph:
-    v_names = [f"v{i + 1}" for i in range(n_v)]
-    e_names = [f"e{j + 1}" for j in range(len(e_masks))]
-    pairs = [(v, e) for e, mask in enumerate(e_masks) for v in bits_of(mask)]
-    return BipGraph(v_names, e_names, pairs)
+def _labels(prefix: str, n: int) -> tuple[str, ...]:
+    return tuple(f"{prefix}{i + 1}" for i in range(n))
 
 
 def exhaustive_connected_bipartite(max_total: int = 9) -> list[BipGraph]:
@@ -135,8 +132,12 @@ def exhaustive_connected_bipartite(max_total: int = 9) -> list[BipGraph]:
     whose sorted tuple of hyperedge masks comes first."""
     forms = CanonicalForms()
     out = []
+    # The graphs of a (|V|, |E|) cell share one pair of label tuples, and all
+    # cells share the strings: run_all_checks keeps every graph alive.
+    v_labels, e_labels = _labels("v", max_total), _labels("e", max_total)
     for n_v in range(1, max_total):
         for n_e in range(1, max_total - n_v + 1):
+            v_names, e_names = v_labels[:n_v], e_labels[:n_e]
             all_e, all_v = (1 << n_e) - 1, (1 << n_v) - 1
             seen = set()
             for combo in combinations_with_replacement(range(1, 1 << n_v), n_e):
@@ -146,7 +147,8 @@ def exhaustive_connected_bipartite(max_total: int = 9) -> list[BipGraph]:
                 if key in seen:
                     continue
                 seen.add(key)
-                out.append(_graph_from_masks(n_v, combo))
+                out.append(BipGraph(v_names, e_names, [
+                    (v, e) for e, mask in enumerate(combo) for v in bits_of(mask)]))
     return out
 
 
@@ -218,9 +220,7 @@ def random_connected_bipartite(count: int = 50, max_total: int = 14,
             for e in range(n_e):
                 if (v, e) not in edges and rng.random() < 1 / 3:
                     edges.add((v, e))
-        out.append(_graph_from_masks(
-            n_v, [sum(1 << v for v in range(n_v) if (v, e) in edges)
-                  for e in range(n_e)]))
+        out.append(BipGraph(_labels("v", n_v), _labels("e", n_e), edges))
     return out
 
 
@@ -679,17 +679,48 @@ def check_tutte(seed: int = 0) -> CheckReport:
                   map(_tutte, graphs))
 
 
-def _monic_ear(g: BipGraph, what: str):
+def _ear_fault(g: BipGraph, ears):
+    """Why ``ears`` fails the monic theorem's hypothesis on ``g``, or None.
+    Each ear must have an odd number of edges and run from a V-vertex to an
+    E-vertex along edges of ``g``.  Its inner vertices must be new: the cycle
+    is what lies inside no ear, and each ear joins two vertices already
+    there by inner vertices not seen before."""
+    v_pos = {name: i for i, name in enumerate(g.v_names)}
+    e_pos = {name: i for i, name in enumerate(g.e_names)}
+    old = set(g.v_names + g.e_names).difference(*(ear[1:-1] for ear in ears))
+    for i, ear in enumerate(ears, 1):
+        inner = ear[1:-1]
+        if len(ear) % 2:
+            return f"ear {i} has an even number of edges"
+        if ear[0] not in v_pos or ear[-1] not in e_pos:
+            return f"ear {i} does not run from a V-vertex to an E-vertex"
+        if not all(v in v_pos and e in e_pos and g.e_masks[e_pos[e]] >> v_pos[v] & 1
+                   for v, e in [*zip(ear[::2], ear[1::2]), *zip(ear[2::2], ear[1::2])]):
+            return f"ear {i} steps between vertices that are not adjacent"
+        if not {ear[0], ear[-1]} <= old or len(set(inner)) < len(inner) or old & set(inner):
+            return f"ear {i} does not attach new inner vertices to the graph before it"
+        old.update(inner)
+    return None
+
+
+def _monic_ear(spec: FamilySpec):
+    g, ears = generate(spec), ear_decomposition(spec)
     n = g.n_v
     poly = interior_polynomial(g)
-    if g.n_v == g.n_e and poly.coeff(n - 1) == 1 and poly.degree == n - 1:
+    fault = _ear_fault(g, ears)
+    if fault is None and g.n_v == g.n_e and poly.coeff(n - 1) == 1 and poly.degree == n - 1:
         return None
+    k, count = spec.params
     return {
         "kind": "monic",
         "mode": "ear",
         "graph": graph_to_json(g),
+        "params": [k, count],
+        "seed": spec.seed,
+        "ears": [list(ear) for ear in ears],
         "interior": poly.to_json(),
-        "detail": f"{what} is not monic of degree {n - 1}",
+        "detail": fault or (f"ear graph (k={k}, ears={count}, seed={spec.seed}) "
+                            f"is not monic of degree {n - 1}"),
     }
 
 
@@ -711,16 +742,16 @@ _EAR_SIZES = ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1))
 
 
 def check_monic_ear(seeds=(0, 1, 2), corpus=()) -> CheckReport:
-    """Seeded ear graphs have a monic interior polynomial of degree n - 1;
-    balanced corpus graphs never exceed top coefficient 1."""
+    """Seeded ear graphs, whose ears meet the theorem's hypothesis, have a
+    monic interior polynomial of degree n - 1; balanced corpus graphs never
+    exceed top coefficient 1."""
     desc = (f"{len(seeds) * len(_EAR_SIZES)} seeded ear graphs"
             + (f" + {len(corpus)} corpus graphs" if corpus else ""))
 
     def outcomes():
         for seed in seeds:
             for k, ears in _EAR_SIZES:
-                g = generate(FamilySpec("ear_graph", (k, ears), seed=seed))
-                yield _monic_ear(g, f"ear graph (k={k}, ears={ears}, seed={seed})")
+                yield _monic_ear(FamilySpec("ear_graph", (k, ears), seed=seed))
         for g in corpus:
             if g.n_v == g.n_e:
                 yield _monic_cap(g)
@@ -865,7 +896,8 @@ _REPLAY = {
         lambda g, ce: _join(*map(graph_from_json, ce["factors"]), ce["join"]),
     ("recursion", "parallel_pair"): lambda g, ce: _parallel_pair(g, *ce["pair"], ce["t"]),
     ("recursion", "decomposition"): lambda g, ce: _decomposition(g),
-    ("monic", "ear"): lambda g, ce: _monic_ear(g, "ear graph"),
+    ("monic", "ear"): lambda g, ce: _monic_ear(
+        FamilySpec("ear_graph", ce["params"], ce["seed"])),
     ("monic", "cap"): lambda g, ce: _monic_cap(g),
     ("tutte", None): lambda g, ce: _tutte(MultiGraph(
         ce["multigraph"]["n"], [tuple(e) for e in ce["multigraph"]["edges"]])),

@@ -1,5 +1,5 @@
-"""Activity computations: the walk, the membership-probe flags and the
-tight-set scans, plus the structural lemmas about activities."""
+"""Activity computations: the walk and the membership-probe flags, plus
+the structural lemmas about activities."""
 
 import random
 from itertools import permutations
@@ -10,9 +10,7 @@ from hypothesis import given, settings
 from conftest import complete_bipartite, connected_bipgraphs, cycle, path_graph
 from hytrex.activity import (
     external_active_flags,
-    external_inactive_by_tight_sets,
     internal_active_flags,
-    internal_inactive_by_tight_sets,
     walk_inactivity,
 )
 from hytrex.errors import GraphError
@@ -22,9 +20,6 @@ from hytrex.hypertrees import (
     hypertrees_by_brute_force,
 )
 from hytrex.verify import exhaustive_connected_bipartite
-
-
-IDENTITY3 = (0, 1, 2)
 
 
 def _inactivities(g, order=None):
@@ -72,37 +67,6 @@ class TestTreesAndGreedy:
     @given(connected_bipgraphs())
     def test_greedy_uniqueness_everywhere(self, g):
         assert _zero_external(g) == [greedy_exterior_hypertree(g)]
-
-
-class TestTightSetVariants:
-    def test_hexagon_internal_examples(self):
-        g = cycle(3)
-        assert internal_inactive_by_tight_sets(g, (1, 0, 1), IDENTITY3, 2)
-        assert not internal_inactive_by_tight_sets(g, (0, 1, 1), IDENTITY3, 0)
-        # the smallest hyperedge has nothing below it
-        for f in enumerate_hypertrees(g):
-            assert not internal_inactive_by_tight_sets(g, f, IDENTITY3, 0)
-
-    def test_hexagon_external_examples(self):
-        g = cycle(3)
-        assert external_inactive_by_tight_sets(g, (1, 0, 1), IDENTITY3, 1)
-        greedy = greedy_exterior_hypertree(g)
-        for e in range(3):
-            assert not external_inactive_by_tight_sets(g, greedy, IDENTITY3, e)
-        for f in enumerate_hypertrees(g):
-            assert not external_inactive_by_tight_sets(g, f, IDENTITY3, 0)
-
-    @settings(max_examples=30, deadline=None)
-    @given(connected_bipgraphs())
-    def test_agreement_with_membership_definition(self, g):
-        b = enumerate_hypertrees(g)
-        order = tuple(range(g.n_e))
-        for f in b:
-            internal = internal_active_flags(b, f, order)
-            external = external_active_flags(b, f, order)
-            for e in range(g.n_e):
-                assert internal_inactive_by_tight_sets(g, f, order, e) == (not internal[e])
-                assert external_inactive_by_tight_sets(g, f, order, e) == (not external[e])
 
 
 class TestInterpolationWitnesses:

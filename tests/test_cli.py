@@ -9,7 +9,6 @@ import pytest
 from hytrex.cli import main
 from hytrex.families import FamilySpec, generate
 from hytrex.graph import graph_from_json, graph_to_json
-from hytrex.poly import IntPoly
 
 
 @pytest.fixture()
@@ -64,7 +63,7 @@ class TestPolynomials:
     def test_json_round_trip(self, capsys, k23_file):
         code, out, _ = run(capsys, ["exterior", k23_file, "--json"])
         assert code == 0
-        assert IntPoly.from_json(json.loads(out)) == IntPoly([1, 1, 1])
+        assert json.loads(out) == [1, 1, 1]
 
     def test_deterministic_output(self, capsys, cycle6_file):
         _, out1, _ = run(capsys, ["interior", cycle6_file, "--json"])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from conftest import complete_bipartite, connected_bipgraphs, cycle, ladder, path_graph
 from hytrex import graph, hypertrees
 from hytrex.errors import CapacityError, DisconnectedGraphError, GraphError
-from hytrex.graph import BipGraph, bits_of, edge_subset, mu
+from hytrex.graph import BipGraph, bits_of, mu_table
 from hytrex.hypertrees import (
     HypertreeSet,
     enumerate_hypertrees,
@@ -15,8 +15,6 @@ from hytrex.hypertrees import (
     hypertrees_by_brute_force,
     is_hypertree_by_polymatroid,
     is_hypertree_by_tree_search,
-    is_tight,
-    tight_forest_check,
     transfer,
 )
 from hytrex.verify import exhaustive_connected_bipartite
@@ -259,6 +257,11 @@ class TestCanTransfer:
         assert transfer((0, 1, 1), 0, 1) not in b
 
 
+def is_tight(g, f, subset):
+    """Whether ``subset`` meets its mu bound with equality at ``f``."""
+    return sum(f[e] for e in bits_of(subset)) == mu_table(g)[subset]
+
+
 class TestTightness:
     def test_empty_and_full_always_tight(self):
         g = cycle(3)
@@ -269,31 +272,10 @@ class TestTightness:
     def test_hexagon_examples(self):
         g = cycle(3)
         f = (0, 1, 1)
-        assert not is_tight(g, f, edge_subset(g, ["e1"]))
-        assert mu(g, edge_subset(g, ["e2", "e3"])) == 2
-        assert is_tight(g, f, edge_subset(g, ["e2", "e3"]))
-
-    def test_forest_check_agrees(self):
-        g = cycle(3)
-        f = (0, 1, 1)
-        witness = find_realizing_tree(g, f)
-        assert tight_forest_check(g, f, witness, edge_subset(g, ["e2", "e3"]))
-        assert not tight_forest_check(g, f, witness, edge_subset(g, ["e1"]))
-        assert tight_forest_check(g, f, witness, (1 << g.n_e) - 1)
-
-    def test_forest_check_rejects_bad_witness(self):
-        g = cycle(3)
-        witness = find_realizing_tree(g, (0, 1, 1))
-        with pytest.raises(GraphError):
-            tight_forest_check(g, (1, 0, 1), witness, 1)
-
-    @settings(max_examples=30, deadline=None)
-    @given(connected_bipgraphs())
-    def test_forest_check_agrees_everywhere(self, g):
-        for f in enumerate_hypertrees(g):
-            witness = find_realizing_tree(g, f)
-            for mask in range(1 << g.n_e):
-                assert tight_forest_check(g, f, witness, mask) == is_tight(g, f, mask)
+        e2_e3 = 1 << g.e_index("e2") | 1 << g.e_index("e3")
+        assert not is_tight(g, f, 1 << g.e_index("e1"))
+        assert mu_table(g)[e2_e3] == 2
+        assert is_tight(g, f, e2_e3)
 
     @settings(max_examples=30, deadline=None)
     @given(connected_bipgraphs())

@@ -26,6 +26,8 @@ from hytrex.poly import (
 )
 from hytrex import poly
 
+K4 = MultiGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+
 
 class TestIntPoly:
     def test_canonical_form_trims_trailing_zeros(self):
@@ -54,7 +56,7 @@ class TestIntPoly:
 
     def test_json_round_trip(self):
         p = IntPoly([1, 4, 1])
-        assert IntPoly.from_json(p.to_json()) == p
+        assert IntPoly(p.to_json()) == p
 
     def test_is_interpolating(self):
         assert is_interpolating(IntPoly([1, 1, 1]))
@@ -65,12 +67,10 @@ class TestIntPoly:
 
 class TestIntPoly2:
     def test_arithmetic_and_render(self):
-        x = IntPoly2.monomial(1, 0)
-        y = IntPoly2.monomial(0, 1)
-        t = x * x + x + y
-        assert t.coeff(2, 0) == 1 and t.coeff(1, 0) == 1 and t.coeff(0, 1) == 1
+        t = IntPoly2.monomial(2, 0) + IntPoly2.monomial(1, 0) + IntPoly2.monomial(0, 1)
+        assert t.terms == {(0, 1): 1, (1, 0): 1, (2, 0): 1}
         assert t.render() == "x^2 + x + y"
-        assert (t * 0) == IntPoly2.zero()
+        assert t + IntPoly2({(1, 0): -1}) == IntPoly2({(2, 0): 1, (0, 1): 1})
 
     def test_json_sorted(self):
         t = IntPoly2({(2, 0): 1, (0, 1): 1, (1, 0): 1})
@@ -187,7 +187,7 @@ class TestTutte:
         assert t == IntPoly2({(2, 0): 1, (1, 0): 1, (0, 1): 1})
 
     def test_k4_known_value(self):
-        t = tutte_polynomial(MultiGraph.complete(4))
+        t = tutte_polynomial(K4)
         assert t == IntPoly2({(3, 0): 1, (2, 0): 3, (1, 0): 2, (1, 1): 4,
                               (0, 1): 2, (0, 2): 3, (0, 3): 1})
 
@@ -202,7 +202,7 @@ class TestTutte:
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            tutte_polynomial(MultiGraph.complete(6))  # 15 edges
+            tutte_polynomial(MultiGraph(2, [(0, 1)] * 15))
 
 
 class TestSpecializations:
@@ -225,7 +225,7 @@ class TestSpecializations:
         MultiGraph.cycle(3),
         MultiGraph.cycle(4),
         MultiGraph.cycle(5),
-        MultiGraph.complete(4),
+        K4,
         MultiGraph.path(5),
         MultiGraph.star(4),
         MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),

@@ -1,9 +1,11 @@
-"""The public surface: the names ``hytrex`` exports and each module's
-``__all__``.  Adding or removing a public name has to change this file."""
+"""The public surface: the names ``hytrex`` exports, each module's
+``__all__``, and the README that says what each exported name is for.
+Adding or removing a public name has to change this file."""
 
 import importlib
 import pkgutil
 import types
+from pathlib import Path
 
 import pytest
 
@@ -15,23 +17,21 @@ PACKAGE_NAMES = [
     "DecompositionTerm", "DisconnectedGraphError", "FamilySpec", "GraphError",
     "Hypergraph", "HypertreeSet", "IntPoly", "IntPoly2", "MultiGraph",
     "abstract_dual", "balanced_decomposition", "build_bipartite", "component_count",
-    "default_corpus", "edge_subset", "enumerate_hypertrees", "exterior_from_tutte",
-    "exterior_polynomial", "external_active_flags", "external_inactive_by_tight_sets",
-    "find_realizing_tree", "from_hypergraph", "graph_from_json", "graph_to_json",
-    "greedy_exterior_hypertree", "hypertrees_by_brute_force", "interior_from_tutte",
-    "interior_polynomial", "internal_active_flags", "internal_inactive_by_tight_sets",
-    "is_hypertree_by_polymatroid", "is_hypertree_by_tree_search", "is_interpolating",
-    "is_tight", "mu", "mu_table", "normalize_edge_order", "nullity",
-    "replay_counterexample", "restriction", "run_all_checks", "subdivision",
-    "subgraph_components", "tight_forest_check", "to_hypergraph", "transfer",
-    "tutte_polynomial",
+    "default_corpus", "enumerate_hypertrees", "exterior_from_tutte",
+    "exterior_polynomial", "external_active_flags", "find_realizing_tree",
+    "from_hypergraph", "graph_from_json", "graph_to_json", "greedy_exterior_hypertree",
+    "hypertrees_by_brute_force", "interior_from_tutte", "interior_polynomial",
+    "internal_active_flags", "is_hypertree_by_polymatroid", "is_hypertree_by_tree_search",
+    "is_interpolating", "mu_table", "normalize_edge_order", "nullity",
+    "replay_counterexample", "run_all_checks", "subdivision", "subgraph_components",
+    "transfer", "tutte_polynomial",
 ]
 
 # Sorted ``__all__`` of every module that declares one.
 MODULE_ALL = {
     "activity": [
-        "external_active_flags", "external_inactive_by_tight_sets", "inactive_sets",
-        "internal_active_flags", "internal_inactive_by_tight_sets", "walk_inactivity",
+        "external_active_flags", "inactive_sets", "internal_active_flags",
+        "walk_inactivity",
     ],
     "canonical": ["CanonicalForms", "MAX_WIDTH"],
     "families": [
@@ -40,15 +40,14 @@ MODULE_ALL = {
     ],
     "graph": [
         "BipGraph", "Hypergraph", "SUBSET_CAP", "abstract_dual", "build_bipartite",
-        "component_count", "components", "edge_subset", "from_hypergraph",
-        "graph_from_json", "graph_to_json", "mu", "mu_table", "normalize_edge_order",
-        "nullity", "restriction", "subgraph_components", "to_hypergraph",
+        "component_count", "components", "from_hypergraph", "graph_from_json",
+        "graph_to_json", "mu_table", "normalize_edge_order", "nullity",
+        "subgraph_components",
     ],
     "hypertrees": [
         "HypertreeSet", "enumerate_hypertrees", "find_realizing_tree",
         "greedy_exterior_hypertree", "hypertrees_by_brute_force",
-        "is_hypertree_by_polymatroid", "is_hypertree_by_tree_search", "is_tight",
-        "tight_forest_check", "transfer",
+        "is_hypertree_by_polymatroid", "is_hypertree_by_tree_search", "transfer",
     ],
     "poly": [
         "IntPoly", "IntPoly2", "MultiGraph", "TUTTE_CAP", "exterior_from_tutte",
@@ -76,6 +75,11 @@ def test_package_names():
     names = sorted(name for name, value in vars(hytrex).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == PACKAGE_NAMES
+
+
+def test_readme_names_every_package_name():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert [name for name in PACKAGE_NAMES if f"`{name}`" not in readme] == []
 
 
 def test_modules_with_all():

@@ -284,12 +284,12 @@ def _grow(joined, *args):
 
 
 def _top_plus_one(p, g, *args, **kwargs):
-    return p + IntPoly.monomial(g.n_v - 1)
+    return p + IntPoly.one().shift(g.n_v - 1)
 
 
 def _order_sensitive(pairs, g, orders):
     """Add x to I under every order other than the input order."""
-    return [(i + IntPoly.monomial(1), x) if order is not None and order != sorted(order)
+    return [(i + IntPoly.one().shift(1), x) if order is not None and order != sorted(order)
             else (i, x) for (i, x), order in zip(pairs, orders)]
 
 
@@ -322,7 +322,7 @@ FAULTS = [
      check_interpolating),
     ({"kind": "degree_bound"},
      lambda mp: _wrap(mp, verify, "interior_polynomial",
-                      lambda p, *args, **kwargs: p + IntPoly.monomial(p.degree + 1)),
+                      lambda p, *args, **kwargs: p + IntPoly.one().shift(p.degree + 1)),
      check_degree_bounds),
     ({"kind": "linear_coefficient"},
      lambda mp: _wrap(mp, verify, "nullity", lambda n, g: n + 1),
@@ -362,6 +362,10 @@ FAULTS = [
      check_recursions),
     ({"kind": "monic", "mode": "ear"},
      lambda mp: _wrap(mp, verify, "interior_polynomial", _top_plus_one),
+     lambda census: check_monic_ear()),
+    ({"kind": "monic", "mode": "ear", "detail": "ear 1 has an even number of edges"},
+     lambda mp: _wrap(mp, verify, "ear_decomposition",
+                      lambda ears, spec: tuple(ear[:-1] for ear in ears)),
      lambda census: check_monic_ear()),
     ({"kind": "monic", "mode": "cap"},
      lambda mp: _wrap(mp, verify, "interior_polynomial", _top_plus_one),
