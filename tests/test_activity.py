@@ -69,6 +69,24 @@ class TestTreesAndGreedy:
         assert _zero_external(g) == [greedy_exterior_hypertree(g)]
 
 
+class TestProbeFlags:
+    def test_hexagon_inactive_hyperedges(self):
+        b = enumerate_hypertrees(cycle(3))
+        # (1, 0, 1): e3 can pass its valence down to e2, and e2 can take
+        # valence from e1; nothing else moves down the order
+        assert internal_active_flags(b, (1, 0, 1), (0, 1, 2)) == (True, True, False)
+        assert external_active_flags(b, (1, 0, 1), (0, 1, 2)) == (True, False, True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(connected_bipgraphs())
+    def test_first_hyperedge_of_an_order_is_active(self, g):
+        b = enumerate_hypertrees(g)
+        for order in (tuple(range(g.n_e)), tuple(reversed(range(g.n_e)))):
+            for f in b:
+                assert internal_active_flags(b, f, order)[order[0]]
+                assert external_active_flags(b, f, order)[order[0]]
+
+
 class TestInterpolationWitnesses:
     """Whenever inactivity k >= 1 occurs, inactivity k - 1 occurs too."""
 

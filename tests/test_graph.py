@@ -13,6 +13,7 @@ from hytrex.graph import (
     BipGraph,
     Hypergraph,
     abstract_dual,
+    bits_of,
     build_bipartite,
     component_count,
     from_hypergraph,
@@ -20,6 +21,7 @@ from hytrex.graph import (
     graph_to_json,
     mu_table,
     nullity,
+    subgraph_components,
 )
 
 
@@ -136,6 +138,11 @@ class TestHypergraph:
         assert all(g.deg_e(e) == 2 for e in range(3))
         assert g.connected
 
+    def test_hyperedges_become_e_vertex_neighbourhoods(self):
+        h = Hypergraph.of("abc", [{"a"}, {"a"}, {"b", "c"}])
+        g = from_hypergraph(h)
+        assert [{g.v_names[v] for v in bits_of(m)} for m in g.e_masks] == list(h.hyperedges)
+
     def test_empty_hyperedge_rejected(self):
         with pytest.raises(GraphError):
             Hypergraph.of(["a"], [set()])
@@ -163,6 +170,26 @@ class TestDual:
         assert d.n_edges == g.n_edges
         assert d.connected == g.connected
         assert abstract_dual(d) == g
+
+
+class TestSubgraphComponents:
+    def test_single_hyperedge_of_hexagon(self):
+        g = cycle(3)
+        assert subgraph_components(g, 1 << g.e_index("e1")) == 1
+
+    def test_two_adjacent_hyperedges(self):
+        g = cycle(3)
+        assert subgraph_components(g, 1 << g.e_index("e1") | 1 << g.e_index("e2")) == 1
+
+    def test_two_opposite_hyperedges_of_the_octagon(self):
+        g = cycle(4)
+        assert subgraph_components(g, 1 << g.e_index("e1") | 1 << g.e_index("e3")) == 2
+
+    def test_out_of_range_subset_rejected(self):
+        g = cycle(3)
+        for subset in (-1, 1 << g.n_e):
+            with pytest.raises(GraphError):
+                subgraph_components(g, subset)
 
 
 class TestMu:

@@ -57,6 +57,14 @@ class TestCorpus:
         assert cells[(2, 3)] == 4
         assert cells[(3, 2)] == 4
 
+    def test_census_cells_share_label_tuples(self):
+        graphs = exhaustive_connected_bipartite(6)
+        first = {}
+        for g in graphs:
+            h = first.setdefault((g.n_v, g.n_e), g)
+            assert g.v_names is h.v_names and g.e_names is h.e_names
+        assert len({id(label) for g in graphs for label in g.v_names + g.e_names}) == 10
+
     def test_random_corpus_respects_caps_and_seed(self):
         a = random_connected_bipartite(count=8, max_total=10, seed=3)
         b = random_connected_bipartite(count=8, max_total=10, seed=3)
@@ -366,6 +374,21 @@ FAULTS = [
     ({"kind": "monic", "mode": "ear", "detail": "ear 1 has an even number of edges"},
      lambda mp: _wrap(mp, verify, "ear_decomposition",
                       lambda ears, spec: tuple(ear[:-1] for ear in ears)),
+     lambda census: check_monic_ear()),
+    ({"kind": "monic", "mode": "ear",
+      "detail": "ear 1 does not run from a V-vertex to an E-vertex"},
+     lambda mp: _wrap(mp, verify, "ear_decomposition",
+                      lambda ears, spec: tuple(ear[::-1] for ear in ears)),
+     lambda census: check_monic_ear()),
+    ({"kind": "monic", "mode": "ear",
+      "detail": "ear 1 steps between vertices that are not adjacent"},
+     lambda mp: _wrap(mp, verify, "ear_decomposition",
+                      lambda ears, spec: tuple(ear[:1] + ear[-2:0:-1] + ear[-1:]
+                                               for ear in ears)),
+     lambda census: check_monic_ear()),
+    ({"kind": "monic", "mode": "ear",
+      "detail": "ear 2 does not attach new inner vertices to the graph before it"},
+     lambda mp: _wrap(mp, verify, "ear_decomposition", lambda ears, spec: ears[:1] * 2),
      lambda census: check_monic_ear()),
     ({"kind": "monic", "mode": "cap"},
      lambda mp: _wrap(mp, verify, "interior_polynomial", _top_plus_one),
