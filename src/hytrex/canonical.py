@@ -8,8 +8,7 @@ smallest sorted image over those permutations.  Only the permutations that
 keep points in order of decreasing degree are tried, and each image is read
 from lookup tables.  The tables belong to a :class:`CanonicalForms` object,
 which each corpus build makes, so nothing is built at import and no table
-outlives its corpus.  ``poly._canonical_multigraph``, the Tutte oracle's memo
-key, is kept apart on purpose: oracles share no code with the fast path.
+outlives its corpus.
 """
 
 from __future__ import annotations

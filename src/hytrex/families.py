@@ -166,16 +166,22 @@ def _ladder(n: int) -> BipGraph:
     return build_bipartite(v_names, e_names, adj)
 
 
+def _require_connected_matching_deletion(m: int, n: int, q: int) -> None:
+    """K_{m,n} minus a q-edge matching is disconnected exactly when the
+    matching isolates e1 (m = q = 1) or is a perfect matching of K_{2,2};
+    otherwise any two V-vertices share a hyperedge and every hyperedge
+    keeps a neighbour."""
+    if m == q == 1 or m == n == q == 2:
+        raise GraphError(f"K_{{{m},{n}}} minus a {q}-matching is disconnected")
+
+
 def _kmn_minus_matching(m: int, n: int, q: int) -> BipGraph:
+    _require_connected_matching_deletion(m, n, q)
     removed = {(f"v{i + 1}", f"e{i + 1}") for i in range(q)}
     v_names = [f"v{i + 1}" for i in range(m)]
     e_names = [f"e{j + 1}" for j in range(n)]
     adj = [(v, e) for v in v_names for e in e_names if (v, e) not in removed]
-    g = build_bipartite(v_names, e_names, adj)
-    if not g.connected:
-        raise GraphError(
-            f"K_{{{m},{n}}} minus a {q}-matching is disconnected")
-    return g
+    return build_bipartite(v_names, e_names, adj)
 
 
 def _ear_graph(k: int, ears: int, rng: random.Random):
@@ -233,8 +239,8 @@ FAMILY_TAGS = tuple(_FAMILIES)
 
 def ear_decomposition(spec: FamilySpec):
     """The ears (as label paths) the seeded generator attached, in order;
-    ``verify.check_monic_ear`` checks that each runs from a V-vertex to an
-    E-vertex with odd length through new inner vertices."""
+    the ``monic_ear`` check of ``verify`` checks that each runs from a
+    V-vertex to an E-vertex with odd length through new inner vertices."""
     if spec.tag != "ear_graph":
         raise GraphError("ear_decomposition only applies to ear_graph specs")
     return _ear_graph(spec.params[0], spec.params[1], spec.rng())[1]
@@ -256,11 +262,10 @@ def closed_form_interior(spec: FamilySpec) -> IntPoly:
         return IntPoly([1, 1]) ** params[0]
     if tag in ("complete_bipartite", "kmn_minus_matching"):
         m, n, q = (*params, 0)[:3]  # K_{m,n} is the case q = 0
+        _require_connected_matching_deletion(m, n, q)
         coeffs = [_binom(n - 1, i) * _binom(m - 1, i) for i in range(m)]
-        if m >= 2:
+        if q:  # so m >= 2
             coeffs[1] -= q
-        elif q:
-            raise GraphError("kmn_minus_matching with m = 1 cannot drop a matching edge")
         return IntPoly(coeffs)
     raise ClosedFormUnavailable(f"no closed-form interior polynomial for {tag!r}")
 
@@ -276,6 +281,7 @@ def closed_form_exterior(spec: FamilySpec) -> IntPoly:
         return IntPoly([1, 1]) ** params[0]
     if tag in ("complete_bipartite", "kmn_minus_matching"):
         m, n, q = (*params, 0)[:3]  # K_{m,n} is the case q = 0
+        _require_connected_matching_deletion(m, n, q)
         if m == 2 and q == 2:
             # The usual correction assumes the adjusted hypertrees are
             # distinct from the single-support ones, which fails here; the

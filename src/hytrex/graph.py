@@ -164,6 +164,16 @@ class BipGraph:
                 f"edges={self.n_edges}, connected={self.connected})")
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple, or a GraphError naming ``what`` when an entry
+    is not an ``int``: a float, a numeric string or a bool is not truncated
+    or converted."""
+    values = tuple(values)
+    if any(type(x) is not int for x in values):
+        raise GraphError(f"{what} must hold integers, got {values!r}")
+    return values
+
+
 def _check_names(v_names: tuple, e_names: tuple) -> None:
     """Both classes non-empty, every label a string, no label twice in a
     class; the string check comes first, so an unhashable label is a
@@ -293,7 +303,7 @@ def normalize_edge_order(g: BipGraph, order=None) -> tuple[int, ...]:
     """Validate an order on E (a permutation of indices, smallest first)."""
     if order is None:
         return tuple(range(g.n_e))
-    order = tuple(int(x) for x in order)
+    order = _integers(order, "an order on E")
     if sorted(order) != list(range(g.n_e)):
         raise GraphError("order must be a permutation of all E indices")
     return order

@@ -25,6 +25,7 @@ from .graph import (
     mu_table,
     normalize_edge_order,
     subgraph_components,
+    _integers,
     _require_subset_capacity,
 )
 
@@ -87,6 +88,14 @@ def _require_connected(g: BipGraph, what: str) -> None:
         raise DisconnectedGraphError(f"{what} requires a connected graph")
 
 
+def _hypertree_vector(g: BipGraph, f) -> tuple[int, ...]:
+    """``f`` as a tuple of one integer per hyperedge of ``g``."""
+    f = _integers(f, "a hypertree vector")
+    if len(f) != g.n_e:
+        raise GraphError(f"hypertree vector has length {len(f)}, expected {g.n_e}")
+    return f
+
+
 def find_realizing_tree(g: BipGraph, f):
     """Edges (v, e) of a spanning tree realising ``f``, or ``None``.
 
@@ -96,9 +105,7 @@ def find_realizing_tree(g: BipGraph, f):
     are rolled back on retreat, so no path compression is applied.
     """
     _require_connected(g, "tree search")
-    f = tuple(int(x) for x in f)
-    if len(f) != g.n_e:
-        raise GraphError(f"hypertree vector has length {len(f)}, expected {g.n_e}")
+    f = _hypertree_vector(g, f)
     if any(x < 0 or x > g.deg_e(e) - 1 for e, x in enumerate(f)):
         return None
     if sum(f) != g.n_v - 1:
@@ -170,9 +177,7 @@ def is_hypertree_by_polymatroid(g: BipGraph, f) -> bool:
     """Realizability via the submodular bounds: total valence must be
     |V| - 1 and every subset sum must stay at or below ``mu``."""
     _require_connected(g, "the polymatroid membership test")
-    f = tuple(int(x) for x in f)
-    if len(f) != g.n_e:
-        raise GraphError(f"hypertree vector has length {len(f)}, expected {g.n_e}")
+    f = _hypertree_vector(g, f)
     _require_subset_capacity(g.n_e)
     if any(x < 0 for x in f):
         return False

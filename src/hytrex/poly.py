@@ -334,9 +334,9 @@ def polynomial_pair(g: BipGraph) -> tuple[IntPoly, IntPoly]:
 # ---------------------------------------------------------------------------
 
 # Cap on the edges of a graph handed to the Tutte oracle.  On a 2-core
-# CPython 3.11 host the deletion-contraction takes 10-34 ms on random
-# connected 12-edge graphs with 6-8 vertices, 21-26 ms on K_6 (15 edges) and
-# 72-98 ms on K_7 (21 edges); every graph the tutte check hands it has at
+# CPython 3.11 host the deletion-contraction takes 5-21 ms on random
+# connected 12-edge graphs with 6-8 vertices, 19-21 ms on K_6 (15 edges) and
+# 93-141 ms on K_7 (21 edges); every graph the tutte check hands it has at
 # most 7 edges.
 TUTTE_CAP = 12
 
@@ -422,33 +422,9 @@ def _bridge_indices(n, edges) -> set[int]:
     return bridges
 
 
-def _canonical_multigraph(n, edges):
-    # Deterministic relabeling: the certificate is a relabeled copy, so equal
-    # certificates always mean isomorphic graphs; refinement only improves
-    # the memo hit rate.
-    colors = [0] * n
-    deg = [0] * n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    colors = deg[:]
-    for _ in range(3):
-        sig = []
-        for x in range(n):
-            nbr = sorted(colors[u] if v == x else colors[v]
-                         for u, v in edges if x in (u, v))
-            sig.append((colors[x], tuple(nbr)))
-        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
-        colors = [palette[s] for s in sig]
-    new_index = {old: pos for pos, (_, old) in
-                 enumerate(sorted((colors[x], x) for x in range(n)))}
-    relabeled = sorted(tuple(sorted((new_index[u], new_index[v]))) for u, v in edges)
-    return (n, tuple(relabeled))
-
-
 def tutte_polynomial(graph: MultiGraph) -> IntPoly2:
-    """Deletion-contraction with bridge/loop base cases, memoized on a
-    canonical relabeling of each intermediate graph."""
+    """Deletion-contraction with bridge/loop base cases, memoized on the
+    edges of each intermediate graph (contraction keeps the vertex count)."""
     if len(graph.edges) > TUTTE_CAP:
         raise CapacityError(
             f"Tutte recursion capped at {TUTTE_CAP} edges, got {len(graph.edges)}")
@@ -457,8 +433,7 @@ def tutte_polynomial(graph: MultiGraph) -> IntPoly2:
     def rec(n, edges):
         if not edges:
             return IntPoly2.monomial(0, 0)
-        key = _canonical_multigraph(n, edges)
-        hit = memo.get(key)
+        hit = memo.get(edges)
         if hit is not None:
             return hit
         bridges = _bridge_indices(n, edges)
@@ -480,7 +455,7 @@ def tutte_polynomial(graph: MultiGraph) -> IntPoly2:
                 a2, b2 = (a2, b2) if a2 <= b2 else (b2, a2)
                 contracted.append((a2, b2))
             res = rec(n, deleted) + rec(n, tuple(sorted(contracted)))
-        memo[key] = res
+        memo[edges] = res
         return res
 
     return rec(graph.n, graph.edges)

@@ -2,12 +2,12 @@
 
 Each check sweeps a corpus of connected bipartite graphs (an exhaustive
 small census, the named family instances, and seeded random graphs) and
-returns a :class:`CheckReport`.  Corpora are iterated smallest graph first,
-so the counterexample attached to a failing report is minimal for the
-corpus order and can be replayed in isolation with
-:func:`replay_counterexample`.  Deliberately corrupted fixtures are part of
-the suite (``check_negative_controls``) so a vacuously green harness cannot
-go unnoticed.
+returns a :class:`CheckReport`; :func:`run_all_checks` runs any subset of
+them.  Corpora are iterated smallest graph first, so the counterexample
+attached to a failing report is minimal for the corpus order and can be
+replayed in isolation with :func:`replay_counterexample`.  Deliberately
+corrupted fixtures are part of the suite (the ``negative_controls`` check)
+so a vacuously green harness cannot go unnoticed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
+from functools import partial
+from itertools import chain, combinations, combinations_with_replacement
 
 from .canonical import MAX_WIDTH, CanonicalForms
 from .errors import GraphError
@@ -58,15 +59,6 @@ __all__ = [
     "random_connected_bipartite",
     "default_corpus",
     "tutte_graph_corpus",
-    "check_enumeration_oracles",
-    "check_interpolating",
-    "check_degree_bounds",
-    "check_linear_coefficients",
-    "check_invariance",
-    "check_recursions",
-    "check_tutte",
-    "check_monic_ear",
-    "check_negative_controls",
     "run_all_checks",
     "replay_counterexample",
     "CHECK_NAMES",
@@ -252,9 +244,23 @@ def _corpus_desc(corpus) -> str:
 
 # ---------------------------------------------------------------------------
 # Checks.  Each property is asserted by one instance function, which returns
-# None or the counterexample of that instance; the check_* sweeps and
-# replay_counterexample both call it.
+# None or the counterexample of that instance; the sweeps of run_all_checks
+# and replay_counterexample both call it.
 # ---------------------------------------------------------------------------
+
+
+def _counterexample(kind: str, **fields) -> dict:
+    """The counterexample of a failing instance: its ``kind``, then
+    ``fields`` in the order given, with graphs, polynomials, hypertree sets
+    and sequences of them in their JSON form."""
+    def plain(value):
+        if isinstance(value, BipGraph):
+            return graph_to_json(value)
+        if isinstance(value, (list, tuple)):
+            return [plain(item) for item in value]
+        return value.to_json() if hasattr(value, "to_json") else value
+
+    return {"kind": kind, **{key: plain(value) for key, value in fields.items()}}
 
 
 def _enumeration(g: BipGraph):
@@ -262,59 +268,28 @@ def _enumeration(g: BipGraph):
     brute_tree = hypertrees_by_brute_force(g, "tree")
     brute_poly = hypertrees_by_brute_force(g, "polymatroid")
     if not bfs == brute_tree == brute_poly:
-        return {
-            "kind": "enumeration",
-            "graph": graph_to_json(g),
-            "transfer_closure": bfs.to_json(),
-            "brute_force_tree": brute_tree.to_json(),
-            "brute_force_polymatroid": brute_poly.to_json(),
-            "detail": "the three hypertree enumerations disagree",
-        }
+        return _counterexample("enumeration", graph=g, transfer_closure=bfs,
+                               brute_force_tree=brute_tree,
+                               brute_force_polymatroid=brute_poly,
+                               detail="the three hypertree enumerations disagree")
     walked = polynomial_pair(g)
     probed = (interior_polynomial(g, hypertrees=brute_poly),
               exterior_polynomial(g, hypertrees=brute_poly))
     if walked == probed:
         return None
-    return {
-        "kind": "enumeration",
-        "mode": "activity",
-        "graph": graph_to_json(g),
-        "walk_interior": walked[0].to_json(),
-        "probe_interior": probed[0].to_json(),
-        "walk_exterior": walked[1].to_json(),
-        "probe_exterior": probed[1].to_json(),
-        "detail": "inactivities read off the walk disagree with membership "
-                  "probes of the polymatroid scan",
-    }
-
-
-def check_enumeration_oracles(corpus) -> CheckReport:
-    """Transfer-closure enumeration must match both brute-force box scans
-    (tree-search filter and polymatroid filter) on every graph, and the
-    polynomials read off the walk must match those counted by membership
-    probes of the polymatroid scan."""
-    return _sweep("enumeration_oracles", _corpus_desc(corpus), map(_enumeration, corpus))
+    return _counterexample("enumeration", mode="activity", graph=g,
+                           walk_interior=walked[0], probe_interior=probed[0],
+                           walk_exterior=walked[1], probe_exterior=probed[1],
+                           detail="inactivities read off the walk disagree with "
+                                  "membership probes of the polymatroid scan")
 
 
 def _interpolating(g: BipGraph, which: str):
     poly = (interior_polynomial if which == "interior" else exterior_polynomial)(g)
     if is_interpolating(poly) and poly.coeff(0) != 0:
         return None
-    return {
-        "kind": "interpolating",
-        "graph": graph_to_json(g),
-        "polynomial": poly.to_json(),
-        "which": which,
-        "detail": f"{which} polynomial support has a gap",
-    }
-
-
-def check_interpolating(corpus) -> CheckReport:
-    """Supports of the interior and exterior polynomials must be gap-free
-    initial intervals [0, d]."""
-    return _sweep("interpolating", _corpus_desc(corpus),
-                  (_interpolating(g, which) for g in corpus
-                   for which in ("interior", "exterior")))
+    return _counterexample("interpolating", graph=g, polynomial=poly, which=which,
+                           detail=f"{which} polynomial support has a gap")
 
 
 def _components_without(g: BipGraph, removed) -> int:
@@ -357,32 +332,24 @@ def _degree_bounds(g: BipGraph):
     poly = interior_polynomial(g)
     deg = poly.degree
     basic = min(g.n_e - 1, g.n_v - 1)
-
-    def ce(detail, bound):
-        return {
-            "kind": "degree_bound",
-            "graph": graph_to_json(g),
-            "interior": poly.to_json(),
-            "bound": bound,
-            "detail": detail,
-        }
-
+    fail = partial(_counterexample, "degree_bound", graph=g, interior=poly)
     if deg > basic:
-        return ce("basic degree bound violated", basic)
+        return fail(bound=basic, detail="basic degree bound violated")
     e_cuts = _cut_pairs(g, "e")
     v_cuts = _cut_pairs(g, "v")
     for (_, t) in e_cuts:
         bound = min(g.n_e - 1, g.n_v - t + 1)
         if deg > bound:
-            return ce("two-cut bound violated (cut in E)", bound)
+            return fail(bound=bound, detail="two-cut bound violated (cut in E)")
     for (_, t) in v_cuts:
         bound = min(g.n_v - 1, g.n_e - t + 1)
         if deg > bound:
-            return ce("two-cut bound violated (cut in V)", bound)
+            return fail(bound=bound, detail="two-cut bound violated (cut in V)")
     if g.n_v == g.n_e:
         n = g.n_v
         if any(t >= 3 for _, t in e_cuts + v_cuts) and poly.coeff(n - 1) != 0:
-            return ce("top coefficient must vanish for a 3-way two-cut", n - 1)
+            return fail(bound=n - 1,
+                        detail="top coefficient must vanish for a 3-way two-cut")
     # Disjoint collections of cuts; only asserted when strictly stronger.
     v_chosen = _disjoint_greedy(v_cuts)
     e_chosen = _disjoint_greedy(e_cuts)
@@ -391,55 +358,26 @@ def _degree_bounds(g: BipGraph):
     general = min(g.n_e - t_sum + 2 * len(v_chosen) - 1,
                   g.n_v - k_sum + 2 * len(e_chosen) - 1)
     if general < basic and deg > general:
-        return ce("disjoint-pairs degree bound violated", general)
+        return fail(bound=general, detail="disjoint-pairs degree bound violated")
     return None
-
-
-def check_degree_bounds(corpus) -> CheckReport:
-    """Degree of the interior polynomial against the basic bound, the
-    two-vertex-cut strengthening, the vanishing-top corollary for balanced
-    graphs, and (when it binds) the disjoint-pairs generalization."""
-    return _sweep("degree_bounds", _corpus_desc(corpus), map(_degree_bounds, corpus))
 
 
 def _linear_coefficients(g: BipGraph):
     interior, exterior = polynomial_pair(g)
-
-    def ce(detail, poly):
-        return {
-            "kind": "linear_coefficient",
-            "graph": graph_to_json(g),
-            "polynomial": poly.to_json(),
-            "detail": detail,
-        }
-
+    fail = partial(_counterexample, "linear_coefficient", graph=g)
     if interior.coeff(0) != 1:
-        return ce("interior constant term is not 1", interior)
+        return fail(polynomial=interior, detail="interior constant term is not 1")
     if exterior.coeff(0) != 1:
-        return ce("exterior constant term is not 1", exterior)
+        return fail(polynomial=exterior, detail="exterior constant term is not 1")
     if interior.coeff(1) != nullity(g):
-        return ce(f"interior linear coefficient differs from the nullity {nullity(g)}",
-                  interior)
+        return fail(polynomial=interior, detail="interior linear coefficient differs "
+                                                f"from the nullity {nullity(g)}")
     if g.n_e >= 2 and all(
             _components_without(g, (g.n_v + e,)) == 1 for e in range(g.n_e)):
         if exterior.coeff(1) != g.n_v - 1:
-            return ce(f"exterior linear coefficient differs from "
-                      f"|V| - 1 = {g.n_v - 1}", exterior)
+            return fail(polynomial=exterior, detail="exterior linear coefficient "
+                                                    f"differs from |V| - 1 = {g.n_v - 1}")
     return None
-
-
-def check_linear_coefficients(corpus) -> CheckReport:
-    """Constant terms are 1; the linear coefficient of the interior
-    polynomial is the nullity; when removing any single hyperedge keeps the
-    graph connected, the linear coefficient of the exterior polynomial is
-    |V| - 1."""
-    return _sweep("linear_coefficients", _corpus_desc(corpus),
-                  map(_linear_coefficients, corpus))
-
-
-def _invariance_ce(g: BipGraph, mode: str, order, detail: str, **polys) -> dict:
-    return {"kind": "invariance", "mode": mode, "graph": graph_to_json(g),
-            "order": order, **polys, "detail": detail}
 
 
 def _order_invariance(g: BipGraph, order, base, other):
@@ -447,31 +385,31 @@ def _order_invariance(g: BipGraph, order, base, other):
     order and in ``order``."""
     if other == base:
         return None
-    return _invariance_ce(g, "order", list(order), "polynomials depend on the order",
-                          default_interior=base[0].to_json(),
-                          other_interior=other[0].to_json(),
-                          default_exterior=base[1].to_json(),
-                          other_exterior=other[1].to_json())
+    return _counterexample("invariance", mode="order", graph=g, order=order,
+                           default_interior=base[0], other_interior=other[0],
+                           default_exterior=base[1], other_exterior=other[1],
+                           detail="polynomials depend on the order")
 
 
-def _dual_invariance(g: BipGraph, base_interior: IntPoly):
+def _dual_invariance(g: BipGraph):
+    base_interior = polynomial_pair(g)[0]
     dual_interior = interior_polynomial(abstract_dual(g))
     if dual_interior == base_interior:
         return None
-    return _invariance_ce(g, "dual", None,
-                          "interior polynomial differs on the abstract dual",
-                          default_interior=base_interior.to_json(),
-                          other_interior=dual_interior.to_json())
+    return _counterexample("invariance", mode="dual", graph=g, order=None,
+                           default_interior=base_interior, other_interior=dual_interior,
+                           detail="interior polynomial differs on the abstract dual")
 
 
 def _exterior_asymmetry(g: BipGraph):
     if exterior_polynomial(g) != exterior_polynomial(abstract_dual(g)):
         return None
-    return _invariance_ce(g, "asymmetry", None, "expected exterior asymmetry "
-                          "between the two classes is missing")
+    return _counterexample("invariance", mode="asymmetry", graph=g, order=None,
+                           detail="expected exterior asymmetry between the two "
+                                  "classes is missing")
 
 
-def check_invariance(corpus, orders_per_graph: int = 20, seed: int = 0) -> CheckReport:
+def _invariance_check(corpus, seed: int, orders_per_graph: int):
     """Both polynomials are order-independent; the interior polynomial is
     also invariant under the abstract dual.  The exterior polynomial is
     allowed to differ between the two classes, and the recorded asymmetry
@@ -489,41 +427,36 @@ def check_invariance(corpus, orders_per_graph: int = 20, seed: int = 0) -> Check
             base, *others = polynomial_pairs(g, [None] + orders)
             for order, other in zip(orders, others):
                 yield _order_invariance(g, order, base, other)
-            yield _dual_invariance(g, base[0])
+            yield _dual_invariance(g)
         yield _exterior_asymmetry(generate(FamilySpec("complete_bipartite", (2, 3))))
 
-    return _sweep("invariance", _corpus_desc(corpus), outcomes())
+    return _corpus_desc(corpus), outcomes()
 
 
-def _recursion_ce(g: BipGraph, mode: str, detail: str, **extra) -> dict:
-    return {"kind": "recursion", "mode": mode, "graph": graph_to_json(g),
-            "detail": detail, **extra}
-
-
-def _pendant(g: BipGraph, label: str, reduced: BipGraph, base):
-    """``reduced`` is ``g`` without the pendant vertex ``label``, and
-    ``base`` is ``polynomial_pair(g)``."""
-    if polynomial_pair(reduced) == base:
+def _pendant(g: BipGraph, label: str):
+    if polynomial_pair(transforms.delete_valence1(g, label)) == polynomial_pair(g):
         return None
-    return _recursion_ce(g, "pendant", f"pendant removal at {label!r} changed a polynomial",
-                         vertex=label)
+    return _counterexample("recursion", mode="pendant", graph=g,
+                           detail=f"pendant removal at {label!r} changed a polynomial",
+                           vertex=label)
 
 
-def _deletion_contraction(g: BipGraph, label: str, deleted: BipGraph, base):
-    """``deleted`` is ``g`` without the valence-2 vertex ``label``, and
-    ``base`` is ``polynomial_pair(g)``; the exterior rule is asserted only at a
-    hyperedge."""
+def _deletion_contraction(g: BipGraph, label: str):
+    """At the valence-2 vertex ``label``; the exterior rule is asserted only
+    at a hyperedge."""
+    interior, exterior = polynomial_pair(g)
+    deleted = transforms.delete_vertex(g, label)
     contracted = transforms.contract_vertex(g, label)
-    if base[0] != interior_polynomial(deleted) + interior_polynomial(contracted).shift(1):
-        return _recursion_ce(g, "deletion_contraction",
-                             f"interior deletion/contraction fails at {label!r}",
-                             vertex=label)
-    if label not in g.v_names and base[1] != (exterior_polynomial(deleted).shift(1)
-                                              + exterior_polynomial(contracted)):
-        return _recursion_ce(g, "deletion_contraction",
-                             f"exterior deletion/contraction fails at {label!r}",
-                             vertex=label)
-    return None
+    if interior != interior_polynomial(deleted) + interior_polynomial(contracted).shift(1):
+        which = "interior"
+    elif label not in g.v_names and exterior != (exterior_polynomial(deleted).shift(1)
+                                                 + exterior_polynomial(contracted)):
+        which = "exterior"
+    else:
+        return None
+    return _counterexample("recursion", mode="deletion_contraction", graph=g,
+                           detail=f"{which} deletion/contraction fails at {label!r}",
+                           vertex=label)
 
 
 def _join(g1: BipGraph, g2: BipGraph, how: str):
@@ -540,8 +473,9 @@ def _join(g1: BipGraph, g2: BipGraph, how: str):
     (i1, x1), (i2, x2) = polynomial_pair(g1), polynomial_pair(g2)
     if polynomial_pair(joined) == (i1 * i2, x1 * x2):
         return None
-    return _recursion_ce(joined, "join", "join product identity fails",
-                         factors=[graph_to_json(g1), graph_to_json(g2)], join=how)
+    return _counterexample("recursion", mode="join", graph=joined,
+                           detail="join product identity fails", factors=(g1, g2),
+                           join=how)
 
 
 def _parallel_pair(g: BipGraph, e1: str, e2: str, t: int):
@@ -549,46 +483,44 @@ def _parallel_pair(g: BipGraph, e1: str, e2: str, t: int):
     i_t = interior_polynomial(transforms.add_parallel_pair_vertices(g, e1, e2, t))
     if interior_polynomial(g) == i_t - (t * i_q).shift(1):
         return None
-    return _recursion_ce(g, "parallel_pair", f"parallel-pair identity fails for t={t}",
-                         pair=[e1, e2], t=t)
+    return _counterexample("recursion", mode="parallel_pair", graph=g,
+                           detail=f"parallel-pair identity fails for t={t}",
+                           pair=(e1, e2), t=t)
 
 
 def _decomposition(g: BipGraph):
+    fail = partial(_counterexample, "recursion", mode="decomposition", graph=g)
     total = IntPoly.zero()
     for term in transforms.balanced_decomposition(g):
         if term.graph.n_v != term.graph.n_e:
-            return _recursion_ce(g, "decomposition",
-                                 "decomposition emitted an unbalanced graph")
+            return fail(detail="decomposition emitted an unbalanced graph")
         total = total + (term.coefficient * interior_polynomial(term.graph)
                          ).shift(term.exponent)
     if total == interior_polynomial(g):
         return None
-    return _recursion_ce(g, "decomposition", "balanced decomposition does not reassemble")
+    return fail(detail="balanced decomposition does not reassemble")
 
 
-def check_recursions(corpus, seed: int = 0) -> CheckReport:
+def _recursions_check(corpus, seed: int, orders_per_graph: int):
     """Pendant insensitivity, the valence-2 deletion/contraction rules, join
     multiplicativity on sampled pairs, the parallel-pair identity, and the
-    balanced-decomposition reassembly."""
+    balanced-decomposition reassembly.  Removing a leaf keeps a connected
+    graph connected; deleting a valence-2 vertex need not."""
     rng = random.Random(f"{seed}:recursions")
 
     def outcomes():
         for g in corpus:
-            base = polynomial_pair(g)
             for node, label in enumerate(g.v_names + g.e_names):
                 on_v = node < g.n_v
                 if not on_v and label in g.v_names:
                     continue  # the surgeries resolve this label to the V-vertex
+                if (g.n_v if on_v else g.n_e) < 2:
+                    continue  # the surgery would empty its class
                 degree = g.deg_v(node) if on_v else g.deg_e(node - g.n_v)
-                class_size = g.n_v if on_v else g.n_e
-                if degree == 1 and class_size >= 2 and g.n_v + g.n_e > 2:
-                    reduced = transforms.delete_valence1(g, label)
-                    if reduced.connected:
-                        yield _pendant(g, label, reduced, base)
-                if degree == 2 and class_size >= 2:
-                    deleted = transforms.delete_vertex(g, label)
-                    if deleted.connected:
-                        yield _deletion_contraction(g, label, deleted, base)
+                if degree == 1:
+                    yield _pendant(g, label)
+                if degree == 2 and _components_without(g, (node,)) == 1:
+                    yield _deletion_contraction(g, label)
         small = [g for g in corpus if g.n_v + g.n_e <= 6]
         for _ in range(min(20, len(small) * (len(small) + 1) // 2)):
             g1, g2 = rng.choice(small), rng.choice(small)
@@ -604,7 +536,7 @@ def check_recursions(corpus, seed: int = 0) -> CheckReport:
         for g in [h for h in corpus if 0 <= h.n_e - h.n_v <= 3 and h.n_v + h.n_e <= 8][:150]:
             yield _decomposition(g)
 
-    return _sweep("recursions", _corpus_desc(corpus), outcomes())
+    return _corpus_desc(corpus), outcomes()
 
 
 def _connected_simple_graphs(max_vertices: int, max_edges: int):
@@ -660,23 +592,21 @@ def _tutte(mg: MultiGraph):
     oracle_x = exterior_from_tutte(mg)
     if pipeline_i == oracle_i and pipeline_x == oracle_x:
         return None
-    return {
-        "kind": "tutte",
-        "multigraph": {"n": mg.n, "edges": [list(e) for e in mg.edges]},
-        "pipeline_interior": pipeline_i.to_json(),
-        "tutte_interior": oracle_i.to_json(),
-        "pipeline_exterior": pipeline_x.to_json(),
-        "tutte_exterior": oracle_x.to_json(),
-        "detail": "subdivision pipeline disagrees with the Tutte specialization",
-    }
+    return _counterexample("tutte",
+                           multigraph={"n": mg.n, "edges": [list(e) for e in mg.edges]},
+                           pipeline_interior=pipeline_i, tutte_interior=oracle_i,
+                           pipeline_exterior=pipeline_x, tutte_exterior=oracle_x,
+                           detail="subdivision pipeline disagrees with the Tutte "
+                                  "specialization")
 
 
-def check_tutte(seed: int = 0) -> CheckReport:
+def _tutte_check(corpus, seed: int, orders_per_graph: int):
     """The hypertree pipeline on the subdivision must match both Tutte
-    specializations for every ordinary graph of :func:`tutte_graph_corpus`."""
+    specializations for every ordinary graph of :func:`tutte_graph_corpus`;
+    the bipartite corpus is not used."""
     graphs = tutte_graph_corpus(seed=seed)
-    return _sweep("tutte", f"{len(graphs)} connected simple graphs with at most 7 edges",
-                  map(_tutte, graphs))
+    return (f"{len(graphs)} connected simple graphs with at most 7 edges",
+            map(_tutte, graphs))
 
 
 def _ear_fault(g: BipGraph, ears):
@@ -711,73 +641,54 @@ def _monic_ear(spec: FamilySpec):
     if fault is None and g.n_v == g.n_e and poly.coeff(n - 1) == 1 and poly.degree == n - 1:
         return None
     k, count = spec.params
-    return {
-        "kind": "monic",
-        "mode": "ear",
-        "graph": graph_to_json(g),
-        "params": [k, count],
-        "seed": spec.seed,
-        "ears": [list(ear) for ear in ears],
-        "interior": poly.to_json(),
-        "detail": fault or (f"ear graph (k={k}, ears={count}, seed={spec.seed}) "
-                            f"is not monic of degree {n - 1}"),
-    }
+    return _counterexample("monic", mode="ear", graph=g, params=spec.params,
+                           seed=spec.seed, ears=ears, interior=poly,
+                           detail=fault or (f"ear graph (k={k}, ears={count}, "
+                                            f"seed={spec.seed}) is not monic of "
+                                            f"degree {n - 1}"))
 
 
 def _monic_cap(g: BipGraph):
     poly = interior_polynomial(g)
     if poly.coeff(g.n_v - 1) <= 1:
         return None
-    return {
-        "kind": "monic",
-        "mode": "cap",
-        "graph": graph_to_json(g),
-        "interior": poly.to_json(),
-        "detail": "balanced graph with top coefficient above 1",
-    }
+    return _counterexample("monic", mode="cap", graph=g, interior=poly,
+                           detail="balanced graph with top coefficient above 1")
 
 
-# The (cycle parameter, ears) of the ear graphs check_monic_ear grows per seed.
+# The seeds, and per seed the (cycle parameter, ears), of the ear graphs the
+# monic_ear check grows.
+_EAR_SEEDS = (0, 1, 2)
 _EAR_SIZES = ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1))
 
 
-def check_monic_ear(seeds=(0, 1, 2), corpus=()) -> CheckReport:
+def _monic_ear_check(corpus, seed: int, orders_per_graph: int):
     """Seeded ear graphs, whose ears meet the theorem's hypothesis, have a
     monic interior polynomial of degree n - 1; balanced corpus graphs never
     exceed top coefficient 1."""
-    desc = (f"{len(seeds) * len(_EAR_SIZES)} seeded ear graphs"
+    desc = (f"{len(_EAR_SEEDS) * len(_EAR_SIZES)} seeded ear graphs"
             + (f" + {len(corpus)} corpus graphs" if corpus else ""))
-
-    def outcomes():
-        for seed in seeds:
-            for k, ears in _EAR_SIZES:
-                yield _monic_ear(FamilySpec("ear_graph", (k, ears), seed=seed))
-        for g in corpus:
-            if g.n_v == g.n_e:
-                yield _monic_cap(g)
-
-    return _sweep("monic_ear", desc, outcomes())
-
-
-def _leaked(control: str, detail: str, **extra) -> dict:
-    return {"kind": "negative_control", "control": control, "detail": detail, **extra}
+    specs = (FamilySpec("ear_graph", size, seed=s) for s in _EAR_SEEDS for size in _EAR_SIZES)
+    return desc, chain(map(_monic_ear, specs),
+                       (_monic_cap(g) for g in corpus if g.n_v == g.n_e))
 
 
 def _corrupted_polynomial():
     gapped = IntPoly([1, 0, 1])
     if not (is_interpolating(gapped) and gapped.coeff(0) != 0):
         return None
-    return _leaked("corrupted_polynomial",
-                   "the gapped polynomial 1 + x^2 passed the support check",
-                   polynomial=gapped.to_json())
+    return _counterexample("negative_control", control="corrupted_polynomial",
+                           detail="the gapped polynomial 1 + x^2 passed the support check",
+                           polynomial=gapped)
 
 
 def _corrupted_hypertree():
     c6, bogus = generate(FamilySpec("cycle", (3,))), (0, 0, 2)
     if not (is_hypertree_by_tree_search(c6, bogus) or is_hypertree_by_polymatroid(c6, bogus)):
         return None
-    return _leaked("corrupted_hypertree", "an out-of-box vector was accepted as a hypertree",
-                   graph=graph_to_json(c6), hypertree=list(bogus))
+    return _counterexample("negative_control", control="corrupted_hypertree",
+                           detail="an out-of-box vector was accepted as a hypertree",
+                           graph=c6, hypertree=bogus)
 
 
 def _corrupted_hypertree_set():
@@ -787,9 +698,9 @@ def _corrupted_hypertree_set():
     missing = HypertreeSet([f for f in true_set if f != (0, 1, 1)])
     if not (with_extra == true_set or missing == true_set):
         return None
-    return _leaked("corrupted_hypertree_set",
-                   "a tampered hypertree set compared equal to the oracle",
-                   graph=graph_to_json(c6))
+    return _counterexample("negative_control", control="corrupted_hypertree_set",
+                           detail="a tampered hypertree set compared equal to the oracle",
+                           graph=c6)
 
 
 _CONTROLS = {
@@ -799,25 +710,38 @@ _CONTROLS = {
 }
 
 
-def check_negative_controls() -> CheckReport:
-    """Corrupted fixtures must fail their validations; a control that slips
-    through fails this check."""
-    return _sweep("negative_controls", f"{len(_CONTROLS)} deliberately corrupted fixtures",
-                  (control() for control in _CONTROLS.values()))
-
-
 # Every check, in the order run_all_checks runs them (the enumeration-oracle
-# gate first), as a runner of (corpus, seed, orders_per_graph).
+# gate first), as a function of (corpus, seed, orders per graph) that gives
+# the description of what the check sweeps and its instance outcomes: None
+# for an instance that holds, its counterexample for one that fails.
 _CHECKS = {
-    "enumeration_oracles": lambda corpus, seed, orders: check_enumeration_oracles(corpus),
-    "interpolating": lambda corpus, seed, orders: check_interpolating(corpus),
-    "degree_bounds": lambda corpus, seed, orders: check_degree_bounds(corpus),
-    "linear_coefficients": lambda corpus, seed, orders: check_linear_coefficients(corpus),
-    "invariance": lambda corpus, seed, orders: check_invariance(corpus, orders, seed),
-    "recursions": lambda corpus, seed, orders: check_recursions(corpus, seed),
-    "monic_ear": lambda corpus, seed, orders: check_monic_ear(corpus=corpus),
-    "tutte": lambda corpus, seed, orders: check_tutte(seed=seed),
-    "negative_controls": lambda corpus, seed, orders: check_negative_controls(),
+    # Transfer-closure enumeration matches both brute-force box scans (tree
+    # search and polymatroid filter), and the polynomials read off the walk
+    # match those counted by membership probes of the polymatroid scan.
+    "enumeration_oracles": lambda corpus, seed, orders: (
+        _corpus_desc(corpus), map(_enumeration, corpus)),
+    # The supports of I and X are gap-free initial intervals [0, d].
+    "interpolating": lambda corpus, seed, orders: (
+        _corpus_desc(corpus), (_interpolating(g, which) for g in corpus
+                               for which in ("interior", "exterior"))),
+    # The degree of I against the basic bound, the two-vertex-cut
+    # strengthening, the vanishing-top corollary for balanced graphs, and
+    # (when it binds) the disjoint-pairs generalization.
+    "degree_bounds": lambda corpus, seed, orders: (
+        _corpus_desc(corpus), map(_degree_bounds, corpus)),
+    # Constant terms are 1; [x^1] I is the nullity; when removing any single
+    # hyperedge keeps the graph connected, [y^1] X is |V| - 1.
+    "linear_coefficients": lambda corpus, seed, orders: (
+        _corpus_desc(corpus), map(_linear_coefficients, corpus)),
+    "invariance": _invariance_check,
+    "recursions": _recursions_check,
+    "monic_ear": _monic_ear_check,
+    "tutte": _tutte_check,
+    # Corrupted fixtures must fail their validations; one that slips
+    # through fails the check.
+    "negative_controls": lambda corpus, seed, orders: (
+        f"{len(_CONTROLS)} deliberately corrupted fixtures",
+        (control() for control in _CONTROLS.values())),
 }
 CHECK_NAMES = tuple(_CHECKS)
 
@@ -864,11 +788,11 @@ def run_all_checks(seed: int = 0, corpus=None, orders_per_graph: int = 20,
     # The checks ask for the input-order polynomials of most corpus graphs
     # several times; count each once for this run only.
     with pair_memo():
-        for check_name, runner in _CHECKS.items():
+        for check_name, check in _CHECKS.items():
             if check_name not in selected:
                 continue
             start = time.perf_counter()
-            report = runner(corpus, seed, orders_per_graph)
+            report = _sweep(check_name, *check(corpus, seed, orders_per_graph))
             report.seconds = time.perf_counter() - start
             reports.append(report)
             if progress is not None:
@@ -886,12 +810,11 @@ _REPLAY = {
     ("linear_coefficient", None): lambda g, ce: _linear_coefficients(g),
     ("invariance", "order"): lambda g, ce: _order_invariance(
         g, ce["order"], *polynomial_pairs(g, [None, ce["order"]])),
-    ("invariance", "dual"): lambda g, ce: _dual_invariance(g, interior_polynomial(g)),
+    ("invariance", "dual"): lambda g, ce: _dual_invariance(g),
     ("invariance", "asymmetry"): lambda g, ce: _exterior_asymmetry(g),
-    ("recursion", "pendant"): lambda g, ce: _pendant(
-        g, ce["vertex"], transforms.delete_valence1(g, ce["vertex"]), polynomial_pair(g)),
-    ("recursion", "deletion_contraction"): lambda g, ce: _deletion_contraction(
-        g, ce["vertex"], transforms.delete_vertex(g, ce["vertex"]), polynomial_pair(g)),
+    ("recursion", "pendant"): lambda g, ce: _pendant(g, ce["vertex"]),
+    ("recursion", "deletion_contraction"):
+        lambda g, ce: _deletion_contraction(g, ce["vertex"]),
     ("recursion", "join"):
         lambda g, ce: _join(*map(graph_from_json, ce["factors"]), ce["join"]),
     ("recursion", "parallel_pair"): lambda g, ce: _parallel_pair(g, *ce["pair"], ce["t"]),

@@ -4,9 +4,11 @@ Verdict lines are written to the real stdout so they stay visible under
 pytest's output capture.
 """
 
+import json
 import sys
 import time
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -22,12 +24,7 @@ from hytrex.poly import (
     subdivision,
 )
 from hytrex.hypertrees import is_hypertree_by_polymatroid, is_hypertree_by_tree_search
-from hytrex.verify import (
-    check_negative_controls,
-    default_corpus,
-    run_all_checks,
-    tutte_graph_corpus,
-)
+from hytrex.verify import default_corpus, run_all_checks, tutte_graph_corpus
 
 SEED = 7
 
@@ -109,13 +106,15 @@ def test_criterion_5_tutte_cross_check():
 
 
 def test_criterion_6_theorem_suite(corpus):
+    # The corpus and orders are those of ``hytrex verify all --seed 7``, so
+    # every report must be the one that command's pinned output records.
+    pinned = json.loads((Path(__file__).resolve().parent / "data"
+                         / "verify_all_seed7.json").read_text())["checks"]
     start = time.perf_counter()
-    names = ("interpolating", "degree_bounds", "linear_coefficients",
-             "invariance", "recursions", "enumeration_oracles", "monic_ear")
-    reports = run_all_checks(seed=SEED, corpus=corpus, orders_per_graph=20,
-                             names=names)
+    reports = run_all_checks(seed=SEED, corpus=corpus, orders_per_graph=20)
     for report in reports:
         assert report.passed, (report.name, report.counterexample)
+    assert [r.to_json() for r in reports] == pinned
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0, f"theorem suite took {elapsed:.2f}s, budget 600s"
     total = sum(r.instances for r in reports)
@@ -144,6 +143,6 @@ def test_criterion_8_negative_controls():
     assert not is_hypertree_by_tree_search(hexagon, (0, 0, 2))
     assert not is_hypertree_by_polymatroid(hexagon, (0, 0, 2))
     # and the packaged control check must confirm all controls are caught
-    report = check_negative_controls()
+    report, = run_all_checks(corpus=(), names=("negative_controls",))
     assert report.passed, report.counterexample
     _verdict(8, "corrupted fixtures fail their checks", time.perf_counter() - start)

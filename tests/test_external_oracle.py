@@ -87,7 +87,8 @@ def test_component_counts_match_networkx(g):
         assert (subgraph_components(g, subset)
                 == nx.number_connected_components(nxg.subgraph(es + list(vs))))
     # Deleting one vertex, or two of the same class (the two-vertex cuts of
-    # check_degree_bounds); node i < n_v is V-vertex i, else E-vertex i - n_v.
+    # the degree_bounds check); node i < n_v is V-vertex i, else E-vertex
+    # i - n_v.
     nodes = [("v", i) for i in range(g.n_v)] + [("e", j) for j in range(g.n_e)]
     removals = [(i,) for i in range(len(nodes))]
     removals += combinations(range(g.n_v), 2)

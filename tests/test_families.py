@@ -14,7 +14,7 @@ from hytrex.families import (
 from hytrex.graph import graph_to_json
 from hytrex.verify import family_instances
 from hytrex.hypertrees import enumerate_hypertrees
-from hytrex.poly import IntPoly, exterior_polynomial, interior_polynomial
+from hytrex.poly import IntPoly, exterior_polynomial, interior_polynomial, polynomial_pair
 from hytrex import transforms
 
 
@@ -93,6 +93,26 @@ class TestGenerators:
     def test_disconnected_matching_deletion_rejected(self):
         with pytest.raises(GraphError):
             generate(FamilySpec("kmn_minus_matching", (2, 2, 2)))
+
+    @pytest.mark.parametrize("m, n, q", [(m, n, q) for m in range(1, 6)
+                                         for n in range(m, 6) for q in range(m + 1)])
+    def test_closed_forms_reject_what_generate_rejects(self, m, n, q):
+        # K_{1,3} minus a 1-matching used to get X = 1 - y^2, K_{1,1} minus
+        # one edge the zero polynomial, and K_{2,2} minus both I = 1 - x.
+        spec = FamilySpec("kmn_minus_matching", (m, n, q))
+        try:
+            pair = polynomial_pair(generate(spec))
+        except GraphError:
+            for closed_form in (closed_form_interior, closed_form_exterior):
+                with pytest.raises(GraphError, match="is disconnected"):
+                    closed_form(spec)
+            return
+        assert closed_form_interior(spec) == pair[0]
+        if (m, q) == (2, 2):
+            with pytest.raises(ClosedFormUnavailable):
+                closed_form_exterior(spec)
+        else:
+            assert closed_form_exterior(spec) == pair[1]
 
 
 class TestClosedForms:

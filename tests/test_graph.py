@@ -20,6 +20,7 @@ from hytrex.graph import (
     graph_from_json,
     graph_to_json,
     mu_table,
+    normalize_edge_order,
     nullity,
     subgraph_components,
 )
@@ -58,6 +59,14 @@ class TestBuild:
     def test_non_integer_index_rejected(self, pair):
         with pytest.raises(GraphError, match="must hold integer indices"):
             BipGraph(("a", "b"), ("e",), [pair, (0, 0)])
+
+    @pytest.mark.parametrize("order", [[2.9, 0.2, 1.5], ["x", "0", "1"], ["2", "0", "1"],
+                                       [True, False, 2]],
+                             ids=["float", "text", "numeric-str", "bool"])
+    def test_non_integer_order_rejected(self, order):
+        with pytest.raises(GraphError, match="must hold integers"):
+            normalize_edge_order(cycle(3), order)
+        assert normalize_edge_order(cycle(3), [2, 0, 1]) == (2, 0, 1)
 
     def test_one_build_per_graph(self, monkeypatch):
         data = graph_to_json(cycle(3))

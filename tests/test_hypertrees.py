@@ -47,6 +47,17 @@ class TestTreeSearch:
         with pytest.raises(GraphError):
             is_hypertree_by_tree_search(cycle(3), (0, 1))
 
+    # (1.5, 1.2, 0.0) sums to 2.7, but truncated it is the hypertree (1, 1, 0)
+    # of C6; strings and bools are no valences either.
+    @pytest.mark.parametrize("f", [(1.5, 1.2, 0.0), ("1", "1", "0"), (True, True, False),
+                                   (1, 1, 0.0)],
+                             ids=["float", "str", "bool", "one-float"])
+    @pytest.mark.parametrize("oracle", [find_realizing_tree, is_hypertree_by_tree_search,
+                                        is_hypertree_by_polymatroid])
+    def test_non_integer_entries_rejected(self, oracle, f):
+        with pytest.raises(GraphError, match="must hold integers"):
+            oracle(cycle(3), f)
+
 
 class TestPolymatroid:
     def test_hexagon_member(self):

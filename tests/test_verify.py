@@ -2,6 +2,7 @@
 negative controls that prove the harness can fail."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,15 +15,6 @@ from hytrex import activity, transforms, verify
 from hytrex.verify import (
     CENSUS_CAP,
     CHECK_NAMES,
-    check_degree_bounds,
-    check_enumeration_oracles,
-    check_interpolating,
-    check_invariance,
-    check_linear_coefficients,
-    check_monic_ear,
-    check_negative_controls,
-    check_recursions,
-    check_tutte,
     default_corpus,
     exhaustive_connected_bipartite,
     family_instances,
@@ -32,6 +24,8 @@ from hytrex.verify import (
     tutte_graph_corpus,
 )
 from conftest import cycle, sha256_json
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +138,13 @@ class TestCorpusUnchanged:
         assert got == TUTTE_CORPUS_SEED7_SHA256
 
 
+def _run(name, **options):
+    """The report of the one check ``name`` over a corpus, made by
+    run_all_checks with ``options`` (a ``corpus`` among them overrides)."""
+    return lambda corpus: run_all_checks(
+        **{"corpus": corpus, **options}, names=(name,))[0]
+
+
 def _passing(name, corpus, instances):
     return {"name": name, "corpus": corpus, "instances": instances,
             "passed": True, "counterexample": None}
@@ -180,7 +181,7 @@ class TestSuite:
         # edges) and skips the E-vertex and the E-join at its first
         # hyperedge, which that label cannot reach.
         g = BipGraph(("a", "b"), ("a", "c"), [(0, 0), (1, 0), (1, 1)])
-        report = check_recursions([g])
+        report = _run("recursions")([g])
         assert (report.passed, report.instances) == (True, 7)
 
     def test_deterministic_given_corpus_and_seed(self, small_corpus):
@@ -229,18 +230,17 @@ class TestSuite:
 
 class TestNegativeControls:
     def test_controls_are_detected(self):
-        report = check_negative_controls()
-        assert report.passed
+        assert _run("negative_controls")(()).passed
 
     def test_corrupted_polynomial_fails_support_check(self, monkeypatch):
         # A gap, a zero constant term and the zero polynomial all fail the check.
         for coeffs in ([1, 0, 1], [0, 2, 5], []):
             monkeypatch.setattr(verify, "interior_polynomial",
                                 lambda g, p=IntPoly(coeffs): p)
-            assert not check_interpolating([cycle(2)]).passed
+            assert not _run("interpolating")([cycle(2)]).passed
         # A support test that accepts everything lets the control leak.
         monkeypatch.setattr(verify, "is_interpolating", lambda p: True)
-        report = check_negative_controls()
+        report = _run("negative_controls")(())
         assert not report.passed
         assert report.counterexample["control"] == "corrupted_polynomial"
 
@@ -295,6 +295,12 @@ def _top_plus_one(p, g, *args, **kwargs):
     return p + IntPoly.one().shift(g.n_v - 1)
 
 
+def _top_two_unless_monic(p, g, *args, **kwargs):
+    """Put 2 x^(|V|-1) into an I whose coefficient there is 0, which spares
+    the ear graphs (monic of degree |V| - 1) and breaks the cap."""
+    return p if p.coeff(g.n_v - 1) else p + (2 * IntPoly.one()).shift(g.n_v - 1)
+
+
 def _order_sensitive(pairs, g, orders):
     """Add x to I under every order other than the input order."""
     return [(i + IntPoly.one().shift(1), x) if order is not None and order != sorted(order)
@@ -320,92 +326,92 @@ FAULTS = [
      lambda mp: _wrap(mp, verify, "hypertrees_by_brute_force",
                       lambda b, g, method: HypertreeSet(list(b)[:-1])
                       if method == "polymatroid" else b),
-     check_enumeration_oracles),
+     _run("enumeration_oracles")),
     ({"kind": "enumeration", "mode": "activity"},
      lambda mp: mp.setattr(activity, "inactive_sets", _strict_internal),
-     check_enumeration_oracles),
+     _run("enumeration_oracles")),
     ({"kind": "interpolating", "which": "exterior"},
      lambda mp: _wrap(mp, verify, "exterior_polynomial",
                       lambda p, *args, **kwargs: IntPoly((1, 0) + p.coeffs[1:])),
-     check_interpolating),
+     _run("interpolating")),
     ({"kind": "degree_bound"},
      lambda mp: _wrap(mp, verify, "interior_polynomial",
                       lambda p, *args, **kwargs: p + IntPoly.one().shift(p.degree + 1)),
-     check_degree_bounds),
+     _run("degree_bounds")),
     ({"kind": "linear_coefficient"},
      lambda mp: _wrap(mp, verify, "nullity", lambda n, g: n + 1),
-     check_linear_coefficients),
+     _run("linear_coefficients")),
     ({"kind": "invariance", "mode": "order"},
      lambda mp: _wrap(mp, verify, "polynomial_pairs", _order_sensitive),
-     lambda census: check_invariance(census, orders_per_graph=3)),
+     _run("invariance", orders_per_graph=3)),
     ({"kind": "invariance", "mode": "dual"},
      lambda mp: mp.setattr(verify, "abstract_dual", lambda g: cycle(3)),
-     lambda census: check_invariance(census, orders_per_graph=1)),
+     _run("invariance", orders_per_graph=1)),
     ({"kind": "invariance", "mode": "asymmetry"},
      lambda mp: mp.setattr(verify, "abstract_dual", lambda g: g),
-     lambda census: check_invariance([], orders_per_graph=1)),
+     _run("invariance", corpus=[], orders_per_graph=1)),
     ({"kind": "recursion", "mode": "pendant"},
      lambda mp: mp.setattr(transforms, "delete_valence1", lambda g, label: cycle(2)),
-     check_recursions),
+     _run("recursions")),
     ({"kind": "recursion", "mode": "deletion_contraction"},
      lambda mp: mp.setattr(transforms, "contract_vertex", transforms.delete_vertex),
-     check_recursions),
+     _run("recursions")),
     ({"kind": "recursion", "mode": "join", "join": "v"},
      lambda mp: _wrap(mp, transforms, "one_point_join",
                       lambda j, g1, g2, l1, l2: _grow(j) if l1 in g1.v_names else j),
-     check_recursions),
+     _run("recursions")),
     ({"kind": "recursion", "mode": "join", "join": "e"},
      lambda mp: _wrap(mp, transforms, "one_point_join",
                       lambda j, g1, g2, l1, l2: _grow(j) if l1 in g1.e_names else j),
-     check_recursions),
+     _run("recursions")),
     ({"kind": "recursion", "mode": "join", "join": "edge"},
      lambda mp: _wrap(mp, transforms, "edge_join", _grow),
-     check_recursions),
+     _run("recursions")),
     ({"kind": "recursion", "mode": "parallel_pair"},
      lambda mp: _wrap(mp, transforms, "add_parallel_pair_vertices", _grow),
-     check_recursions),
+     _run("recursions")),
     ({"kind": "recursion", "mode": "decomposition"},
      lambda mp: _wrap(mp, transforms, "balanced_decomposition", lambda terms, g: [
          DecompositionTerm(t.coefficient + 1, t.exponent, t.graph) for t in terms]),
-     check_recursions),
+     _run("recursions")),
     ({"kind": "monic", "mode": "ear"},
      lambda mp: _wrap(mp, verify, "interior_polynomial", _top_plus_one),
-     lambda census: check_monic_ear()),
+     _run("monic_ear")),
     ({"kind": "monic", "mode": "ear", "detail": "ear 1 has an even number of edges"},
      lambda mp: _wrap(mp, verify, "ear_decomposition",
                       lambda ears, spec: tuple(ear[:-1] for ear in ears)),
-     lambda census: check_monic_ear()),
+     _run("monic_ear")),
     ({"kind": "monic", "mode": "ear",
       "detail": "ear 1 does not run from a V-vertex to an E-vertex"},
      lambda mp: _wrap(mp, verify, "ear_decomposition",
                       lambda ears, spec: tuple(ear[::-1] for ear in ears)),
-     lambda census: check_monic_ear()),
+     _run("monic_ear")),
     ({"kind": "monic", "mode": "ear",
       "detail": "ear 1 steps between vertices that are not adjacent"},
      lambda mp: _wrap(mp, verify, "ear_decomposition",
                       lambda ears, spec: tuple(ear[:1] + ear[-2:0:-1] + ear[-1:]
                                                for ear in ears)),
-     lambda census: check_monic_ear()),
+     _run("monic_ear")),
     ({"kind": "monic", "mode": "ear",
       "detail": "ear 2 does not attach new inner vertices to the graph before it"},
      lambda mp: _wrap(mp, verify, "ear_decomposition", lambda ears, spec: ears[:1] * 2),
-     lambda census: check_monic_ear()),
+     _run("monic_ear")),
     ({"kind": "monic", "mode": "cap"},
-     lambda mp: _wrap(mp, verify, "interior_polynomial", _top_plus_one),
-     lambda census: check_monic_ear(seeds=(), corpus=census)),
+     lambda mp: _wrap(mp, verify, "interior_polynomial", _top_two_unless_monic),
+     _run("monic_ear")),
     ({"kind": "tutte"},
      lambda mp: _wrap(mp, verify, "interior_from_tutte", lambda p, mg: p + 1),
-     lambda census: check_tutte()),
+     _run("tutte")),
     ({"kind": "negative_control", "control": "corrupted_polynomial"},
      lambda mp: mp.setattr(verify, "is_interpolating", lambda p: True),
-     lambda census: check_negative_controls()),
+     _run("negative_controls")),
     ({"kind": "negative_control", "control": "corrupted_hypertree"},
      lambda mp: mp.setattr(verify, "is_hypertree_by_polymatroid", lambda g, f: True),
-     lambda census: check_negative_controls()),
+     _run("negative_controls")),
     ({"kind": "negative_control", "control": "corrupted_hypertree_set"},
      lambda mp: mp.setattr(verify, "HypertreeSet",
                            lambda vectors: hypertrees_by_brute_force(cycle(3), "tree")),
-     lambda census: check_negative_controls()),
+     _run("negative_controls")),
 ]
 
 
@@ -414,13 +420,27 @@ def census5():
     return exhaustive_connected_bipartite(5)
 
 
+def _fault_id(expected):
+    return "-".join(map(str, expected.values()))
+
+
+# The counterexample of each FAULTS entry after its JSON round trip, keyed
+# by test id, recorded while each check still built its counterexamples its
+# own way; the one builder must move no key and no value.
+FAULT_COUNTEREXAMPLES = json.loads((DATA / "fault_counterexamples.json").read_text())
+
+
 class TestFaultReplay:
     """Each kind of counterexample, made by a check under an injected fault,
-    replays True after a JSON round trip while the fault is in place and
-    False once it is removed."""
+    is the recorded one after a JSON round trip, and replays True while the
+    fault is in place and False once it is removed."""
+
+    def test_every_fault_has_its_recorded_counterexample(self):
+        assert sorted(map(_fault_id, (e for e, _, _ in FAULTS))) == sorted(
+            FAULT_COUNTEREXAMPLES)
 
     @pytest.mark.parametrize("expected, inject, check", FAULTS,
-                             ids=["-".join(map(str, e.values())) for e, _, _ in FAULTS])
+                             ids=[_fault_id(e) for e, _, _ in FAULTS])
     def test_counterexample_replays_only_under_its_fault(self, census5, monkeypatch,
                                                          expected, inject, check):
         inject(monkeypatch)
@@ -428,6 +448,9 @@ class TestFaultReplay:
         assert not report.passed
         ce = json.loads(json.dumps(report.counterexample))
         assert {key: ce.get(key) for key in expected} == expected
+        recorded = FAULT_COUNTEREXAMPLES[_fault_id(expected)]
+        assert ce == recorded
+        assert list(ce) == list(recorded)
         assert replay_counterexample(ce) is True
         monkeypatch.undo()
         assert replay_counterexample(ce) is False
@@ -440,4 +463,4 @@ class TestGate:
         assert reports[0].name == "enumeration_oracles"
 
     def test_enumeration_oracles_pass(self, small_corpus):
-        assert check_enumeration_oracles(small_corpus).passed
+        assert _run("enumeration_oracles")(small_corpus).passed
