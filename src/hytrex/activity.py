@@ -1,20 +1,22 @@
 """Internal and external activity of hypertrees under a fixed order on E.
 
-The fast path reads activity off the hypertree walk: for each hypertree it
+The fast path reads activity off an enumeration engine.  For one order on
+at most ``hypertrees._SEARCH_CAP`` hyperedges the fibre search yields both
+inactivity bitmasks with each hypertree.  Otherwise the hypertree walk
 yields the closure ``reach``, whose bit ``a`` in ``reach[b]`` says that
-valence can move from ``a`` to ``b``.  One prefix-OR pass over an order then
-gives every flag (:func:`inactive_sets`), and :func:`walk_inactivity` folds
-any number of orders into a single walk.  The membership-probe flags decide
-the same questions by probing an enumerated hypertree set: a hyperedge is
-internally inactive when it can send valence to some smaller hyperedge,
-externally inactive when it can receive valence from one.  They exist to
-cross-check the fast path.
+valence can move from ``a`` to ``b``; one prefix-OR pass over an order then
+gives every flag (:func:`inactive_sets`), so a single walk serves any
+number of orders.  :func:`walk_inactivity` picks the engine.  The
+membership-probe flags decide the same questions by probing an enumerated
+hypertree set: a hyperedge is internally inactive when it can send valence
+to some smaller hyperedge, externally inactive when it can receive valence
+from one.  They exist to cross-check the fast path.
 """
 
 from __future__ import annotations
 
 from .graph import BipGraph, normalize_edge_order
-from .hypertrees import HypertreeSet, _walk, transfer
+from .hypertrees import _SEARCH_CAP, HypertreeSet, _fibres, _walk, transfer
 
 __all__ = [
     "internal_active_flags",
@@ -48,10 +50,16 @@ def inactive_sets(reach, order) -> tuple[int, int]:
 
 
 def walk_inactivity(g: BipGraph, orders):
-    """Yield ``(f, sets)`` for every hypertree ``f`` of ``g``, in walk order,
-    where ``sets[i]`` is :func:`inactive_sets` under ``orders[i]`` (None is
-    the input order).  One walk serves every order."""
+    """Yield ``(f, sets)`` for every hypertree ``f`` of ``g``, in the order
+    the engine finds them, where ``sets[i]`` is the pair of inactivity
+    bitmasks of :func:`inactive_sets` under ``orders[i]`` (None is the input
+    order).  One order on at most ``_SEARCH_CAP`` hyperedges is served by
+    the fibre search; any other input by one walk for every order."""
     orders = [normalize_edge_order(g, order) for order in orders]
+    if len(orders) == 1 and g.n_e <= _SEARCH_CAP:
+        for f, internal, external in _fibres(g, orders[0]):
+            yield f, [(internal, external)]
+        return
     for f, reach in _walk(g):
         yield f, [inactive_sets(reach, order) for order in orders]
 

@@ -272,20 +272,27 @@ def subgraph_components(g: BipGraph, subset: int) -> int:
     return components(g.e_masks, subset)
 
 
+def _rank_table(masks) -> list[int]:
+    """The submodular rank ``mu`` of every subset of the hyperedges whose V
+    neighbourhoods are ``masks``, bit ``i`` of a subset standing for
+    ``masks[i]``: |union| - #components, 0 for the empty set.  Nothing is
+    cached; :func:`mu_table` is the cached table of a graph."""
+    _require_subset_capacity(len(masks))
+    size = 1 << len(masks)
+    union = [0] * size
+    table = [0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        union[mask] = union[mask ^ low] | masks[low.bit_length() - 1]
+        table[mask] = union[mask].bit_count() - components(masks, mask)
+    return table
+
+
 def mu_table(g: BipGraph) -> tuple[int, ...]:
-    """The submodular rank ``mu`` of every subset mask, computed once per
-    graph and cached: |union| - #components, 0 for the empty set."""
+    """The submodular rank ``mu`` of every subset mask of ``g``, computed
+    once per graph and cached (see :func:`_rank_table`)."""
     if g._mu_table is None:
-        _require_subset_capacity(g.n_e)
-        size = 1 << g.n_e
-        masks = g.e_masks
-        union = [0] * size
-        table = [0] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            union[mask] = union[mask ^ low] | masks[low.bit_length() - 1]
-            table[mask] = union[mask].bit_count() - components(masks, mask)
-        g._mu_table = tuple(table)
+        g._mu_table = tuple(_rank_table(g.e_masks))
     return g._mu_table
 
 

@@ -4,13 +4,19 @@ A hypertree of a connected bipartite graph is a vector ``f`` of naturals
 indexed by the E class such that some spanning tree has degree ``f(e) + 1``
 at every hyperedge ``e``.  Membership is decidable two independent ways: a
 degree-constrained spanning-tree search, and a submodular-bound check over
-every subset of hyperedges.  The enumerator uses neither: it closes the set
-under single valence transfers and carries a realizing spanning tree with
-each hypertree, whose fundamental cycles decide every transfer out of it
-and whose exchange along a shortest path gives each new hypertree its own
-tree.  Every carried tree is checked when its hypertree is expanded.  The
-tree search and the brute-force enumerators stay as oracles, so the closure
-can be cross-checked rather than assumed complete.
+every subset of hyperedges.  The enumerators use neither.  The hypertrees
+are the integer bases of the polymatroid ``mu``, an M-convex set, so the
+fibre search fixes one entry at a time from the last hyperedge of an order
+to the first: each entry ranges over an interval read off a residual rank
+table, and where it sits in that interval says whether its hyperedge is
+inactive.  The table has 2^|E| entries, so above :data:`_SEARCH_CAP`
+hyperedges the walk takes over: it closes the set under single valence
+transfers and carries a realizing spanning tree with each hypertree, whose
+fundamental cycles decide every transfer out of it and whose exchange along
+a shortest path gives each new hypertree its own tree.  Every carried tree
+is checked when its hypertree is expanded.  The tree search and the
+brute-force enumerators stay as oracles, so both engines can be
+cross-checked rather than assumed complete.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .graph import (
     normalize_edge_order,
     subgraph_components,
     _integers,
+    _rank_table,
     _require_subset_capacity,
 )
 
@@ -47,7 +54,7 @@ class HypertreeSet:
     __slots__ = ("vectors", "_members")
 
     def __init__(self, vectors):
-        vs = sorted({tuple(int(x) for x in v) for v in vectors})
+        vs = sorted({_integers(v, "a hypertree vector") for v in vectors})
         self.vectors = tuple(vs)
         self._members = frozenset(vs)
 
@@ -195,13 +202,86 @@ def is_hypertree_by_polymatroid(g: BipGraph, f) -> bool:
 
 
 def enumerate_hypertrees(g: BipGraph) -> HypertreeSet:
-    """All hypertrees of ``g``: breadth-first closure under single valence
-    transfers, seeded with the greedy exterior hypertree.  No candidate is
-    searched for: each hypertree carries a spanning tree that realizes it,
-    checked when the hypertree is expanded, and the tree decides which
-    transfers lead to hypertrees.  Nothing is cached: every call walks the
-    hypertrees afresh, and the polynomials do not need the set at all."""
+    """All hypertrees of ``g``: by the fibre search in the input order up to
+    :data:`_SEARCH_CAP` hyperedges, by the transfer-closure walk above it.
+    Neither runs a membership test, and nothing is cached: every call
+    enumerates the hypertrees afresh, and the polynomials do not need the
+    set at all."""
+    if g.n_e <= _SEARCH_CAP:
+        return HypertreeSet(f for f, _, _ in _fibres(g, range(g.n_e)))
     return HypertreeSet(f for f, _ in _walk(g))
+
+
+# Largest |E| the fibre search serves; the walk takes larger graphs.  The
+# search's rank table has 2^|E| entries.  On a 2-core CPython 3.11 host,
+# enumerating the 112 polys items of seed 1 took 5.7 s with the walk alone
+# and 1.30, 1.01, 0.57, 0.60 and 0.90 s with the search up to |E| = 10, 11,
+# 12, 13 and 14 (seed 2: 5.0 s, then 1.21, 0.79, 0.63, 0.85 and 0.93 s);
+# cycle(16) takes 1.7 ms to walk and 308 ms to build its table.
+_SEARCH_CAP = 12
+
+
+def _fibres(g: BipGraph, order):
+    """Yield ``(f, internal, external)`` for every hypertree ``f`` of ``g``,
+    with the bitmasks of its internally and externally inactive hyperedges
+    under ``order`` (a validated order on E).
+
+    Entries are fixed from ``order[-1]`` down to ``order[0]``.  With the
+    entries after position ``k`` fixed, the free positions ``0..k`` carry a
+    residual rank table ``F`` (the root table is ``mu`` in order positions),
+    and entry ``k`` ranges over ``F[full] - F[full ^ 1 << k]`` to
+    ``F[1 << k]``.  Fixing it to ``t`` leaves ``min(F[T], F[T | 1 << k] - t)``
+    on positions ``0..k-1``: the bases of the contraction of ``F`` by
+    position ``k`` capped at ``t``.  By the exchange axiom of M-convex sets,
+    valence can move from ``order[k]`` to an earlier hyperedge exactly when
+    ``t`` is above the bottom of its interval, and can arrive from one
+    exactly when ``t`` is below the top.  A leaf is checked to sum to
+    |V| - 1, and an empty interval is an internal error, as neither can
+    happen on a rank table.
+    """
+    _require_connected(g, "hypertree enumeration")
+    order = tuple(order)
+    target, first = g.n_v - 1, order[0]
+    vec = [0] * g.n_e
+
+    def leaf(c0, c1, internal, external):
+        # Position 0 alone is left, with the table [c0, c1]: its interval
+        # [c1 - c0, c1] is the one value c1, and order[0] is never inactive.
+        if c0:
+            raise RuntimeError(f"internal error: position 0 of order {order} "
+                               f"ranges over [{c1 - c0}, {c1}], not one value")
+        vec[first] = c1
+        if sum(vec) != target:
+            raise RuntimeError(f"internal error: fibre leaf {vec} does not "
+                               f"sum to |V| - 1 = {target}")
+        return tuple(vec), internal, external
+
+    def fibre(k, table, internal, external):
+        half = len(table) >> 1
+        lo, hi = table[-1] - table[half - 1], table[half]
+        if lo > hi:
+            raise RuntimeError(f"internal error: the entries after position {k} "
+                               f"of order {order} leave no value for position {k}")
+        e = order[k]
+        bit = 1 << e
+        upper = table[half:]
+        for t in range(lo, hi + 1):
+            vec[e] = t
+            inside = internal | bit if t > lo else internal
+            outside = external | bit if t < hi else external
+            if k > 1:
+                yield from fibre(k - 1, [a if a < b - t else b - t
+                                         for a, b in zip(table, upper)],
+                                 inside, outside)
+            else:  # the child table of position 0, inlined: the hot case
+                yield leaf(table[0] if table[0] < table[2] - t else table[2] - t,
+                           table[1] if table[1] < table[3] - t else table[3] - t,
+                           inside, outside)
+
+    table = _rank_table([g.e_masks[e] for e in order])
+    if g.n_e == 1:
+        return iter([leaf(*table, 0, 0)])
+    return fibre(g.n_e - 1, table, 0, 0)
 
 
 def _walk(g: BipGraph):

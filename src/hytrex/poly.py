@@ -20,6 +20,7 @@ from .graph import (
     Hypergraph,
     from_hypergraph,
     normalize_edge_order,
+    _integers,
 )
 from .activity import external_active_flags, internal_active_flags, walk_inactivity
 
@@ -256,10 +257,10 @@ def is_interpolating(p: IntPoly) -> bool:
 def interior_polynomial(g: BipGraph, order=None, hypertrees=None) -> IntPoly:
     """Sum of x^(internal inactivity) over all hypertrees of ``g``.
 
-    Without ``hypertrees`` the inactivities are read off one hypertree walk
-    (:func:`polynomial_pairs`).  A given set ``hypertrees`` is counted by
-    membership probes instead: that is the oracle path, which trusts the
-    set it is handed."""
+    Without ``hypertrees`` the inactivities are read off one enumeration,
+    the fibre search or the walk (:func:`polynomial_pairs`).  A given set
+    ``hypertrees`` is counted by membership probes instead: that is the
+    oracle path, which trusts the set it is handed."""
     return _inactivity_polynomial(g, order, hypertrees, internal_active_flags, "interior")
 
 
@@ -271,8 +272,8 @@ def exterior_polynomial(g: BipGraph, order=None, hypertrees=None) -> IntPoly:
 
 
 def _inactivity_polynomial(g: BipGraph, order, hypertrees, flags_fn, what: str) -> IntPoly:
-    """Count the hypertrees by their number of inactive hyperedges: from the
-    walk, or over ``hypertrees`` with ``flags_fn(b, f, order)`` giving one
+    """Count the hypertrees by their number of inactive hyperedges: from an
+    enumeration engine, or over ``hypertrees`` with ``flags_fn(b, f, order)`` giving one
     activity flag per hyperedge."""
     if not g.connected:
         raise DisconnectedGraphError(f"the {what} polynomial requires a connected graph")
@@ -290,8 +291,11 @@ def _inactivity_polynomial(g: BipGraph, order, hypertrees, flags_fn, what: str) 
 
 def polynomial_pairs(g: BipGraph, orders) -> list[tuple[IntPoly, IntPoly]]:
     """``(I, X)`` of ``g`` under each order of ``orders`` (None is the input
-    order), all counted from one hypertree walk.  The polynomials do not
-    depend on the order; the orders are there to check that they do not."""
+    order), all counted from one enumeration: the fibre search for one
+    order on at most ``hypertrees._SEARCH_CAP`` hyperedges, else one
+    hypertree walk for every order (:func:`activity.walk_inactivity`).  The
+    polynomials do not depend on the order; the orders are there to check
+    that they do not."""
     counts = [([0] * (g.n_e + 1), [0] * (g.n_e + 1)) for _ in orders]
     for _, sets in walk_inactivity(g, orders):
         for (interior, exterior), (internal, external) in zip(counts, sets):
@@ -348,11 +352,12 @@ class MultiGraph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges):
-        if n <= 0:
-            raise GraphError("a multigraph needs at least one vertex")
+        # bool is an int subclass; True is no vertex count either.
+        if type(n) is not int or n <= 0:
+            raise GraphError(f"a multigraph needs a positive int vertex count, got {n!r}")
         norm = []
-        for u, v in edges:
-            u, v = int(u), int(v)
+        for edge in edges:
+            u, v = _integers(edge, "a multigraph edge")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range")
             norm.append((u, v) if u <= v else (v, u))

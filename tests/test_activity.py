@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import complete_bipartite, connected_bipgraphs, cycle, path_graph
+from hytrex import activity
 from hytrex.activity import (
     external_active_flags,
     internal_active_flags,
@@ -196,6 +197,26 @@ class TestWalkInactivity:
                     inactive += bool(internal) + bool(external)
         assert hypertrees == 378
         assert inactive > 0
+
+    def test_single_orders_match_probe_flags_on_the_census_to_7(self, monkeypatch):
+        # One order at a time goes through the fibre search, never the walk.
+        monkeypatch.setattr(activity, "_walk", None)
+        rng = random.Random("fibre-search")
+        hypertrees = 0
+        for g in exhaustive_connected_bipartite(7):
+            natural = list(range(g.n_e))
+            b = hypertrees_by_brute_force(g, "polymatroid")
+            for order in [natural, natural[::-1]] + [rng.sample(natural, g.n_e)
+                                                     for _ in range(3)]:
+                searched = dict(walk_inactivity(g, [order]))
+                assert sorted(searched) == list(b)
+                for f, [(internal, external)] in searched.items():
+                    hypertrees += 1
+                    assert internal == _inactive_mask(internal_active_flags(b, f, order)), \
+                        (g.e_masks, f, order)
+                    assert external == _inactive_mask(external_active_flags(b, f, order)), \
+                        (g.e_masks, f, order)
+        assert hypertrees == 5 * 378
 
     def test_none_is_the_input_order(self):
         g = complete_bipartite(3, 3)

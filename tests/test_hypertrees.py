@@ -1,10 +1,17 @@
 """Hypertree membership oracles, enumeration, tightness, transfers."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import complete_bipartite, connected_bipgraphs, cycle, ladder, path_graph
 from hytrex import graph, hypertrees
+from hytrex.activity import inactive_sets
+from hytrex.families import FamilySpec, closed_form_exterior, closed_form_interior, generate
+from hytrex.poly import IntPoly
 from hytrex.errors import CapacityError, DisconnectedGraphError, GraphError
 from hytrex.graph import BipGraph, bits_of, mu_table
 from hytrex.hypertrees import (
@@ -177,7 +184,7 @@ class TestCertificates:
         monkeypatch.setattr(hypertrees._Witnesses, "exchange",
                             lambda self, tree, *rest: tree)
         with pytest.raises(RuntimeError, match="internal error"):
-            hypertrees.enumerate_hypertrees(cycle(3))
+            list(hypertrees._walk(cycle(3)))
 
     def test_exchange_paths_have_no_shortcut(self, monkeypatch):
         # The exchange is a spanning tree because no step x_i -> x_j with
@@ -190,7 +197,7 @@ class TestCertificates:
             return root(self, f, tree)
 
         monkeypatch.setattr(hypertrees._Witnesses, "root", recording_root)
-        hypertrees.enumerate_hypertrees(ladder(6))
+        list(hypertrees._walk(ladder(6)))
         longest = 0
         for w, f, tree in expanded:
             step = w.step(tree, root(w, f, tree))
@@ -340,3 +347,114 @@ class TestHypertreeSet:
         assert len(s) == 2
         assert (0, 1) in s
         assert (2, 0) not in s
+
+    # Truncated and converted, these were the set {(1, 0), (1, 1)}.
+    @pytest.mark.parametrize("vectors", [[(1.5, 0.2)], [("1", True)], [(1, 0), (1, 0.0)]],
+                             ids=["float", "str-bool", "one-float"])
+    def test_non_integer_entries_rejected(self, vectors):
+        with pytest.raises(GraphError, match="must hold integers"):
+            HypertreeSet(vectors)
+
+
+def _engines(g):
+    """``(hypertrees, I, X)`` in the input order from the fibre search and
+    from the walk, each driven directly whatever |E| is."""
+    natural = tuple(range(g.n_e))
+    search = [(f, i, x) for f, i, x in hypertrees._fibres(g, natural)]
+    walk = [(f, *inactive_sets(reach, natural)) for f, reach in hypertrees._walk(g)]
+    out = []
+    for rows in (search, walk):
+        interior, exterior = [0] * (g.n_e + 1), [0] * (g.n_e + 1)
+        for _, i, x in rows:
+            interior[i.bit_count()] += 1
+            exterior[x.bit_count()] += 1
+        out.append((HypertreeSet(f for f, _, _ in rows), IntPoly(interior), IntPoly(exterior)))
+    return out
+
+
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "polys_pool.json"
+# sha256 over repr(enumerate_hypertrees(g).vectors) of the 210 polys pool
+# graphs in pool order, fed one graph at a time; recorded with the walk
+# alone, before the fibre search existed.
+POOL_SHA256 = "cfb1e4ab897999f519f09f8130052b503e71538205229b7ce12a1f6370ecbaf2"
+
+
+class TestFibreSearch:
+    """The fibre search against the walk, the closed forms and the pinned
+    pool; its single-order twin against the probes is in test_activity."""
+
+    @pytest.mark.parametrize("n", [11, 12], ids=["ladder11-E12", "ladder12-E13"])
+    def test_both_engines_match_the_closed_forms_on_ladders(self, n):
+        spec = FamilySpec("ladder", (n,))
+        g = generate(spec)
+        assert g.n_e == n + 1
+        search, walk = _engines(g)
+        assert search == walk
+        assert search[1:] == (closed_form_interior(spec), closed_form_exterior(spec))
+        assert len(search[0]) == 2 ** n
+
+    def test_routing_follows_the_cap(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("wrong engine")
+
+        small, large = ladder(hypertrees._SEARCH_CAP - 1), ladder(hypertrees._SEARCH_CAP)
+        assert (small.n_e, large.n_e) == (hypertrees._SEARCH_CAP, hypertrees._SEARCH_CAP + 1)
+        monkeypatch.setattr(hypertrees, "_walk", forbidden)
+        assert len(enumerate_hypertrees(small)) == 2 ** (small.n_v - 1)
+        monkeypatch.undo()
+        monkeypatch.setattr(hypertrees, "_fibres", forbidden)
+        assert len(enumerate_hypertrees(large)) == 2 ** (large.n_v - 1)
+
+    def test_pool_hypertrees_are_pinned(self):
+        h = hashlib.sha256()
+        for stratum in json.loads(POOL.read_text())["strata"]:
+            for entry in stratum:
+                n_v, masks = entry["n_v"], entry["masks"]
+                g = BipGraph([f"v{i + 1}" for i in range(n_v)],
+                             [f"e{j + 1}" for j in range(len(masks))],
+                             [(v, e) for e, m in enumerate(masks) for v in bits_of(m)])
+                b = enumerate_hypertrees(g)
+                assert len(b) == entry["hypertrees"]
+                h.update(repr(b.vectors).encode())
+        assert h.hexdigest() == POOL_SHA256
+
+
+def _off_by_one(monkeypatch, subset, delta):
+    """The search's rank table, with ``delta`` added at ``subset``."""
+    build = graph._rank_table
+
+    def wrong(masks):
+        table = build(masks)
+        table[subset] += delta
+        return table
+
+    monkeypatch.setattr(hypertrees, "_rank_table", wrong)
+
+
+def _caught(g):
+    """Whether the enumeration gate fails on ``g`` or the search raises."""
+    from hytrex.verify import run_all_checks
+
+    try:
+        return not run_all_checks(corpus=[g], names=("enumeration_oracles",))[0].passed
+    except RuntimeError as exc:
+        assert "internal error" in str(exc)
+        return True
+
+
+class TestRankTableNegativeControl:
+    """A rank table lowered by one at any one subset, or raised by one at the
+    whole set, raises the internal error or fails enumeration_oracles.
+    Raising a single subset can leave the bases as they are (on these four
+    graphs it does for 17 of the 40 subsets), so no rule is asserted there."""
+
+    @pytest.mark.parametrize("g", [cycle(3), ladder(2), complete_bipartite(3, 3),
+                                   complete_bipartite(2, 4)],
+                             ids=["C6", "ladder2", "K33", "K24"])
+    def test_every_single_entry_is_guarded(self, monkeypatch, g):
+        full = (1 << g.n_e) - 1
+        for subset, delta in [(s, -1) for s in range(full + 1)] + [(full, 1)]:
+            _off_by_one(monkeypatch, subset, delta)
+            assert _caught(g), (subset, delta)
+            monkeypatch.undo()
+        assert not _caught(g)

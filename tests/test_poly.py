@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import complete_bipartite, connected_bipgraphs, cycle, path_graph
-from hytrex.errors import CapacityError, DisconnectedGraphError
+from hytrex.errors import CapacityError, DisconnectedGraphError, GraphError
 from hytrex.graph import BipGraph, abstract_dual
 from hytrex.hypertrees import enumerate_hypertrees
 from hytrex.poly import (
@@ -203,6 +203,17 @@ class TestTutte:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             tutte_polynomial(MultiGraph(2, [(0, 1)] * 15))
+
+    # Truncated and converted, the first two were the path 0-1-2 and the
+    # third kept n = 2.5.
+    @pytest.mark.parametrize("n, edges", [(3, [(0.9, 1.2), (1, 2)]),
+                                          (3, [(0, 1), ("2", True)]),
+                                          (2.5, [(0, 1)]), (True, []), (2.0, [(0, 1)])],
+                             ids=["float-edge", "str-bool-edge", "float-n", "bool-n",
+                                  "integral-float-n"])
+    def test_non_integers_rejected(self, n, edges):
+        with pytest.raises(GraphError):
+            MultiGraph(n, edges)
 
 
 class TestSpecializations:

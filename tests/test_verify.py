@@ -1,7 +1,9 @@
 """The check suite itself: corpus construction, determinism, replay, and the
 negative controls that prove the harness can fail."""
 
+import inspect
 import json
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ from hytrex.graph import BipGraph, graph_to_json
 from hytrex.hypertrees import HypertreeSet, hypertrees_by_brute_force
 from hytrex.poly import IntPoly
 from hytrex.transforms import DecompositionTerm
-from hytrex import activity, transforms, verify
+from hytrex import activity, hypertrees, transforms, verify
 from hytrex.verify import (
     CENSUS_CAP,
     CHECK_NAMES,
@@ -320,6 +322,20 @@ def _strict_internal(reach, order):
     return internal, external
 
 
+def _edit_source(monkeypatch, owners, name, old, new):
+    """Rebind ``name`` in every module of ``owners`` to a copy of the
+    function whose source has its one ``old`` replaced by ``new``: a fault
+    inside a rule that no call boundary exposes."""
+    function = getattr(owners[0], name)
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(function.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"),
+         namespace)
+    for owner in owners:
+        monkeypatch.setattr(owner, name, namespace[name])
+
+
 # (what the counterexample must say, fault injection, failing check)
 FAULTS = [
     ({"kind": "enumeration"},
@@ -328,7 +344,8 @@ FAULTS = [
                       if method == "polymatroid" else b),
      _run("enumeration_oracles")),
     ({"kind": "enumeration", "mode": "activity"},
-     lambda mp: mp.setattr(activity, "inactive_sets", _strict_internal),
+     lambda mp: _edit_source(mp, (hypertrees, activity), "_fibres",
+                             "if t > lo else", "if t > lo + 1 else"),
      _run("enumeration_oracles")),
     ({"kind": "interpolating", "which": "exterior"},
      lambda mp: _wrap(mp, verify, "exterior_polynomial",
@@ -343,6 +360,11 @@ FAULTS = [
      _run("linear_coefficients")),
     ({"kind": "invariance", "mode": "order"},
      lambda mp: _wrap(mp, verify, "polynomial_pairs", _order_sensitive),
+     _run("invariance", orders_per_graph=3)),
+    # The walk breaks where the fibre search does not: a shuffled order that
+    # is the input order still differs from the search's pair.
+    ({"kind": "invariance", "mode": "order", "order": [0, 1]},
+     lambda mp: mp.setattr(activity, "inactive_sets", _strict_internal),
      _run("invariance", orders_per_graph=3)),
     ({"kind": "invariance", "mode": "dual"},
      lambda mp: mp.setattr(verify, "abstract_dual", lambda g: cycle(3)),
