@@ -32,7 +32,7 @@ from .graph import (
     graph_to_json,
     normalize_edge_order,
 )
-from .activity import walk_inactivity
+from .hypertrees import hypertrees_with_inactivity
 from .poly import (
     MultiGraph,
     exterior_polynomial,
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         if as_json:
             p.add_argument("--json", action="store_true", dest="as_json",
                            help="emit JSON instead of ASCII")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=families.integer, default=None,
                        help="seed for seeded families")
 
     add_common(sub.add_parser("interior", help="interior polynomial"))
@@ -81,16 +81,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--vertex", default=None, help="vertex label for delete/contract")
     p_tr.add_argument("--pair", default=None,
                       help="two E labels, comma-separated, for identify-pair/add-parallel")
-    p_tr.add_argument("--count", type=int, default=1,
+    p_tr.add_argument("--count", type=families.integer, default=1,
                       help="number of added vertices for add-parallel")
 
     p_v = sub.add_parser("verify", help="run the theorem-check suite")
     p_v.add_argument("checks", help="'all' or a comma-separated list of check names")
-    p_v.add_argument("--seed", type=int, default=7)
-    p_v.add_argument("--orders", type=int, default=20)
-    p_v.add_argument("--max-total", type=int, default=9)
-    p_v.add_argument("--random-count", type=int, default=50)
-    p_v.add_argument("--random-max", type=int, default=14)
+    p_v.add_argument("--seed", type=families.integer, default=7)
+    p_v.add_argument("--orders", type=families.integer, default=20)
+    p_v.add_argument("--max-total", type=families.integer, default=9)
+    p_v.add_argument("--random-count", type=families.integer, default=50)
+    p_v.add_argument("--random-max", type=families.integer, default=14)
     return parser
 
 
@@ -179,7 +179,7 @@ def _cmd_hypertrees(args) -> int:
     rows = [{"f": list(f),
              "internal_inactivity": internal.bit_count(),
              "external_inactivity": external.bit_count()}
-            for f, [(internal, external)] in sorted(walk_inactivity(g, [order]))]
+            for f, [(internal, external)] in sorted(hypertrees_with_inactivity(g, [order]))]
     if args.as_json:
         out = {"order": [g.e_names[e] for e in order], "hypertrees": rows}
         print(json.dumps(out, separators=(",", ":")))

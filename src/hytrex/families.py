@@ -72,10 +72,19 @@ class FamilySpec:
 
 def spec_from_cli(tag: str, params, seed=None) -> FamilySpec:
     try:
-        values = tuple(int(p) for p in params)
+        values = tuple(integer(p) for p in params)
     except (TypeError, ValueError):
         raise GraphError(f"family parameters must be integers, got {params!r}") from None
     return FamilySpec(tag, values, seed)
+
+
+def integer(text: str) -> int:
+    """``text`` as an int, for every integer argument of the CLI: ASCII
+    digits after an optional minus sign (``int`` also takes "1_0", " 3"
+    and non-ASCII digits)."""
+    if not (isinstance(text, str) and text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _binom(a: int, b: int) -> int:

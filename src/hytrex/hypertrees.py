@@ -9,14 +9,16 @@ are the integer bases of the polymatroid ``mu``, an M-convex set, so the
 fibre search fixes one entry at a time from the last hyperedge of an order
 to the first: each entry ranges over an interval read off a residual rank
 table, and where it sits in that interval says whether its hyperedge is
-inactive.  The table has 2^|E| entries, so above :data:`_SEARCH_CAP`
-hyperedges the walk takes over: it closes the set under single valence
-transfers and carries a realizing spanning tree with each hypertree, whose
-fundamental cycles decide every transfer out of it and whose exchange along
-a shortest path gives each new hypertree its own tree.  Every carried tree
-is checked when its hypertree is expanded.  The tree search and the
-brute-force enumerators stay as oracles, so both engines can be
-cross-checked rather than assumed complete.
+inactive.  The walk closes the set under single valence transfers and
+carries a realizing spanning tree with each hypertree, whose fundamental
+cycles decide every transfer out of it and whose exchange along a shortest
+path gives each new hypertree its own tree; every carried tree is checked
+when its hypertree is expanded.  Its closures give the inactivities under
+any number of orders at once.  :func:`hypertrees_with_inactivity` alone
+picks the engine: the search for one order on at most :data:`_SEARCH_CAP`
+hyperedges (its table has 2^|E| entries), the walk for any other input.
+The tree search and the brute-force enumerators stay as oracles, so both
+engines can be cross-checked rather than assumed complete.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "is_hypertree_by_tree_search",
     "is_hypertree_by_polymatroid",
     "enumerate_hypertrees",
+    "hypertrees_with_inactivity",
     "hypertrees_by_brute_force",
     "greedy_exterior_hypertree",
 ]
@@ -202,14 +205,27 @@ def is_hypertree_by_polymatroid(g: BipGraph, f) -> bool:
 
 
 def enumerate_hypertrees(g: BipGraph) -> HypertreeSet:
-    """All hypertrees of ``g``: by the fibre search in the input order up to
-    :data:`_SEARCH_CAP` hyperedges, by the transfer-closure walk above it.
-    Neither runs a membership test, and nothing is cached: every call
-    enumerates the hypertrees afresh, and the polynomials do not need the
-    set at all."""
-    if g.n_e <= _SEARCH_CAP:
-        return HypertreeSet(f for f, _, _ in _fibres(g, range(g.n_e)))
-    return HypertreeSet(f for f, _ in _walk(g))
+    """All hypertrees of ``g``, from :func:`hypertrees_with_inactivity`
+    under the input order.  No membership test runs, and nothing is cached:
+    every call enumerates the hypertrees afresh, and the polynomials do not
+    need the set at all."""
+    return HypertreeSet(f for f, _ in hypertrees_with_inactivity(g, [None]))
+
+
+def hypertrees_with_inactivity(g: BipGraph, orders):
+    """Yield ``(f, sets)`` for every hypertree ``f`` of ``g``, in the order
+    the engine finds them, where ``sets[i]`` is the pair of bitmasks of the
+    internally and externally inactive hyperedges of ``f`` under
+    ``orders[i]`` (None is the input order).  One order on at most
+    :data:`_SEARCH_CAP` hyperedges is served by the fibre search; any other
+    input by one walk for every order (:func:`_inactive_sets`)."""
+    orders = [normalize_edge_order(g, order) for order in orders]
+    if len(orders) == 1 and g.n_e <= _SEARCH_CAP:
+        for f, internal, external in _fibres(g, orders[0]):
+            yield f, [(internal, external)]
+        return
+    for f, reach in _walk(g):
+        yield f, [_inactive_sets(reach, order) for order in orders]
 
 
 # Largest |E| the fibre search serves; the walk takes larger graphs.  The
@@ -346,6 +362,28 @@ def _closure(step):
         bit, rk = 1 << k, reach[k]
         reach = [r | rk if r & bit else r for r in reach]
     return reach
+
+
+def _inactive_sets(reach, order) -> tuple[int, int]:
+    """Bitmasks of the internally and externally inactive hyperedges of one
+    hypertree under ``order``, from its closure ``reach``.
+
+    For ``a != b``, bit ``a`` of ``reach[b]`` is set exactly when one unit
+    of valence can move from ``a`` to ``b``, and never when ``f(a) = 0``.  So
+    ``e`` is internally inactive when bit ``e`` is set in the union of the
+    ``reach`` of the hyperedges before it, and externally inactive when
+    ``reach[e]`` meets the set of those hyperedges.
+    """
+    before = seen = internal = external = 0
+    for e in order:
+        bit = 1 << e
+        if before & bit:
+            internal |= bit
+        if reach[e] & seen:
+            external |= bit
+        before |= reach[e]
+        seen |= bit
+    return internal, external
 
 
 def _shortest_paths(step, b):

@@ -22,7 +22,8 @@ from .graph import (
     normalize_edge_order,
     _integers,
 )
-from .activity import external_active_flags, internal_active_flags, walk_inactivity
+from .activity import external_active_flags, internal_active_flags
+from .hypertrees import hypertrees_with_inactivity
 
 __all__ = [
     "IntPoly",
@@ -257,10 +258,10 @@ def is_interpolating(p: IntPoly) -> bool:
 def interior_polynomial(g: BipGraph, order=None, hypertrees=None) -> IntPoly:
     """Sum of x^(internal inactivity) over all hypertrees of ``g``.
 
-    Without ``hypertrees`` the inactivities are read off one enumeration,
-    the fibre search or the walk (:func:`polynomial_pairs`).  A given set
-    ``hypertrees`` is counted by membership probes instead: that is the
-    oracle path, which trusts the set it is handed."""
+    Without ``hypertrees`` the inactivities are read off one enumeration
+    (:func:`polynomial_pairs`).  A given set ``hypertrees`` is counted by
+    membership probes instead: that is the oracle path, which trusts the
+    set it is handed."""
     return _inactivity_polynomial(g, order, hypertrees, internal_active_flags, "interior")
 
 
@@ -291,13 +292,12 @@ def _inactivity_polynomial(g: BipGraph, order, hypertrees, flags_fn, what: str) 
 
 def polynomial_pairs(g: BipGraph, orders) -> list[tuple[IntPoly, IntPoly]]:
     """``(I, X)`` of ``g`` under each order of ``orders`` (None is the input
-    order), all counted from one enumeration: the fibre search for one
-    order on at most ``hypertrees._SEARCH_CAP`` hyperedges, else one
-    hypertree walk for every order (:func:`activity.walk_inactivity`).  The
-    polynomials do not depend on the order; the orders are there to check
-    that they do not."""
+    order), all counted from one enumeration, which
+    :func:`hypertrees.hypertrees_with_inactivity` chooses.  The polynomials
+    do not depend on the order; the orders are there to check that they do
+    not."""
     counts = [([0] * (g.n_e + 1), [0] * (g.n_e + 1)) for _ in orders]
-    for _, sets in walk_inactivity(g, orders):
+    for _, sets in hypertrees_with_inactivity(g, orders):
         for (interior, exterior), (internal, external) in zip(counts, sets):
             interior[internal.bit_count()] += 1
             exterior[external.bit_count()] += 1

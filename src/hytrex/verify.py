@@ -411,12 +411,13 @@ def _exterior_asymmetry(g: BipGraph):
 
 
 def _invariance_check(corpus, seed: int, orders_per_graph: int):
-    """Both polynomials are order-independent: the walk's pair under each
-    shuffled order equals the fibre search's in the input order.  The
-    interior polynomial is also invariant under the abstract dual.  The
-    exterior polynomial is allowed to differ between the two classes, and
-    the recorded asymmetry witness (both sides of the complete bipartite
-    graph on 2 + 3 vertices) must actually differ."""
+    """Both polynomials are order-independent: the pair under each shuffled
+    order equals the pair in the input order, counted by the other engine
+    wherever the graph is small enough for the fibre search.  The interior
+    polynomial is also invariant under the abstract dual.  The exterior
+    polynomial is allowed to differ between the two classes, and the
+    recorded asymmetry witness (both sides of the complete bipartite graph
+    on 2 + 3 vertices) must actually differ."""
     rng = random.Random(f"{seed}:invariance")
 
     def outcomes():
@@ -426,9 +427,9 @@ def _invariance_check(corpus, seed: int, orders_per_graph: int):
                 order = list(range(g.n_e))
                 rng.shuffle(order)
                 orders.append(order)
-            # With None first there are always two orders or more, so the
-            # walk counts every shuffled order however few there are, and
-            # each is held to the fibre search's input-order pair.
+            # With None first this call always has several orders, so it
+            # takes the walk even where polynomial_pair's one order takes
+            # the fibre search (see hypertrees.hypertrees_with_inactivity).
             base = polynomial_pair(g)
             _, *others = polynomial_pairs(g, [None] + orders)
             for order, other in zip(orders, others):
@@ -721,10 +722,11 @@ _CONTROLS = {
 # the description of what the check sweeps and its instance outcomes: None
 # for an instance that holds, its counterexample for one that fails.
 _CHECKS = {
-    # The enumeration (the fibre search up to its cap, the walk above it)
-    # matches both brute-force box scans (tree search and polymatroid
-    # filter), and the input-order polynomials read off the same engine
-    # match those counted by membership probes of the polymatroid scan.
+    # The enumeration matches both brute-force box scans (tree search and
+    # polymatroid filter), and the input-order polynomials read off the same
+    # engine match those counted by membership probes of the polymatroid
+    # scan.  No seed-7 corpus graph exceeds the fibre search's cap, so there
+    # this gate sees only the search; invariance holds the walk to it.
     "enumeration_oracles": lambda corpus, seed, orders: (
         _corpus_desc(corpus), map(_enumeration, corpus)),
     # The supports of I and X are gap-free initial intervals [0, d].
@@ -763,12 +765,13 @@ def run_all_checks(seed: int = 0, corpus=None, orders_per_graph: int = 20,
                    max_total: int = 9, random_count: int = 50,
                    random_max_total: int = 14, names=None,
                    progress=None, on_corpus=None) -> list[CheckReport]:
-    """Run the named checks (all by default) over one shared corpus.  The
-    enumeration-oracle gate always runs first.  Unknown check names,
-    parameters that would silently skip checks, or a census above
-    :data:`CENSUS_CAP` are rejected with :class:`GraphError`.  ``progress``
-    is called with each report as it is made, and ``on_corpus`` with the
-    corpus and the seconds it took when the corpus is built here."""
+    """Run the named checks (all when ``names`` is None) over one shared
+    corpus, in table order, so the enumeration-oracle gate runs first.  An
+    empty or unknown selection, parameters that would silently skip checks,
+    or a census above :data:`CENSUS_CAP` are rejected with
+    :class:`GraphError`.  ``progress`` is called with each report as it is
+    made, and ``on_corpus`` with the corpus and the seconds it took when the
+    corpus is built here."""
     if orders_per_graph < 1:
         raise GraphError(f"orders per graph must be at least 1, got {orders_per_graph}")
     if random_count < 0:
@@ -780,7 +783,9 @@ def run_all_checks(seed: int = 0, corpus=None, orders_per_graph: int = 20,
         raise GraphError(f"census size |V| + |E| <= {max_total} is above the cap "
                          f"of {CENSUS_CAP}; at 10 the full suite already takes "
                          f"about 60 s")
-    selected = tuple(names) if names else CHECK_NAMES
+    selected = CHECK_NAMES if names is None else tuple(names)
+    if not selected:
+        raise GraphError("no check selected; pass names=None to run them all")
     for n in selected:
         if n not in _CHECKS:
             raise GraphError(f"unknown check {n!r}")

@@ -1,5 +1,6 @@
-"""Activity computations: the walk and the membership-probe flags, plus
-the structural lemmas about activities."""
+"""Activity computations: the inactivities read off the enumeration
+engines and the membership-probe flags, plus the structural lemmas about
+activities."""
 
 import random
 from itertools import permutations
@@ -8,26 +9,23 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import complete_bipartite, connected_bipgraphs, cycle, path_graph
-from hytrex import activity
-from hytrex.activity import (
-    external_active_flags,
-    internal_active_flags,
-    walk_inactivity,
-)
+from hytrex import hypertrees
+from hytrex.activity import external_active_flags, internal_active_flags
 from hytrex.errors import GraphError
 from hytrex.hypertrees import (
     enumerate_hypertrees,
     greedy_exterior_hypertree,
     hypertrees_by_brute_force,
+    hypertrees_with_inactivity,
 )
 from hytrex.verify import exhaustive_connected_bipartite
 
 
 def _inactivities(g, order=None):
     """Internal and external inactivity of every hypertree of ``g`` under
-    ``order``, read off the walk."""
+    ``order``, read off the engine the routing picks."""
     return {f: (internal.bit_count(), external.bit_count())
-            for f, [(internal, external)] in walk_inactivity(g, [order])}
+            for f, [(internal, external)] in hypertrees_with_inactivity(g, [order])}
 
 
 class TestHexagonTable:
@@ -185,7 +183,7 @@ class TestWalkInactivity:
             for _ in range(3):
                 orders.append(rng.sample(natural, g.n_e))
             b = hypertrees_by_brute_force(g, "polymatroid")
-            walked = dict(walk_inactivity(g, orders))
+            walked = dict(hypertrees_with_inactivity(g, orders))
             assert sorted(walked) == list(b)
             for f, sets in walked.items():
                 hypertrees += 1
@@ -200,30 +198,30 @@ class TestWalkInactivity:
 
     def test_single_orders_match_probe_flags_on_the_census_to_7(self, monkeypatch):
         # One order at a time goes through the fibre search, never the walk.
-        monkeypatch.setattr(activity, "_walk", None)
+        monkeypatch.setattr(hypertrees, "_walk", None)
         rng = random.Random("fibre-search")
-        hypertrees = 0
+        checked = 0
         for g in exhaustive_connected_bipartite(7):
             natural = list(range(g.n_e))
             b = hypertrees_by_brute_force(g, "polymatroid")
             for order in [natural, natural[::-1]] + [rng.sample(natural, g.n_e)
                                                      for _ in range(3)]:
-                searched = dict(walk_inactivity(g, [order]))
+                searched = dict(hypertrees_with_inactivity(g, [order]))
                 assert sorted(searched) == list(b)
                 for f, [(internal, external)] in searched.items():
-                    hypertrees += 1
+                    checked += 1
                     assert internal == _inactive_mask(internal_active_flags(b, f, order)), \
                         (g.e_masks, f, order)
                     assert external == _inactive_mask(external_active_flags(b, f, order)), \
                         (g.e_masks, f, order)
-        assert hypertrees == 5 * 378
+        assert checked == 5 * 378
 
     def test_none_is_the_input_order(self):
         g = complete_bipartite(3, 3)
-        for (f1, sets1), (f2, sets2) in zip(walk_inactivity(g, [None]),
-                                            walk_inactivity(g, [(0, 1, 2)])):
+        for (f1, sets1), (f2, sets2) in zip(hypertrees_with_inactivity(g, [None]),
+                                            hypertrees_with_inactivity(g, [(0, 1, 2)])):
             assert (f1, sets1) == (f2, sets2)
 
     def test_bad_order_rejected(self):
         with pytest.raises(GraphError):
-            list(walk_inactivity(cycle(3), [(0, 0, 1)]))
+            list(hypertrees_with_inactivity(cycle(3), [(0, 0, 1)]))

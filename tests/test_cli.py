@@ -261,6 +261,37 @@ class TestErrors:
         code, _, _ = run(capsys, ["interior", "family", "cycle", "1"])
         assert code == 2
 
+    # int() alone takes digit separators, whitespace and non-ASCII digits.
+    @pytest.mark.parametrize("param", ["1_0", "\u0663", " 3", "3.0", "-"],
+                             ids=["underscore", "arabic-indic", "space", "float", "sign"])
+    def test_family_parameters_are_ascii_integers(self, capsys, param):
+        code, out, err = run(capsys, ["interior", "family", "cycle", param])
+        assert code == 2
+        assert out == ""
+        assert "family parameters must be integers" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["family", "tree", "4", "--seed", "\u0661"],
+        ["interior", "family", "tree", "4", "--seed", "1_0"],
+        ["transform", "FILE", "--op", "add-parallel", "--pair", "e1,e2", "--count", "1_0"],
+        ["verify", "tutte", "--seed", "\u0661"],
+        ["verify", "tutte", "--orders", "2_0"],
+        ["verify", "tutte", "--max-total", "\uff19"],
+        ["verify", "tutte", "--random-count", " 5"],
+        ["verify", "tutte", "--random-max", "1_4"],
+    ], ids=["family-seed", "interior-seed", "count", "verify-seed", "orders",
+            "max-total", "random-count", "random-max"])
+    def test_integer_flags_are_ascii_integers(self, capsys, cycle6_file, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([cycle6_file if arg == "FILE" else arg for arg in argv])
+        assert exc.value.code == 2
+        assert "invalid integer value" in capsys.readouterr().err
+
+    def test_negative_and_zero_padded_integers_still_parse(self, capsys):
+        code, out, _ = run(capsys, ["family", "tree", "04", "--seed", "-3"])
+        assert code == 0
+        assert out == run(capsys, ["family", "tree", "4", "--seed", "-3"])[1]
+
     def test_bad_order_label(self, capsys, cycle6_file):
         code, _, _ = run(capsys, ["interior", cycle6_file, "--order", "e1,e2,zzz"])
         assert code == 2

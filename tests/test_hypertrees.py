@@ -2,14 +2,14 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import complete_bipartite, connected_bipgraphs, cycle, ladder, path_graph
-from hytrex import graph, hypertrees
-from hytrex.activity import inactive_sets
+from hytrex import cli, graph, hypertrees, poly
 from hytrex.families import FamilySpec, closed_form_exterior, closed_form_interior, generate
 from hytrex.poly import IntPoly
 from hytrex.errors import CapacityError, DisconnectedGraphError, GraphError
@@ -20,6 +20,7 @@ from hytrex.hypertrees import (
     find_realizing_tree,
     greedy_exterior_hypertree,
     hypertrees_by_brute_force,
+    hypertrees_with_inactivity,
     is_hypertree_by_polymatroid,
     is_hypertree_by_tree_search,
     transfer,
@@ -361,7 +362,8 @@ def _engines(g):
     from the walk, each driven directly whatever |E| is."""
     natural = tuple(range(g.n_e))
     search = [(f, i, x) for f, i, x in hypertrees._fibres(g, natural)]
-    walk = [(f, *inactive_sets(reach, natural)) for f, reach in hypertrees._walk(g)]
+    walk = [(f, *hypertrees._inactive_sets(reach, natural))
+            for f, reach in hypertrees._walk(g)]
     out = []
     for rows in (search, walk):
         interior, exterior = [0] * (g.n_e + 1), [0] * (g.n_e + 1)
@@ -393,18 +395,6 @@ class TestFibreSearch:
         assert search[1:] == (closed_form_interior(spec), closed_form_exterior(spec))
         assert len(search[0]) == 2 ** n
 
-    def test_routing_follows_the_cap(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("wrong engine")
-
-        small, large = ladder(hypertrees._SEARCH_CAP - 1), ladder(hypertrees._SEARCH_CAP)
-        assert (small.n_e, large.n_e) == (hypertrees._SEARCH_CAP, hypertrees._SEARCH_CAP + 1)
-        monkeypatch.setattr(hypertrees, "_walk", forbidden)
-        assert len(enumerate_hypertrees(small)) == 2 ** (small.n_v - 1)
-        monkeypatch.undo()
-        monkeypatch.setattr(hypertrees, "_fibres", forbidden)
-        assert len(enumerate_hypertrees(large)) == 2 ** (large.n_v - 1)
-
     def test_pool_hypertrees_are_pinned(self):
         h = hashlib.sha256()
         for stratum in json.loads(POOL.read_text())["strata"]:
@@ -417,6 +407,76 @@ class TestFibreSearch:
                 assert len(b) == entry["hypertrees"]
                 h.update(repr(b.vectors).encode())
         assert h.hexdigest() == POOL_SHA256
+
+
+def _record(monkeypatch, name, calls):
+    """Append ``name`` to ``calls`` whenever ``hypertrees.<name>`` runs."""
+    original = getattr(hypertrees, name)
+
+    def recorded(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(hypertrees, name, recorded)
+
+
+class TestRouting:
+    """``hypertrees_with_inactivity`` is the one place an engine is chosen,
+    and every fast reader of the engines goes through it."""
+
+    @pytest.mark.parametrize("rungs, reverse_too, engine", [
+        (hypertrees._SEARCH_CAP - 1, False, "_fibres"),
+        (hypertrees._SEARCH_CAP, False, "_walk"),
+        (2, True, "_walk"),
+    ], ids=["one-order-at-cap", "one-order-above-cap", "two-orders-small"])
+    def test_one_engine_per_call(self, monkeypatch, rungs, reverse_too, engine):
+        g = ladder(rungs)
+        assert g.n_e == rungs + 1
+        orders = [None] + ([tuple(reversed(range(g.n_e)))] if reverse_too else [])
+        calls = []
+        _record(monkeypatch, "_fibres", calls)
+        _record(monkeypatch, "_walk", calls)
+        found = list(hypertrees_with_inactivity(g, orders))
+        assert calls == [engine]
+        assert len(found) == 2 ** rungs
+        assert {len(sets) for _, sets in found} == {len(orders)}
+
+    def test_every_reader_reaches_the_routine(self, monkeypatch, capsys):
+        routine, calls, inside = hypertrees_with_inactivity, [], []
+
+        def traced(g, orders):
+            calls.append(len(orders))
+            inside.append(g)
+            try:
+                yield from routine(g, orders)
+            finally:
+                inside.pop()
+
+        for module in (hypertrees, poly, cli):
+            for name, value in list(vars(module).items()):
+                if value is routine:
+                    monkeypatch.setattr(module, name, traced)
+        for name in ("_fibres", "_walk"):
+            engine = getattr(hypertrees, name)
+
+            def guarded(*args, engine=engine):
+                assert inside, "an engine ran outside hypertrees_with_inactivity"
+                return engine(*args)
+
+            monkeypatch.setattr(hypertrees, name, guarded)
+        g = ladder(2)
+        assert len(enumerate_hypertrees(g)) == 4
+        assert len(poly.polynomial_pairs(g, [None, None])) == 2
+        assert cli.main(["hypertrees", "family", "ladder", "2"]) == 0
+        assert capsys.readouterr().out.count("\n") == 5
+        assert calls == [1, 2, 1]
+
+    def test_no_other_module_names_the_engines(self):
+        private = re.compile(r"\b(?:_SEARCH_CAP|_fibres|_walk|_inactive_sets)\b")
+        named = {path.name: sorted(set(private.findall(path.read_text())))
+                 for path in Path(hypertrees.__file__).parent.glob("*.py")
+                 if path.name != "hypertrees.py"}
+        assert {name: found for name, found in named.items() if found} == {}
 
 
 def _off_by_one(monkeypatch, subset, delta):

@@ -29,10 +29,7 @@ PACKAGE_NAMES = [
 
 # Sorted ``__all__`` of every module that declares one.
 MODULE_ALL = {
-    "activity": [
-        "external_active_flags", "inactive_sets", "internal_active_flags",
-        "walk_inactivity",
-    ],
+    "activity": ["external_active_flags", "internal_active_flags"],
     "canonical": ["CanonicalForms", "MAX_WIDTH"],
     "families": [
         "FAMILY_TAGS", "FamilySpec", "closed_form_exterior", "closed_form_interior",
@@ -47,7 +44,7 @@ MODULE_ALL = {
     "hypertrees": [
         "HypertreeSet", "enumerate_hypertrees", "find_realizing_tree",
         "greedy_exterior_hypertree", "hypertrees_by_brute_force",
-        "is_hypertree_by_polymatroid", "is_hypertree_by_tree_search", "transfer",
+        "hypertrees_with_inactivity", "is_hypertree_by_polymatroid", "is_hypertree_by_tree_search", "transfer",
     ],
     "poly": [
         "IntPoly", "IntPoly2", "MultiGraph", "TUTTE_CAP", "exterior_from_tutte",

@@ -13,7 +13,7 @@ from hytrex.graph import BipGraph, graph_to_json
 from hytrex.hypertrees import HypertreeSet, hypertrees_by_brute_force
 from hytrex.poly import IntPoly
 from hytrex.transforms import DecompositionTerm
-from hytrex import activity, hypertrees, transforms, verify
+from hytrex import hypertrees, transforms, verify
 from hytrex.verify import (
     CENSUS_CAP,
     CHECK_NAMES,
@@ -198,6 +198,19 @@ class TestSuite:
         with pytest.raises(Exception):
             run_all_checks(seed=5, corpus=small_corpus, names=("nonsense",))
 
+    def test_empty_selection_is_rejected(self, monkeypatch):
+        # Only names=None means every check; an empty selection is an error
+        # raised before the corpus is built.
+        def build(*args, **kwargs):
+            raise AssertionError("the corpus must not be built for no check")
+
+        monkeypatch.setattr(verify, "default_corpus", build)
+        for names in ((), []):
+            with pytest.raises(GraphError, match="no check selected"):
+                run_all_checks(corpus=(), names=names)
+            with pytest.raises(GraphError, match="no check selected"):
+                run_all_checks(names=names)
+
     @pytest.mark.parametrize("kwargs", [
         {"orders_per_graph": 0}, {"orders_per_graph": -1}, {"random_count": -1},
         {"max_total": 1}, {"random_max_total": 1}])
@@ -276,7 +289,7 @@ class TestReplay:
 
 
 _ONE_POINT_JOIN = transforms.one_point_join
-_INACTIVE_SETS = activity.inactive_sets
+_INACTIVE_SETS = hypertrees._inactive_sets
 
 
 def _wrap(monkeypatch, owner, name, change):
@@ -322,18 +335,17 @@ def _strict_internal(reach, order):
     return internal, external
 
 
-def _edit_source(monkeypatch, owners, name, old, new):
-    """Rebind ``name`` in every module of ``owners`` to a copy of the
-    function whose source has its one ``old`` replaced by ``new``: a fault
-    inside a rule that no call boundary exposes."""
-    function = getattr(owners[0], name)
+def _edit_source(monkeypatch, owner, name, old, new):
+    """Rebind ``name`` in module ``owner`` to a copy of the function whose
+    source has its one ``old`` replaced by ``new``: a fault inside a rule
+    that no call boundary exposes."""
+    function = getattr(owner, name)
     source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1, (name, old)
     namespace = dict(function.__globals__)
     exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"),
          namespace)
-    for owner in owners:
-        monkeypatch.setattr(owner, name, namespace[name])
+    monkeypatch.setattr(owner, name, namespace[name])
 
 
 # (what the counterexample must say, fault injection, failing check)
@@ -344,7 +356,7 @@ FAULTS = [
                       if method == "polymatroid" else b),
      _run("enumeration_oracles")),
     ({"kind": "enumeration", "mode": "activity"},
-     lambda mp: _edit_source(mp, (hypertrees, activity), "_fibres",
+     lambda mp: _edit_source(mp, hypertrees, "_fibres",
                              "if t > lo else", "if t > lo + 1 else"),
      _run("enumeration_oracles")),
     ({"kind": "interpolating", "which": "exterior"},
@@ -364,7 +376,7 @@ FAULTS = [
     # The walk breaks where the fibre search does not: a shuffled order that
     # is the input order still differs from the search's pair.
     ({"kind": "invariance", "mode": "order", "order": [0, 1]},
-     lambda mp: mp.setattr(activity, "inactive_sets", _strict_internal),
+     lambda mp: mp.setattr(hypertrees, "_inactive_sets", _strict_internal),
      _run("invariance", orders_per_graph=3)),
     ({"kind": "invariance", "mode": "dual"},
      lambda mp: mp.setattr(verify, "abstract_dual", lambda g: cycle(3)),
