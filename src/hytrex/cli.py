@@ -10,7 +10,8 @@ verify.  ``--order`` and ``--hyperedges`` apply to interior, exterior and
 hypertrees, and ``--json`` to those and tutte; family and transform always
 print JSON.  Family tags and parameters: tree N, cycle N, unicyclic N EXTRA,
 ladder N, complete_bipartite M N, kmn_minus_matching M N Q, ear_graph K EARS
-(``--seed`` seeds tree, unicyclic and ear_graph).  Results go to stdout and
+(``--seed`` seeds tree, unicyclic and ear_graph, and is a usage error with
+any other input, as nothing else reads it).  Results go to stdout and
 are byte-identical across runs for the same inputs; the hyperedge order in
 effect is echoed on stderr because activities (though not the polynomials)
 depend on it.  Exit status: 0 on success, 1 when a verification check
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--json", action="store_true", dest="as_json",
                            help="emit JSON instead of ASCII")
         p.add_argument("--seed", type=families.integer, default=None,
-                       help="seed for seeded families")
+                       help="seed for a seeded family (an error on other inputs)")
 
     add_common(sub.add_parser("interior", help="interior polynomial"))
     add_common(sub.add_parser("exterior", help="exterior polynomial"))
@@ -101,13 +102,20 @@ def _family_graph(tokens, seed) -> BipGraph:
     return families.generate(families.spec_from_cli(tokens[0], tokens[1:], seed))
 
 
+def _input_file(args) -> str:
+    """The one input file; ``--seed`` is an error there, as no file reads it."""
+    if len(args.input) != 1:
+        raise GraphError("expected one input file or: family <tag> <params...>")
+    if args.seed is not None:
+        raise GraphError("--seed applies only to a seeded family, not to a file")
+    return args.input[0]
+
+
 def _load_bipartite(args) -> BipGraph:
     tokens = args.input
     if tokens[0] == "family":
         return _family_graph(tokens[1:], args.seed)
-    if len(tokens) != 1:
-        raise GraphError("expected one input file or: family <tag> <params...>")
-    with open(tokens[0], "r", encoding="utf-8") as fh:
+    with open(_input_file(args), "r", encoding="utf-8") as fh:
         return graph_from_json(json.load(fh))
 
 
@@ -116,9 +124,7 @@ def _load_multigraph(args) -> MultiGraph:
     if tokens[0] == "family":
         g = _load_bipartite(args)
         return _as_multigraph(g)
-    if len(tokens) != 1:
-        raise GraphError("expected one input file or: family <tag> <params...>")
-    with open(tokens[0], "r", encoding="utf-8") as fh:
+    with open(_input_file(args), "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if isinstance(data, dict) and set(data) == {"v", "e", "adj"}:
         return _as_multigraph(graph_from_json(data))

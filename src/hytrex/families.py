@@ -39,7 +39,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family tag with integer parameters and an optional seed."""
+    """A family tag with integer parameters, and a seed for a family that
+    reads one (a seed on any other family is an error)."""
 
     tag: str
     params: tuple[int, ...]
@@ -59,7 +60,11 @@ class FamilySpec:
         if self.seed is not None and type(self.seed) is not int:
             raise GraphError(f"family seed must be an integer or None, got {self.seed!r}")
         object.__setattr__(self, "params", params)
-        count, valid, message, _ = _FAMILIES[self.tag]
+        count, seeded, valid, message, _ = _FAMILIES[self.tag]
+        if self.seed is not None and not seeded:
+            raise GraphError(f"family {self.tag!r} takes no seed; only "
+                             + ", ".join(t for t, row in _FAMILIES.items() if row[1])
+                             + " do")
         if len(params) != count:
             raise GraphError(
                 f"family {self.tag!r} takes {count} parameters, got {len(params)}")
@@ -104,7 +109,7 @@ def _binom(a: int, b: int) -> int:
 
 def generate(spec: FamilySpec) -> BipGraph:
     """The named graph; same spec and seed always give the same labels."""
-    return _FAMILIES[spec.tag][3](*spec.params, spec.rng())
+    return _FAMILIES[spec.tag][4](*spec.params, spec.rng())
 
 
 def _cycle_labels(n: int):
@@ -220,25 +225,26 @@ def _ear_graph(k: int, ears: int, rng: random.Random):
     return build_bipartite(v_names, e_names, adj), tuple(decomposition)
 
 
-# One row per family: the parameter count, the parameter test, the error it
-# raises, and the builder, which generate calls with (*params, rng).
+# One row per family: the parameter count, whether the builder reads its
+# seed, the parameter test, the error it raises, and the builder, which
+# generate calls with (*params, rng).
 _FAMILIES = {
-    "tree": (1, lambda n: n >= 2, "a tree needs at least 2 vertices", _tree),
-    "cycle": (1, lambda n: n >= 2,
+    "tree": (1, True, lambda n: n >= 2, "a tree needs at least 2 vertices", _tree),
+    "cycle": (1, False, lambda n: n >= 2,
               "cycle parameter n (half the length) must be at least 2",
               lambda n, rng: build_bipartite(*_cycle_labels(n))),
-    "unicyclic": (2, lambda n, extra: n >= 2 and extra >= 0,
+    "unicyclic": (2, True, lambda n, extra: n >= 2 and extra >= 0,
                   "unicyclic needs cycle parameter >= 2 and extra >= 0",
                   _unicyclic),
-    "ladder": (1, lambda n: n >= 1, "ladder parameter n must be at least 1",
+    "ladder": (1, False, lambda n: n >= 1, "ladder parameter n must be at least 1",
                lambda n, rng: _ladder(n)),
-    "complete_bipartite": (2, lambda m, n: 1 <= m <= n,
+    "complete_bipartite": (2, False, lambda m, n: 1 <= m <= n,
                            "complete_bipartite needs 1 <= m <= n",
                            lambda m, n, rng: _kmn_minus_matching(m, n, 0)),
-    "kmn_minus_matching": (3, lambda m, n, q: 1 <= m <= n and 0 <= q <= m,
+    "kmn_minus_matching": (3, False, lambda m, n, q: 1 <= m <= n and 0 <= q <= m,
                            "kmn_minus_matching needs 1 <= m <= n and 0 <= q <= m",
                            lambda m, n, q, rng: _kmn_minus_matching(m, n, q)),
-    "ear_graph": (2, lambda k, ears: k >= 2 and ears >= 0,
+    "ear_graph": (2, True, lambda k, ears: k >= 2 and ears >= 0,
                   "ear_graph needs cycle parameter >= 2 and ears >= 0",
                   lambda k, ears, rng: _ear_graph(k, ears, rng)[0]),
 }

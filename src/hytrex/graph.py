@@ -7,8 +7,7 @@ abstract duals) are all relative to that split.  A graph stores its labels
 and one neighbour bitmask per vertex of each class; the edge set ``adj``,
 the degrees and the label positions are derived from them.
 Instances are immutable after construction and safe to share between
-threads, apart from one slot: ``_mu_table`` starts empty and
-:func:`mu_table` fills it on first use with a value determined by the graph.
+threads; nothing is cached on them.
 
 Subsets of the ``E`` class travel as integer bitmasks: bit ``i`` stands for
 the hyperedge with index ``i``.
@@ -42,15 +41,6 @@ __all__ = [
 # on a 2-core CPython 3.11 host), so 18 is the largest size that finishes in
 # under a minute.
 SUBSET_CAP = 18
-
-
-def _require_subset_capacity(n_e: int) -> None:
-    if n_e > SUBSET_CAP:
-        raise CapacityError(
-            f"subset enumeration over {n_e} hyperedges would scan 2^{n_e} "
-            f"subsets; the cap is {SUBSET_CAP} hyperedges, and |E| = 18 "
-            f"already takes about 40 s"
-        )
 
 
 def bits_of(mask: int):
@@ -95,7 +85,7 @@ class BipGraph:
     """
 
     __slots__ = ("v_names", "e_names", "v_masks", "e_masks", "connected",
-                 "_hash", "_mu_table")
+                 "_hash")
 
     def __init__(self, v_names, e_names, adj):
         v_names = tuple(v_names)
@@ -118,7 +108,6 @@ class BipGraph:
         self.e_masks = tuple(e_masks)
         self.connected = component_count(self) == 1
         self._hash = hash((v_names, e_names, self.e_masks))
-        self._mu_table = None
 
     @property
     def adj(self) -> frozenset:
@@ -272,28 +261,21 @@ def subgraph_components(g: BipGraph, subset: int) -> int:
     return components(g.e_masks, subset)
 
 
-def _rank_table(masks) -> list[int]:
-    """The submodular rank ``mu`` of every subset of the hyperedges whose V
-    neighbourhoods are ``masks``, bit ``i`` of a subset standing for
-    ``masks[i]``: |union| - #components, 0 for the empty set.  Nothing is
-    cached; :func:`mu_table` is the cached table of a graph."""
-    _require_subset_capacity(len(masks))
-    size = 1 << len(masks)
-    union = [0] * size
-    table = [0] * size
+def mu_table(g: BipGraph) -> tuple[int, ...]:
+    """The submodular rank ``mu`` of every subset mask of ``g``: |union| -
+    #components, 0 for the empty set.  Built afresh on each call, so take it
+    once to test many vectors."""
+    if g.n_e > SUBSET_CAP:
+        raise CapacityError(f"subset enumeration over {g.n_e} hyperedges would scan "
+                            f"2^{g.n_e} subsets; the cap is {SUBSET_CAP} hyperedges, "
+                            f"and |E| = 18 already takes about 40 s")
+    masks, size = g.e_masks, 1 << g.n_e
+    union, table = [0] * size, [0] * size
     for mask in range(1, size):
         low = mask & -mask
         union[mask] = union[mask ^ low] | masks[low.bit_length() - 1]
         table[mask] = union[mask].bit_count() - components(masks, mask)
-    return table
-
-
-def mu_table(g: BipGraph) -> tuple[int, ...]:
-    """The submodular rank ``mu`` of every subset mask of ``g``, computed
-    once per graph and cached (see :func:`_rank_table`)."""
-    if g._mu_table is None:
-        g._mu_table = tuple(_rank_table(g.e_masks))
-    return g._mu_table
+    return tuple(table)
 
 
 def component_count(g: BipGraph) -> int:

@@ -18,7 +18,10 @@ any number of orders at once.  :func:`hypertrees_with_inactivity` alone
 picks the engine: the search for one order on at most :data:`_SEARCH_CAP`
 hyperedges (its table has 2^|E| entries), the walk for any other input.
 The tree search and the brute-force enumerators stay as oracles, so both
-engines can be cross-checked rather than assumed complete.
+engines can be cross-checked rather than assumed complete.  The search's
+rank table shares no code with the oracle's ``mu_table``, which the
+polymatroid box scan builds once and :func:`is_hypertree_by_polymatroid`
+once per call.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ from .graph import (
     normalize_edge_order,
     subgraph_components,
     _integers,
-    _rank_table,
-    _require_subset_capacity,
 )
 
 __all__ = [
@@ -188,15 +189,15 @@ def is_hypertree_by_polymatroid(g: BipGraph, f) -> bool:
     |V| - 1 and every subset sum must stay at or below ``mu``."""
     _require_connected(g, "the polymatroid membership test")
     f = _hypertree_vector(g, f)
-    _require_subset_capacity(g.n_e)
-    if any(x < 0 for x in f):
+    if any(x < 0 for x in f) or sum(f) != g.n_v - 1:
         return False
-    if sum(f) != g.n_v - 1:
-        return False
-    table = mu_table(g)
-    size = 1 << g.n_e
-    sums = [0] * size
-    for mask in range(1, size):
+    return _within_ranks(mu_table(g), f)
+
+
+def _within_ranks(table, f) -> bool:
+    """Whether every subset mask's sum of ``f`` is at most its ``table`` entry."""
+    sums = [0] * len(table)
+    for mask in range(1, len(table)):
         low = mask & -mask
         sums[mask] = sums[mask ^ low] + f[low.bit_length() - 1]
         if sums[mask] > table[mask]:
@@ -229,11 +230,11 @@ def hypertrees_with_inactivity(g: BipGraph, orders):
 
 
 # Largest |E| the fibre search serves; the walk takes larger graphs.  The
-# search's rank table has 2^|E| entries.  On a 2-core CPython 3.11 host,
-# enumerating the 112 polys items of seed 1 took 5.7 s with the walk alone
-# and 1.30, 1.01, 0.57, 0.60 and 0.90 s with the search up to |E| = 10, 11,
-# 12, 13 and 14 (seed 2: 5.0 s, then 1.21, 0.79, 0.63, 0.85 and 0.93 s);
-# cycle(16) takes 1.7 ms to walk and 308 ms to build its table.
+# search's rank table has 2^|E| entries.  On a 2-core CPython 3.11 host, with
+# the components-based table, the 112 polys items of seed 1 took 5.7 s with
+# the walk alone and 1.30, 1.01, 0.57, 0.60 and 0.90 s with the search up to
+# |E| = 10 ... 14 (seed 2: 5.0 s, then 1.21, 0.79, 0.63, 0.85 and 0.93 s); with
+# the DP table, cycle(16) takes 48-71 ms to build it and 1.1-1.4 ms to walk.
 _SEARCH_CAP = 12
 
 
@@ -298,6 +299,31 @@ def _fibres(g: BipGraph, order):
     if g.n_e == 1:
         return iter([leaf(*table, 0, 0)])
     return fibre(g.n_e - 1, table, 0, 0)
+
+
+def _rank_table(masks) -> list[int]:
+    """The rank ``mu`` of every subset of the hyperedges with V neighbourhoods
+    ``masks`` (bit ``i`` stands for ``masks[i]``), by a DP over subsets: a
+    subset's components are kept as the disjoint V-blocks they cover, the low
+    hyperedge's mask absorbs the blocks of the rest that it meets, and each
+    block adds its size less one."""
+    size = 1 << len(masks)
+    blocks = [()] * size
+    table = [0] * size
+    for subset in range(1, size):
+        low = subset & -subset
+        rest = subset ^ low
+        joined, rank, kept = masks[low.bit_length() - 1], table[rest], []
+        for block in blocks[rest]:
+            if block & joined:
+                joined |= block
+                rank -= block.bit_count() - 1
+            else:
+                kept.append(block)
+        if not subset & 1:  # a subset holding hyperedge 0 is no other's rest
+            blocks[subset] = (*kept, joined)
+        table[subset] = rank + joined.bit_count() - 1
+    return table
 
 
 def _walk(g: BipGraph):
@@ -541,12 +567,14 @@ class _Witnesses:
 
 def hypertrees_by_brute_force(g: BipGraph, method: str = "tree") -> HypertreeSet:
     """Independent oracle: scan the whole degree box and keep the vectors the
-    chosen membership test accepts.  ``method`` is "tree" or "polymatroid"."""
+    chosen membership test accepts.  ``method`` is "tree" or "polymatroid",
+    which tests every vector against one ``mu_table``."""
     _require_connected(g, "hypertree enumeration")
     if method == "tree":
         accept = lambda f: find_realizing_tree(g, f) is not None
     elif method == "polymatroid":
-        accept = lambda f: is_hypertree_by_polymatroid(g, f)
+        table = mu_table(g)
+        accept = lambda f: _within_ranks(table, f)
     else:
         raise ValueError(f"unknown method {method!r}")
     caps = [g.deg_e(e) - 1 for e in range(g.n_e)]
@@ -578,28 +606,17 @@ def hypertrees_by_brute_force(g: BipGraph, method: str = "tree") -> HypertreeSet
 def greedy_exterior_hypertree(g: BipGraph, order=None) -> tuple[int, ...]:
     """The unique hypertree with zero external inactivity under ``order``.
 
-    Entry for hyperedge ``e`` is deg(e) - 1 minus the drop in nullity when
-    ``e`` joins the restriction to the hyperedges after it in the order;
-    every suffix of the order is tight at the result.
+    Entry for hyperedge ``e`` is the rise in ``mu`` when ``e`` joins the
+    hyperedges after it in the order: the greedy base of the polymatroid,
+    at which every suffix of the order is tight.
     """
     _require_connected(g, "the greedy exterior hypertree")
-    order = normalize_edge_order(g, order)
-    n = g.n_e
-    # suffix_null[k] = nullity of the restriction to order[k:]
-    suffix_null = [0] * (n + 1)
-    mask = 0
-    edge_count = 0
-    union = 0
-    for k in range(n - 1, -1, -1):
-        e = order[k]
+    out = [0] * g.n_e
+    mask = union = below = 0
+    for e in reversed(normalize_edge_order(g, order)):
         mask |= 1 << e
-        edge_count += g.deg_e(e)
         union |= g.e_masks[e]
-        comps = subgraph_components(g, mask)
-        suffix_null[k] = edge_count - (union.bit_count() + (n - k)) + comps
-    out = [0] * n
-    for k in range(n):
-        e = order[k]
-        drop = suffix_null[k] - suffix_null[k + 1]
-        out[e] = g.deg_e(e) - 1 - drop
+        rank = union.bit_count() - subgraph_components(g, mask)
+        out[e] = rank - below
+        below = rank
     return tuple(out)

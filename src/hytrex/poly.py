@@ -47,13 +47,14 @@ class IntPoly:
     """Univariate polynomial with exact integer coefficients.
 
     Canonical form stores no trailing zeros; the zero polynomial is the
-    empty vector and has no degree.
+    empty vector and has no degree.  A coefficient that is not an ``int`` (a
+    float, a numeric string or a bool) is a GraphError, not truncated.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        c = [int(x) for x in coeffs]
+        c = list(_integers(coeffs, "polynomial coefficients"))
         while c and c[-1] == 0:
             c.pop()
         self.coeffs = tuple(c)
@@ -92,7 +93,7 @@ class IntPoly:
         return IntPoly((0,) * k + self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             other = IntPoly((other,))
         if not isinstance(other, IntPoly):
             return NotImplemented
@@ -105,14 +106,14 @@ class IntPoly:
         return IntPoly(-c for c in self.coeffs)
 
     def __sub__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             other = IntPoly((other,))
         if not isinstance(other, IntPoly):
             return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return IntPoly(c * other for c in self.coeffs)
         if not isinstance(other, IntPoly):
             return NotImplemented
@@ -137,7 +138,7 @@ class IntPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             other = IntPoly((other,))
         if not isinstance(other, IntPoly):
             return NotImplemented
@@ -175,7 +176,8 @@ class IntPoly:
 
 
 class IntPoly2:
-    """Sparse bivariate polynomial: map (i, j) -> non-zero integer."""
+    """Sparse bivariate polynomial: map (i, j) -> non-zero integer.  An
+    exponent or coefficient that is not an ``int`` is a GraphError."""
 
     __slots__ = ("terms",)
 
@@ -183,9 +185,9 @@ class IntPoly2:
         clean = {}
         if terms:
             for (i, j), c in dict(terms).items():
-                c = int(c)
+                i, j, c = _integers((i, j, c), "a bivariate term (i, j, coefficient)")
                 if c:
-                    clean[(int(i), int(j))] = c
+                    clean[(i, j)] = c
         self.terms = dict(sorted(clean.items()))
 
     @classmethod

@@ -264,22 +264,22 @@ def _counterexample(kind: str, **fields) -> dict:
 
 
 def _enumeration(g: BipGraph):
-    bfs = enumerate_hypertrees(g)
+    found = enumerate_hypertrees(g)
     brute_tree = hypertrees_by_brute_force(g, "tree")
     brute_poly = hypertrees_by_brute_force(g, "polymatroid")
-    if not bfs == brute_tree == brute_poly:
-        return _counterexample("enumeration", graph=g, transfer_closure=bfs,
+    if not found == brute_tree == brute_poly:
+        return _counterexample("enumeration", graph=g, enumeration=found,
                                brute_force_tree=brute_tree,
                                brute_force_polymatroid=brute_poly,
                                detail="the three hypertree enumerations disagree")
-    walked = polynomial_pair(g)
+    engine = polynomial_pair(g)
     probed = (interior_polynomial(g, hypertrees=brute_poly),
               exterior_polynomial(g, hypertrees=brute_poly))
-    if walked == probed:
+    if engine == probed:
         return None
     return _counterexample("enumeration", mode="activity", graph=g,
-                           walk_interior=walked[0], probe_interior=probed[0],
-                           walk_exterior=walked[1], probe_exterior=probed[1],
+                           engine_interior=engine[0], probe_interior=probed[0],
+                           engine_exterior=engine[1], probe_exterior=probed[1],
                            detail="inactivities read off the enumeration engine "
                                   "disagree with membership probes of the "
                                   "polymatroid scan")

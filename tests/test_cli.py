@@ -123,6 +123,31 @@ class TestFamilyAndTransform:
         _, out2, _ = run(capsys, ["family", "tree", "6", "--seed", "9"])
         assert out1 == out2
 
+    @pytest.mark.parametrize("argv", [
+        ["interior", "family", "cycle", "3", "--seed", "5"],
+        ["family", "ladder", "3", "--seed", "0"],
+        ["tutte", "family", "complete_bipartite", "2", "3", "--seed", "1"],
+        ["interior", "FILE", "--seed", "9"],
+        ["hypertrees", "FILE", "--seed", "9"],
+        ["tutte", "FILE", "--seed", "9"],
+        ["transform", "FILE", "--op", "dual", "--seed", "9"],
+    ], ids=["interior-cycle", "family-ladder", "tutte-kmn", "interior-file",
+            "hypertrees-file", "tutte-file", "transform-file"])
+    def test_seed_nothing_reads_is_a_usage_error(self, capsys, cycle6_file, argv):
+        code, out, err = run(capsys, [cycle6_file if arg == "FILE" else arg for arg in argv])
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
+
+    @pytest.mark.parametrize("argv", [["family", "tree", "6"],
+                                      ["family", "unicyclic", "3", "4"],
+                                      ["family", "ear_graph", "3", "2"]],
+                             ids=["tree", "unicyclic", "ear_graph"])
+    def test_seeded_families_read_the_seed(self, capsys, argv):
+        code, out, _ = run(capsys, argv + ["--seed", "3"])
+        assert code == 0
+        assert out != run(capsys, argv + ["--seed", "4"])[1]
+
     def test_transform_dual(self, capsys, k23_file):
         code, out, _ = run(capsys, ["transform", k23_file, "--op", "dual"])
         g = graph_from_json(json.loads(out))

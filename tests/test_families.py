@@ -90,6 +90,13 @@ class TestGenerators:
         with pytest.raises(GraphError, match="family seed must be an integer or None"):
             FamilySpec("tree", (5,), seed=seed)
 
+    @pytest.mark.parametrize("tag, params", [("cycle", (3,)), ("ladder", (2,)),
+                                             ("complete_bipartite", (2, 3)),
+                                             ("kmn_minus_matching", (3, 3, 1))])
+    def test_seed_on_a_family_that_reads_none_rejected(self, tag, params):
+        with pytest.raises(GraphError, match="takes no seed; only tree, unicyclic, ear_graph do"):
+            FamilySpec(tag, params, seed=0)
+
     def test_disconnected_matching_deletion_rejected(self):
         with pytest.raises(GraphError):
             generate(FamilySpec("kmn_minus_matching", (2, 2, 2)))

@@ -202,6 +202,10 @@ class TestSubgraphComponents:
 
 
 class TestMu:
+    def test_nothing_is_cached_on_a_graph(self):
+        assert BipGraph.__slots__ == ("v_names", "e_names", "v_masks", "e_masks",
+                                      "connected", "_hash")
+
     def test_empty_set_is_zero(self):
         assert mu_table(cycle(3))[0] == 0
         assert mu_table(complete_bipartite(2, 3))[0] == 0

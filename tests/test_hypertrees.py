@@ -276,31 +276,35 @@ class TestCanTransfer:
         assert transfer((0, 1, 1), 0, 1) not in b
 
 
-def is_tight(g, f, subset):
-    """Whether ``subset`` meets its mu bound with equality at ``f``."""
-    return sum(f[e] for e in bits_of(subset)) == mu_table(g)[subset]
+def is_tight(table, f, subset):
+    """Whether ``subset`` meets its bound in the rank table ``table`` with
+    equality at ``f``."""
+    return sum(f[e] for e in bits_of(subset)) == table[subset]
 
 
 class TestTightness:
     def test_empty_and_full_always_tight(self):
         g = cycle(3)
+        table = mu_table(g)
         for f in enumerate_hypertrees(g):
-            assert is_tight(g, f, 0)
-            assert is_tight(g, f, (1 << g.n_e) - 1)
+            assert is_tight(table, f, 0)
+            assert is_tight(table, f, (1 << g.n_e) - 1)
 
     def test_hexagon_examples(self):
         g = cycle(3)
         f = (0, 1, 1)
         e2_e3 = 1 << g.e_index("e2") | 1 << g.e_index("e3")
-        assert not is_tight(g, f, 1 << g.e_index("e1"))
-        assert mu_table(g)[e2_e3] == 2
-        assert is_tight(g, f, e2_e3)
+        table = mu_table(g)
+        assert not is_tight(table, f, 1 << g.e_index("e1"))
+        assert table[e2_e3] == 2
+        assert is_tight(table, f, e2_e3)
 
     @settings(max_examples=30, deadline=None)
     @given(connected_bipgraphs())
     def test_tight_sets_closed_under_union_and_intersection(self, g):
+        table = mu_table(g)
         for f in enumerate_hypertrees(g):
-            tight = [m for m in range(1 << g.n_e) if is_tight(g, f, m)]
+            tight = [m for m in range(1 << g.n_e) if is_tight(table, f, m)]
             tight_set = set(tight)
             for a in tight:
                 for b in tight:
@@ -329,10 +333,10 @@ class TestGreedy:
         for g in (cycle(3), complete_bipartite(2, 3), complete_bipartite(3, 4)):
             f = greedy_exterior_hypertree(g)
             assert f in enumerate_hypertrees(g)
-            suffix = 0
+            table, suffix = mu_table(g), 0
             for e in range(g.n_e - 1, -1, -1):
                 suffix |= 1 << e
-                assert is_tight(g, f, suffix)
+                assert is_tight(table, f, suffix)
 
     @settings(max_examples=30, deadline=None)
     @given(connected_bipgraphs())
@@ -481,7 +485,7 @@ class TestRouting:
 
 def _off_by_one(monkeypatch, subset, delta):
     """The search's rank table, with ``delta`` added at ``subset``."""
-    build = graph._rank_table
+    build = hypertrees._rank_table
 
     def wrong(masks):
         table = build(masks)
@@ -518,3 +522,66 @@ class TestRankTableNegativeControl:
             assert _caught(g), (subset, delta)
             monkeypatch.undo()
         assert not _caught(g)
+
+
+class TestMuTableNegativeControl:
+    """The oracle-side twin: ``mu_table`` lowered by one at any non-empty
+    subset fails enumeration_oracles, and the search, which never reads
+    ``mu_table``, enumerates the same hypertrees.  The empty subset bounds no
+    sum, so no rule is asserted there."""
+
+    @pytest.mark.parametrize("g", [cycle(3), ladder(2), complete_bipartite(3, 3),
+                                   complete_bipartite(2, 4)],
+                             ids=["C6", "ladder2", "K33", "K24"])
+    def test_every_single_entry_is_guarded(self, monkeypatch, g):
+        from hytrex.verify import run_all_checks
+
+        def gate():
+            return run_all_checks(corpus=[g], names=("enumeration_oracles",))[0].passed
+
+        expected = enumerate_hypertrees(g)
+        for subset in range(1, 1 << g.n_e):
+            table = list(mu_table(g))
+            table[subset] -= 1
+            monkeypatch.setattr(hypertrees, "mu_table", lambda _, table=table: table)
+            assert enumerate_hypertrees(g) == expected
+            assert not gate(), subset
+            monkeypatch.undo()
+        assert gate()
+
+
+@pytest.mark.parametrize("g", [cycle(3), complete_bipartite(3, 3)], ids=["C6", "K33"])
+def test_polymatroid_scan_builds_one_table(monkeypatch, g):
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return mu_table(h)
+
+    monkeypatch.setattr(hypertrees, "mu_table", counted)
+    assert hypertrees_by_brute_force(g, "polymatroid") == enumerate_hypertrees(g)
+    assert calls == [g]
+
+
+def _reversed(g):
+    """``g`` with its E class listed in reverse."""
+    last = g.n_e - 1
+    return BipGraph(g.v_names, g.e_names[::-1], [(v, last - e) for v, e in g.adj])
+
+
+class TestRankTablesAgree:
+    """The search's rank table and the oracle's ``mu_table`` share no code,
+    so they are held equal under the input order and the reversed one."""
+
+    def test_census_to_7(self):
+        for g in exhaustive_connected_bipartite(7):
+            masks = list(g.e_masks)
+            assert hypertrees._rank_table(masks) == list(mu_table(g))
+            assert hypertrees._rank_table(masks[::-1]) == list(mu_table(_reversed(g)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_bipgraphs())
+    def test_random_graphs(self, g):
+        masks = list(g.e_masks)
+        assert hypertrees._rank_table(masks) == list(mu_table(g))
+        assert hypertrees._rank_table(masks[::-1]) == list(mu_table(_reversed(g)))

@@ -34,6 +34,17 @@ class TestIntPoly:
         assert IntPoly([1, 2, 0, 0]).coeffs == (1, 2)
         assert IntPoly([0, 0]).coeffs == ()
 
+    @pytest.mark.parametrize("coeffs", [[1.5, 2.7], ["3", True], [1, 2.0]],
+                             ids=["floats", "string-and-bool", "integral-float"])
+    def test_non_integer_coefficients_rejected(self, coeffs):
+        with pytest.raises(GraphError, match="polynomial coefficients must hold integers"):
+            IntPoly(coeffs)
+
+    def test_bool_is_no_scalar(self):
+        assert IntPoly([1]) != True  # noqa: E712
+        with pytest.raises(TypeError):
+            IntPoly([1]) + True
+
     def test_zero_has_no_degree(self):
         with pytest.raises(ValueError):
             IntPoly.zero().degree
@@ -66,6 +77,14 @@ class TestIntPoly:
 
 
 class TestIntPoly2:
+    @pytest.mark.parametrize("terms", [{(0.9, 1.2): 2.5}, {(0, 1): 2.5},
+                                       {(0, "1"): 2}, {(True, 0): 1}],
+                             ids=["all-floats", "float-coefficient",
+                                  "string-exponent", "bool-exponent"])
+    def test_non_integer_terms_rejected(self, terms):
+        with pytest.raises(GraphError, match="bivariate term"):
+            IntPoly2(terms)
+
     def test_arithmetic_and_render(self):
         t = IntPoly2.monomial(2, 0) + IntPoly2.monomial(1, 0) + IntPoly2.monomial(0, 1)
         assert t.terms == {(0, 1): 1, (1, 0): 1, (2, 0): 1}
