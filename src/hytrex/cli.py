@@ -16,6 +16,10 @@ are byte-identical across runs for the same inputs; the hyperedge order in
 effect is echoed on stderr because activities (though not the polynomials)
 depend on it.  Exit status: 0 on success, 1 when a verification check
 fails, 2 on usage or input errors.
+
+``import hytrex.cli`` executes no more than ``import hytrex`` does: the
+lazily executed ``families``, ``transforms`` and ``verify`` run only when
+an input is a family, the subcommand is ``transform``, or it is ``verify``.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .graph import (
     abstract_dual,
     graph_from_json,
     graph_to_json,
+    integer,
     normalize_edge_order,
 )
 from .hypertrees import hypertrees_with_inactivity
@@ -65,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         if as_json:
             p.add_argument("--json", action="store_true", dest="as_json",
                            help="emit JSON instead of ASCII")
-        p.add_argument("--seed", type=families.integer, default=None,
+        p.add_argument("--seed", type=integer, default=None,
                        help="seed for a seeded family (an error on other inputs)")
 
     add_common(sub.add_parser("interior", help="interior polynomial"))
@@ -82,16 +87,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--vertex", default=None, help="vertex label for delete/contract")
     p_tr.add_argument("--pair", default=None,
                       help="two E labels, comma-separated, for identify-pair/add-parallel")
-    p_tr.add_argument("--count", type=families.integer, default=1,
+    p_tr.add_argument("--count", type=integer, default=1,
                       help="number of added vertices for add-parallel")
 
     p_v = sub.add_parser("verify", help="run the theorem-check suite")
     p_v.add_argument("checks", help="'all' or a comma-separated list of check names")
-    p_v.add_argument("--seed", type=families.integer, default=7)
-    p_v.add_argument("--orders", type=families.integer, default=20)
-    p_v.add_argument("--max-total", type=families.integer, default=9)
-    p_v.add_argument("--random-count", type=families.integer, default=50)
-    p_v.add_argument("--random-max", type=families.integer, default=14)
+    p_v.add_argument("--seed", type=integer, default=7)
+    p_v.add_argument("--orders", type=integer, default=20)
+    p_v.add_argument("--max-total", type=integer, default=9)
+    p_v.add_argument("--random-count", type=integer, default=50)
+    p_v.add_argument("--random-max", type=integer, default=14)
     return parser
 
 

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .errors import ClosedFormUnavailable, GraphError
-from .graph import BipGraph, build_bipartite
+from .graph import BipGraph, _Frozen, build_bipartite, integer
 from .poly import IntPoly
 
 __all__ = [
@@ -37,39 +36,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Frozen):
     """A family tag with integer parameters, and a seed for a family that
     reads one (a seed on any other family is an error)."""
 
-    tag: str
-    params: tuple[int, ...]
-    seed: int | None = None
+    __slots__ = ("tag", "params", "seed")
 
-    def __post_init__(self):
-        if self.tag not in FAMILY_TAGS:
-            raise GraphError(f"unknown family {self.tag!r}")
+    def __init__(self, tag: str, params: tuple[int, ...], seed: int | None = None):
+        if tag not in FAMILY_TAGS:
+            raise GraphError(f"unknown family {tag!r}")
         try:
-            params = tuple(self.params)
+            values = tuple(params)
         except TypeError:
             raise GraphError(
-                f"family parameters must be a sequence of integers, got {self.params!r}") from None
+                f"family parameters must be a sequence of integers, got {params!r}") from None
         # bool is an int subclass; True is no parameter value either.
-        if any(type(p) is not int for p in params):
-            raise GraphError(f"family parameters must be integers, got {self.params!r}")
-        if self.seed is not None and type(self.seed) is not int:
-            raise GraphError(f"family seed must be an integer or None, got {self.seed!r}")
-        object.__setattr__(self, "params", params)
-        count, seeded, valid, message, _ = _FAMILIES[self.tag]
-        if self.seed is not None and not seeded:
-            raise GraphError(f"family {self.tag!r} takes no seed; only "
+        if any(type(p) is not int for p in values):
+            raise GraphError(f"family parameters must be integers, got {params!r}")
+        if seed is not None and type(seed) is not int:
+            raise GraphError(f"family seed must be an integer or None, got {seed!r}")
+        count, seeded, valid, message, _ = _FAMILIES[tag]
+        if seed is not None and not seeded:
+            raise GraphError(f"family {tag!r} takes no seed; only "
                              + ", ".join(t for t, row in _FAMILIES.items() if row[1])
                              + " do")
-        if len(params) != count:
+        if len(values) != count:
             raise GraphError(
-                f"family {self.tag!r} takes {count} parameters, got {len(params)}")
-        if not valid(*params):
+                f"family {tag!r} takes {count} parameters, got {len(values)}")
+        if not valid(*values):
             raise GraphError(message)
+        super().__init__(tag, values, seed)
 
     def rng(self) -> random.Random:
         return random.Random(0 if self.seed is None else self.seed)
@@ -81,15 +77,6 @@ def spec_from_cli(tag: str, params, seed=None) -> FamilySpec:
     except (TypeError, ValueError):
         raise GraphError(f"family parameters must be integers, got {params!r}") from None
     return FamilySpec(tag, values, seed)
-
-
-def integer(text: str) -> int:
-    """``text`` as an int, for every integer argument of the CLI: ASCII
-    digits after an optional minus sign (``int`` also takes "1_0", " 3"
-    and non-ASCII digits)."""
-    if not (isinstance(text, str) and text.isascii() and text.removeprefix("-").isdigit()):
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
 
 
 def _binom(a: int, b: int) -> int:

@@ -15,8 +15,6 @@ the hyperedge with index ``i``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CapacityError, GraphError
 
 __all__ = [
@@ -51,18 +49,53 @@ def bits_of(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class _Frozen:
+    """Base of the small value classes.  The fields are the ``__slots__`` in
+    order; ``==``, ``hash`` and ``repr`` read them as a frozen dataclass's
+    would, and assigning or deleting an attribute raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Hypergraph(_Frozen):
     """Vertex labels plus a multiset of non-empty hyperedges (label sets)."""
 
-    vertices: tuple[str, ...]
-    hyperedges: tuple[frozenset[str], ...]
+    __slots__ = ("vertices", "hyperedges")
 
-    def __post_init__(self):
-        known = set(self.vertices)
-        if len(known) != len(self.vertices):
+    def __init__(self, vertices: tuple[str, ...], hyperedges: tuple[frozenset[str], ...]):
+        super().__init__(vertices, hyperedges)
+        known = set(vertices)
+        if len(known) != len(vertices):
             raise GraphError("duplicate vertex label in hypergraph")
-        for h in self.hyperedges:
+        for h in hyperedges:
             if not h:
                 raise GraphError("empty hyperedge")
             unknown = h - known
@@ -161,6 +194,15 @@ def _integers(values, what: str) -> tuple[int, ...]:
     if any(type(x) is not int for x in values):
         raise GraphError(f"{what} must hold integers, got {values!r}")
     return values
+
+
+def integer(text: str) -> int:
+    """``text`` as an int, for every integer argument of the CLI: ASCII
+    digits after an optional minus sign (``int`` also takes "1_0", " 3"
+    and non-ASCII digits)."""
+    if not (isinstance(text, str) and text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _check_names(v_names: tuple, e_names: tuple) -> None:

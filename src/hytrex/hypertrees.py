@@ -53,12 +53,16 @@ __all__ = [
 
 
 class HypertreeSet:
-    """Deduplicated, lexicographically sorted collection of hypertrees."""
+    """Deduplicated, lexicographically sorted collection of hypertrees, all
+    of one length (|E|)."""
 
     __slots__ = ("vectors", "_members")
 
     def __init__(self, vectors):
         vs = sorted({_integers(v, "a hypertree vector") for v in vectors})
+        lengths = {len(v) for v in vs}
+        if len(lengths) > 1:
+            raise GraphError(f"hypertree vectors must all have one length, got {sorted(lengths)}")
         self.vectors = tuple(vs)
         self._members = frozenset(vs)
 

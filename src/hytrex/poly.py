@@ -88,6 +88,10 @@ class IntPoly:
 
     def shift(self, k: int) -> "IntPoly":
         """Multiply by x^k."""
+        if type(k) is not int:
+            raise GraphError(f"a shift must be an integer, got {k!r}")
+        if k < 0:
+            raise ValueError("negative shifts are not polynomials")
         if self.is_zero:
             return self
         return IntPoly((0,) * k + self.coeffs)
@@ -177,7 +181,8 @@ class IntPoly:
 
 class IntPoly2:
     """Sparse bivariate polynomial: map (i, j) -> non-zero integer.  An
-    exponent or coefficient that is not an ``int`` is a GraphError."""
+    exponent or coefficient that is not an ``int``, or a negative exponent,
+    is a GraphError."""
 
     __slots__ = ("terms",)
 
@@ -186,6 +191,8 @@ class IntPoly2:
         if terms:
             for (i, j), c in dict(terms).items():
                 i, j, c = _integers((i, j, c), "a bivariate term (i, j, coefficient)")
+                if i < 0 or j < 0:
+                    raise GraphError(f"bivariate term {(i, j)!r}: {c} has a negative exponent")
                 if c:
                     clean[(i, j)] = c
         self.terms = dict(sorted(clean.items()))

@@ -13,10 +13,9 @@ that vertex alone, so its namesake in E keeps its edges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import GraphError
-from .graph import BipGraph, bits_of
+from .graph import BipGraph, _Frozen, bits_of
 
 __all__ = [
     "DecompositionTerm",
@@ -200,13 +199,13 @@ def identify_pair(g: BipGraph, e1: str, e2: str) -> BipGraph:
     return _to_side("v", own, other, pairs)
 
 
-@dataclass(frozen=True)
-class DecompositionTerm:
+class DecompositionTerm(_Frozen):
     """One term of a decomposition: coefficient * x^exponent * I(graph)."""
 
-    coefficient: int
-    exponent: int
-    graph: BipGraph
+    __slots__ = ("coefficient", "exponent", "graph")
+
+    def __init__(self, coefficient: int, exponent: int, graph: BipGraph):
+        super().__init__(coefficient, exponent, graph)
 
 
 def balanced_decomposition(g: BipGraph) -> list[DecompositionTerm]:

@@ -1,6 +1,8 @@
 """Graph data model: construction, mu, duals, JSON format."""
 
+import copy
 import json
+import pickle
 from collections import Counter
 
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import complete_bipartite, connected_bipgraphs, count_builds, cycle, path_graph
 from hytrex.errors import GraphError
+from hytrex.families import FamilySpec
+from hytrex.transforms import DecompositionTerm
 from hytrex.graph import (
     BipGraph,
     Hypergraph,
@@ -155,6 +159,42 @@ class TestHypergraph:
     def test_empty_hyperedge_rejected(self):
         with pytest.raises(GraphError):
             Hypergraph.of(["a"], [set()])
+
+
+# Class, field names, field values, and the exact repr: the text a frozen
+# dataclass with those fields prints, which callers may have logged.
+VALUES = [
+    (Hypergraph, ("vertices", "hyperedges"), (("a", "b"), (frozenset({"a"}),)),
+     "Hypergraph(vertices=('a', 'b'), hyperedges=(frozenset({'a'}),))"),
+    (FamilySpec, ("tag", "params", "seed"), ("tree", (5,), 3),
+     "FamilySpec(tag='tree', params=(5,), seed=3)"),
+    (DecompositionTerm, ("coefficient", "exponent", "graph"), (-2, 1, cycle(2)),
+     "DecompositionTerm(coefficient=-2, exponent=1, "
+     "graph=BipGraph(|V|=2, |E|=2, edges=4, connected=True))"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, values, text", VALUES,
+                         ids=[row[0].__name__ for row in VALUES])
+class TestValueClasses:
+    def test_equal_hash_and_repr(self, cls, fields, values, text):
+        a, b = cls(*values), cls(**dict(zip(fields, values)))
+        assert a == b and hash(a) == hash(b) == hash(values)
+        assert tuple(getattr(a, name) for name in fields) == values
+        assert a != values
+        assert repr(a) == text
+
+    def test_immutable(self, cls, fields, values, text):
+        a = cls(*values)
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            setattr(a, fields[0], None)
+        with pytest.raises(AttributeError, match="cannot delete field"):
+            delattr(a, fields[-1])
+
+    def test_copy_and_pickle(self, cls, fields, values, text):
+        a = cls(*values)
+        assert copy.deepcopy(a) == a
+        assert pickle.loads(pickle.dumps(a)) == a
 
 
 class TestDual:

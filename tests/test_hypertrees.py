@@ -360,6 +360,10 @@ class TestHypertreeSet:
         with pytest.raises(GraphError, match="must hold integers"):
             HypertreeSet(vectors)
 
+    def test_vectors_of_different_lengths_rejected(self):
+        with pytest.raises(GraphError, match=r"one length, got \[1, 2\]"):
+            HypertreeSet([(1, 2), (1,)])
+
 
 def _engines(g):
     """``(hypertrees, I, X)`` in the input order from the fibre search and

@@ -58,6 +58,16 @@ class TestIntPoly:
         assert (p ** 3).coeffs == (1, 3, 3, 1)
         assert p.shift(2).coeffs == (0, 0, 1, 1)
 
+    @pytest.mark.parametrize("poly", [IntPoly([0, 1]), IntPoly.zero()], ids=["x", "zero"])
+    def test_negative_shift_rejected(self, poly):
+        with pytest.raises(ValueError, match="negative shifts"):
+            poly.shift(-1)
+
+    @pytest.mark.parametrize("k", [True, 1.0, "1"], ids=["bool", "float", "string"])
+    def test_non_integer_shift_rejected(self, k):
+        with pytest.raises(GraphError, match="a shift must be an integer"):
+            IntPoly([0, 1]).shift(k)
+
     def test_render(self):
         assert IntPoly([1, 1, 1]).render() == "1 + x + x^2"
         assert IntPoly([1, 2]).render("y") == "1 + 2y"
@@ -83,6 +93,13 @@ class TestIntPoly2:
                                   "string-exponent", "bool-exponent"])
     def test_non_integer_terms_rejected(self, terms):
         with pytest.raises(GraphError, match="bivariate term"):
+            IntPoly2(terms)
+
+    @pytest.mark.parametrize("terms", [{(-1, 0): 2, (0, -2): 1}, {(0, -1): 0}],
+                             ids=["both-exponents", "zero-coefficient"])
+    def test_negative_exponents_rejected(self, terms):
+        with pytest.raises(GraphError,
+                           match=r"bivariate term \((-1, 0|0, -1)\): \d+ has a negative"):
             IntPoly2(terms)
 
     def test_arithmetic_and_render(self):

@@ -66,9 +66,12 @@ MODULE_ALL = {
 
 
 def test_package_names():
-    names = sorted(name for name, value in vars(hytrex).items()
-                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    # dir(), not vars(): the names of the lazily executed modules resolve
+    # through the package's __getattr__ and are absent from its __dict__.
+    names = sorted(name for name in dir(hytrex) if not name.startswith("_")
+                   and not isinstance(getattr(hytrex, name), types.ModuleType))
     assert names == PACKAGE_NAMES
+    assert sorted(hytrex.__all__) == PACKAGE_NAMES
 
 
 def test_readme_names_every_package_name():
