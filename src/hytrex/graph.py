@@ -49,10 +49,24 @@ def bits_of(mask: int):
         mask ^= low
 
 
-class _Frozen:
+class _ReadOnly:
+    """Base of the immutable classes: assigning or deleting an attribute
+    raises AttributeError, so ``__init__`` sets its slots through
+    ``object.__setattr__``, and pickling goes through ``__reduce__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Frozen(_ReadOnly):
     """Base of the small value classes.  The fields are the ``__slots__`` in
     order; ``==``, ``hash`` and ``repr`` read them as a frozen dataclass's
-    would, and assigning or deleting an attribute raises AttributeError."""
+    would."""
 
     __slots__ = ()
 
@@ -74,12 +88,6 @@ class _Frozen:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return type(self), self._values()
@@ -107,14 +115,15 @@ class Hypergraph(_Frozen):
         return Hypergraph(tuple(vertices), tuple(frozenset(h) for h in hyperedges))
 
 
-class BipGraph:
+class BipGraph(_ReadOnly):
     """Simple bipartite graph with distinguished colour classes V and E.
 
     Stored are the labels and one neighbour bitmask per vertex: the edge
     ``(v, e)`` is bit ``e`` of ``v_masks[v]`` and bit ``v`` of ``e_masks[e]``.
     ``adj`` (the frozenset of (v-index, e-index) pairs), the degrees and the
     label positions are derived.  Construction validates indices, collapses
-    duplicate pairs and records whether the graph is connected.
+    duplicate pairs and records whether the graph is connected; the fields
+    cannot be assigned afterwards.
     """
 
     __slots__ = ("v_names", "e_names", "v_masks", "e_masks", "connected",
@@ -124,9 +133,6 @@ class BipGraph:
         v_names = tuple(v_names)
         e_names = tuple(e_names)
         _check_names(v_names, e_names)
-        self.v_names = v_names
-        self.e_names = e_names
-
         v_masks = [0] * len(v_names)
         e_masks = [0] * len(e_names)
         for v, e in adj:
@@ -137,10 +143,17 @@ class BipGraph:
                 raise GraphError(f"adjacency pair ({v}, {e}) out of range")
             v_masks[v] |= 1 << e
             e_masks[e] |= 1 << v
-        self.v_masks = tuple(v_masks)
-        self.e_masks = tuple(e_masks)
-        self.connected = component_count(self) == 1
-        self._hash = hash((v_names, e_names, self.e_masks))
+        e_masks = tuple(e_masks)
+        set_field = object.__setattr__
+        set_field(self, "v_names", v_names)
+        set_field(self, "e_names", e_names)
+        set_field(self, "v_masks", tuple(v_masks))
+        set_field(self, "e_masks", e_masks)
+        set_field(self, "connected", component_count(self) == 1)
+        set_field(self, "_hash", hash((v_names, e_names, e_masks)))
+
+    def __reduce__(self):
+        return BipGraph, (self.v_names, self.e_names, self.adj)
 
     @property
     def adj(self) -> frozenset:

@@ -21,13 +21,17 @@ The tree search and the brute-force enumerators stay as oracles, so both
 engines can be cross-checked rather than assumed complete.  The search's
 rank table shares no code with the oracle's ``mu_table``, which the
 polymatroid box scan builds once and :func:`is_hypertree_by_polymatroid`
-once per call.
+once per call.  A :class:`HypertreeSet` holds each member packed into one
+int as well, so its membership test, deduplication and sorting work on
+ints, and the probe oracle of :mod:`hytrex.activity` moves valence by
+adding to them.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import deque
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import DisconnectedGraphError, GraphError
 from .graph import (
@@ -37,6 +41,7 @@ from .graph import (
     normalize_edge_order,
     subgraph_components,
     _integers,
+    _ReadOnly,
 )
 
 __all__ = [
@@ -52,22 +57,63 @@ __all__ = [
 ]
 
 
-class HypertreeSet:
-    """Deduplicated, lexicographically sorted collection of hypertrees, all
-    of one length (|E|)."""
+# Field widths in bits, narrowest first, and their struct codes.
+_FIELDS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
-    __slots__ = ("vectors", "_members")
+
+class HypertreeSet(_ReadOnly):
+    """Deduplicated, lexicographically sorted collection of hypertrees:
+    vectors of naturals, all of one length (|E|).
+
+    Each member is also held as one int, its key: the vector packed
+    big-endian, one field per hyperedge, every field of one width, the
+    narrowest of 8, 16, 32 and 64 bits that holds the largest entry plus
+    two.  Packed big-endian order is lexicographic order, so the keys
+    deduplicate and sort the vectors, and the frozenset of keys is the one
+    member set.  Adding ``_units[e]`` to a key adds one to entry ``e``; the
+    probes of :mod:`hytrex.activity` are such additions."""
+
+    __slots__ = ("vectors", "_keys", "_units", "_top", "_pack")
 
     def __init__(self, vectors):
-        vs = sorted({_integers(v, "a hypertree vector") for v in vectors})
+        vs = [tuple(v) for v in vectors]
+        if set(map(type, chain.from_iterable(vs))) - {int}:
+            for v in vs:
+                _integers(v, "a hypertree vector")
+        if min(chain.from_iterable(vs), default=0) < 0:
+            negative = next(v for v in vs if min(v) < 0)
+            raise GraphError(f"a hypertree vector must hold naturals, got {negative!r}")
         lengths = {len(v) for v in vs}
         if len(lengths) > 1:
             raise GraphError(f"hypertree vectors must all have one length, got {sorted(lengths)}")
-        self.vectors = tuple(vs)
-        self._members = frozenset(vs)
+        top = max(chain.from_iterable(vs), default=0)
+        width = next((w for w in _FIELDS if top + 2 < 1 << w), None)
+        if width is None:
+            raise GraphError(f"hypertree entries must fit 64 bits with room for two more, got {top}")
+        n = lengths.pop() if lengths else 0
+        pack = struct.Struct(f">{n}{_FIELDS[width]}").pack
+        by_key = {int.from_bytes(pack(*v), "big"): v for v in vs}
+        set_field = object.__setattr__
+        set_field(self, "vectors", tuple(by_key[k] for k in sorted(by_key)))
+        set_field(self, "_keys", frozenset(by_key))
+        set_field(self, "_units", tuple(1 << width * (n - 1 - e) for e in range(n)))
+        set_field(self, "_top", top)
+        set_field(self, "_pack", pack)
+
+    def _key(self, f):
+        """The key of ``f``, or None when ``f`` does not pack (a wrong
+        length, an entry that is negative, too wide or not an integer) or
+        has an entry more than one above the largest member entry: no
+        member is one transfer from a vector of naturals without a key, and
+        every transfer of one with a key fits the fields."""
+        try:
+            key = int.from_bytes(self._pack(*f), "big")
+        except struct.error:
+            return None
+        return key if key in self._keys or max(f, default=0) <= self._top + 1 else None
 
     def __contains__(self, f) -> bool:
-        return tuple(f) in self._members
+        return self._key(f) in self._keys
 
     def __iter__(self):
         return iter(self.vectors)
@@ -85,6 +131,9 @@ class HypertreeSet:
 
     def __repr__(self):
         return f"HypertreeSet({len(self.vectors)} hypertrees)"
+
+    def __reduce__(self):
+        return HypertreeSet, (self.vectors,)
 
     def to_json(self) -> list[list[int]]:
         return [list(v) for v in self.vectors]

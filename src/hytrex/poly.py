@@ -23,7 +23,7 @@ from .graph import (
     _integers,
 )
 from .activity import external_active_flags, internal_active_flags
-from .hypertrees import hypertrees_with_inactivity
+from .hypertrees import HypertreeSet, hypertrees_with_inactivity
 
 __all__ = [
     "IntPoly",
@@ -134,6 +134,8 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if type(n) is not int:
+            raise GraphError(f"an exponent must be an integer, got {n!r}")
         if n < 0:
             raise ValueError("negative powers are not polynomials")
         out = IntPoly.one()
@@ -270,7 +272,9 @@ def interior_polynomial(g: BipGraph, order=None, hypertrees=None) -> IntPoly:
     Without ``hypertrees`` the inactivities are read off one enumeration
     (:func:`polynomial_pairs`).  A given set ``hypertrees`` is counted by
     membership probes instead: that is the oracle path, which trusts the
-    set it is handed."""
+    set it is handed.  Its vectors must have one entry per hyperedge; an
+    iterable of vectors that is not a :class:`HypertreeSet` is counted as
+    the set of them."""
     return _inactivity_polynomial(g, order, hypertrees, internal_active_flags, "interior")
 
 
@@ -292,6 +296,11 @@ def _inactivity_polynomial(g: BipGraph, order, hypertrees, flags_fn, what: str) 
         pair = polynomial_pair(g) if order == tuple(range(g.n_e)) else (
             polynomial_pairs(g, [order])[0])
         return pair[0 if what == "interior" else 1]
+    if not isinstance(hypertrees, HypertreeSet):
+        hypertrees = HypertreeSet(hypertrees)
+    if hypertrees and len(hypertrees.vectors[0]) != g.n_e:
+        raise GraphError(f"hypertree vectors have length {len(hypertrees.vectors[0])}, "
+                         f"expected {g.n_e}")
     coeffs = [0] * (g.n_e + 1)
     for f in hypertrees:
         flags = flags_fn(hypertrees, f, order)

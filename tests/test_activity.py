@@ -13,6 +13,7 @@ from hytrex import hypertrees
 from hytrex.activity import external_active_flags, internal_active_flags
 from hytrex.errors import GraphError
 from hytrex.hypertrees import (
+    HypertreeSet,
     enumerate_hypertrees,
     greedy_exterior_hypertree,
     hypertrees_by_brute_force,
@@ -225,3 +226,69 @@ class TestWalkInactivity:
     def test_bad_order_rejected(self):
         with pytest.raises(GraphError):
             list(hypertrees_with_inactivity(cycle(3), [(0, 0, 1)]))
+
+
+def _reference_flags(b, f, order):
+    """Both flag tuples of ``f`` from the definition: every transfer built
+    as a tuple and looked up among the members as tuples."""
+    members = set(b.vectors)
+    internal, external = [True] * len(f), [True] * len(f)
+    for pos, e in enumerate(order):
+        for smaller in order[:pos]:
+            if f[e] >= 1 and _moved(f, e, smaller) in members:
+                internal[e] = False
+            if f[smaller] >= 1 and _moved(f, smaller, e) in members:
+                external[e] = False
+    return tuple(internal), tuple(external)
+
+
+def _assert_probes_match(b, vectors, orders):
+    for f in vectors:
+        for order in orders:
+            got = internal_active_flags(b, f, order), external_active_flags(b, f, order)
+            assert got == _reference_flags(b, f, order), (b.vectors, f, order)
+
+
+class TestPackedProbes:
+    """The probes on packed keys against the definition on tuples."""
+
+    def test_census_to_7_and_random_subsets(self):
+        rng = random.Random("packed-probes")
+        for g in exhaustive_connected_bipartite(7):
+            natural = list(range(g.n_e))
+            orders = [natural, natural[::-1]] + [rng.sample(natural, g.n_e) for _ in range(3)]
+            b = enumerate_hypertrees(g)
+            _assert_probes_match(b, b, orders)
+            # A subset is not M-convex; the whole set's vectors probe it from
+            # outside too, some with an entry one above the subset's largest.
+            part = HypertreeSet(f for f in b if rng.random() < 0.5)
+            _assert_probes_match(part, b, orders)
+
+    def test_empty_set(self):
+        b = HypertreeSet([])
+        for f in [(), (0,), (2, 0, 1), (0, 1, 1, 5)]:
+            _assert_probes_match(b, [f], [tuple(range(len(f)))])
+            assert internal_active_flags(b, f, range(len(f))) == (True,) * len(f)
+
+    # Fields of 8, 16, 32 and 64 bits, each largest entry on both sides of a
+    # change of width.  A carry out of the middle field would land on the
+    # member (1, 0, 0); the vectors probed are the members, those with one
+    # entry raised by one or two and those one transfer away.
+    @pytest.mark.parametrize("top", [253, 254, 255, 256, 65533, 65534, 65535, 65536,
+                                     2**32 - 3, 2**32 - 2, 2**64 - 3])
+    def test_field_edges(self, top):
+        b = HypertreeSet([(0, top, 1), (1, top, 0), (1, 0, 0)])
+        vectors = set(b)
+        for m in b:
+            for i in range(3):
+                vectors |= {m[:i] + (m[i] + k,) + m[i + 1:] for k in (1, 2)}
+                vectors |= {_moved(m, i, j) for j in range(3) if j != i and m[i]}
+        _assert_probes_match(b, sorted(vectors), list(permutations(range(3))))
+
+    @pytest.mark.parametrize("f", [(-1, 1, 1), (1.5, 0, 1), ("1", 0, 1), (1, 1)],
+                             ids=["negative", "float", "string", "short"])
+    def test_probed_vector_must_be_natural_of_the_set_length(self, f):
+        b = enumerate_hypertrees(cycle(3))
+        for flags in (internal_active_flags, external_active_flags):
+            with pytest.raises(GraphError, match="must hold naturals"):
+                flags(b, f, range(len(f)))

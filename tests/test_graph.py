@@ -124,6 +124,23 @@ class TestModelContract:
         assert [h.deg_e(e) for e in range(h.n_e)] == [e_count[e] for e in range(h.n_e)]
         assert h.n_edges == len(pairs)
 
+    # Assignment succeeded and left the hash stale, so a graph used as a key
+    # (poly.pair_memo keys its memo on graphs) could be misfiled.
+    def test_immutable(self):
+        g = cycle(3)
+        before = hash(g)
+        for name in BipGraph.__slots__:
+            with pytest.raises(AttributeError, match="cannot assign to field"):
+                setattr(g, name, ("zz",))
+            with pytest.raises(AttributeError, match="cannot delete field"):
+                delattr(g, name)
+        assert hash(g) == before and g == cycle(3)
+
+    def test_copy_and_pickle(self):
+        g = complete_bipartite(2, 3)
+        for h in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert h == g and hash(h) == hash(g) and h.connected and h.v_masks == g.v_masks
+
     @settings(max_examples=20, deadline=None)
     @given(connected_bipgraphs())
     def test_label_positions(self, g):

@@ -1,12 +1,15 @@
 """Hypertree membership oracles, enumeration, tightness, transfers."""
 
+import copy
 import hashlib
 import json
+import pickle
 import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import complete_bipartite, connected_bipgraphs, cycle, ladder, path_graph
 from hytrex import cli, graph, hypertrees, poly
@@ -363,6 +366,49 @@ class TestHypertreeSet:
     def test_vectors_of_different_lengths_rejected(self):
         with pytest.raises(GraphError, match=r"one length, got \[1, 2\]"):
             HypertreeSet([(1, 2), (1,)])
+
+    # Accepted, and the hexagon's probe path then counted it as 1.
+    def test_negative_entries_rejected(self):
+        with pytest.raises(GraphError, match=r"must hold naturals, got \(-1, 2, 1\)"):
+            HypertreeSet([(-1, 2, 1)])
+
+    def test_entries_too_wide_for_64_bit_fields_rejected(self):
+        assert (2**64 - 3, 0) in HypertreeSet([(2**64 - 3, 0)])
+        with pytest.raises(GraphError, match="fit 64 bits"):
+            HypertreeSet([(2**64 - 2, 0)])
+
+    # The narrowest field that holds the largest entry plus two.
+    @pytest.mark.parametrize("top, bits", [(0, 8), (253, 8), (254, 16), (65533, 16),
+                                           (65534, 32), (2**32 - 3, 32), (2**32 - 2, 64)])
+    def test_field_width(self, top, bits):
+        assert HypertreeSet([(top, 0, 1)])._units == (1 << 2 * bits, 1 << bits, 1)
+
+    # Vectors that do not pack are no members; (1.0, 0) was one.
+    @pytest.mark.parametrize("f", [(1, 0, 0), (1,), (-1, 2), (256, 0), (2**70, 0),
+                                   (1.0, 0), ("1", 0), (None, 0)])
+    def test_vectors_that_do_not_pack_are_no_members(self, f):
+        assert f not in HypertreeSet([(1, 0), (0, 1)])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(0, 2**40)] * n) | st.tuples(*[st.integers(0, 3)] * n),
+        max_size=12)))
+    def test_keys_sort_and_deduplicate_like_the_vectors(self, vectors):
+        s = HypertreeSet(vectors)
+        assert s.vectors == tuple(sorted(set(vectors)))
+        assert all(f in s for f in vectors)
+        assert s == HypertreeSet(reversed(vectors)) and hash(s) == hash(s.vectors)
+
+    # Assignment succeeded, so the vectors and the member keys could part.
+    def test_immutable_and_picklable(self):
+        s = enumerate_hypertrees(cycle(3))
+        for name in HypertreeSet.__slots__:
+            with pytest.raises(AttributeError, match="cannot assign to field"):
+                setattr(s, name, None)
+            with pytest.raises(AttributeError, match="cannot delete field"):
+                delattr(s, name)
+        for t in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert t == s and (1, 0, 1) in t and (2, 0, 0) not in t
 
 
 def _engines(g):

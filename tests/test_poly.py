@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from conftest import complete_bipartite, connected_bipgraphs, cycle, path_graph
 from hytrex.errors import CapacityError, DisconnectedGraphError, GraphError
 from hytrex.graph import BipGraph, abstract_dual
-from hytrex.hypertrees import enumerate_hypertrees
+from hytrex.hypertrees import HypertreeSet, enumerate_hypertrees
 from hytrex.poly import (
     IntPoly,
     IntPoly2,
@@ -67,6 +67,12 @@ class TestIntPoly:
     def test_non_integer_shift_rejected(self, k):
         with pytest.raises(GraphError, match="a shift must be an integer"):
             IntPoly([0, 1]).shift(k)
+
+    # True acted as 1, and 2.0 raised a bare TypeError from range.
+    @pytest.mark.parametrize("n", [True, 2.0, "2"], ids=["bool", "float", "string"])
+    def test_non_integer_exponent_rejected(self, n):
+        with pytest.raises(GraphError, match="an exponent must be an integer"):
+            IntPoly([1, 1]) ** n
 
     def test_render(self):
         assert IntPoly([1, 1, 1]).render() == "1 + x + x^2"
@@ -141,6 +147,23 @@ class TestPipeline:
             interior_polynomial(g)
         with pytest.raises(DisconnectedGraphError):
             exterior_polynomial(g)
+
+    # On the hexagon, 4-long vectors gave 1 + x and 2-long ones a bare
+    # IndexError.
+    @pytest.mark.parametrize("vectors", [[(1, 1, 0, 0)], [(1, 1)]], ids=["longer", "shorter"])
+    def test_given_hypertrees_of_another_length_rejected(self, vectors):
+        for polynomial in (interior_polynomial, exterior_polynomial):
+            with pytest.raises(GraphError, match="expected 3"):
+                polynomial(cycle(3), hypertrees=HypertreeSet(vectors))
+
+    def test_given_empty_set_counts_nothing(self):
+        assert interior_polynomial(cycle(3), hypertrees=HypertreeSet([])).is_zero
+
+    def test_given_plain_vectors_count_as_their_set(self):
+        g = complete_bipartite(2, 3)
+        vectors = list(enumerate_hypertrees(g))
+        assert interior_polynomial(g, hypertrees=vectors + vectors[:1]) == interior_polynomial(g)
+        assert exterior_polynomial(g, hypertrees=iter(vectors)) == exterior_polynomial(g)
 
     def test_order_invariance_20_random_orders(self):
         rng = random.Random(20260808)
