@@ -1,8 +1,9 @@
 """Membership-probe activity oracle for the inactivities that
 :func:`hypertrees.hypertrees_with_inactivity` reads off the engines.  Under
-an order on E, a hyperedge is internally inactive when it can send valence
-to some smaller hyperedge of an enumerated set, externally inactive when it
-can receive valence from one.
+an order on E (a permutation of the hyperedge indices, smallest first; None
+is the input order), a hyperedge is internally inactive when it can send
+valence to some smaller hyperedge of an enumerated set, externally inactive
+when it can receive valence from one.
 
 A probe is two additions on the packed key of a :class:`HypertreeSet`:
 moving one unit of valence from ``e`` to ``s`` turns the key ``k`` of ``f``
@@ -15,6 +16,7 @@ largest plus two.  So the sum is the key of the transferred vector."""
 from __future__ import annotations
 
 from .errors import GraphError
+from .graph import _edge_order
 # No probe calls ``transfer``; the binding stays because perfbench's tracer
 # counts ``activity.probes`` through it and will not install without it.
 from .hypertrees import HypertreeSet, transfer  # noqa: F401
@@ -33,9 +35,10 @@ def _probe_key(b: HypertreeSet, f: tuple):
     return key
 
 
-def internal_active_flags(b: HypertreeSet, f, order) -> tuple[bool, ...]:
+def internal_active_flags(b: HypertreeSet, f, order=None) -> tuple[bool, ...]:
     """Flag per hyperedge: False when valence can move to a smaller one."""
     f = tuple(f)
+    order = range(len(f)) if order is None else _edge_order(len(f), order)
     flags = [True] * len(f)
     key = _probe_key(b, f)
     if key is None:
@@ -53,9 +56,10 @@ def internal_active_flags(b: HypertreeSet, f, order) -> tuple[bool, ...]:
     return tuple(flags)
 
 
-def external_active_flags(b: HypertreeSet, f, order) -> tuple[bool, ...]:
+def external_active_flags(b: HypertreeSet, f, order=None) -> tuple[bool, ...]:
     """Flag per hyperedge: False when valence can arrive from a smaller one."""
     f = tuple(f)
+    order = range(len(f)) if order is None else _edge_order(len(f), order)
     flags = [True] * len(f)
     key = _probe_key(b, f)
     if key is None:

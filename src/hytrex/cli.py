@@ -252,14 +252,18 @@ def _cmd_verify(args) -> int:
         print(f"{report.name}: {status} ({report.instances} instances, "
               f"{report.seconds:.1f}s)", file=sys.stderr)
 
-    def on_corpus(corpus, seconds):
-        print(f"corpus: {len(corpus)} graphs in {seconds:.1f}s", file=sys.stderr)
+    def corpus():
+        start = time.perf_counter()
+        graphs = verify.default_corpus(args.seed, args.max_total, args.random_count,
+                                       args.random_max)
+        print(f"corpus: {len(graphs)} graphs in {time.perf_counter() - start:.1f}s",
+              file=sys.stderr)
+        yield from graphs
 
     start = time.perf_counter()
-    reports = verify.run_all_checks(
-        seed=args.seed, orders_per_graph=args.orders, max_total=args.max_total,
-        random_count=args.random_count, random_max_total=args.random_max,
-        names=names, progress=progress, on_corpus=on_corpus)
+    reports = verify.run_all_checks(seed=args.seed, corpus=corpus(),
+                                    orders_per_graph=args.orders, names=names,
+                                    progress=progress)
     elapsed = time.perf_counter() - start
     print(f"suite finished in {elapsed:.1f}s", file=sys.stderr)
     passed = all(r.passed for r in reports)

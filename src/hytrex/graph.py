@@ -203,7 +203,10 @@ def _integers(values, what: str) -> tuple[int, ...]:
     """``values`` as a tuple, or a GraphError naming ``what`` when an entry
     is not an ``int``: a float, a numeric string or a bool is not truncated
     or converted."""
-    values = tuple(values)
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise GraphError(f"{what} must hold integers, got {values!r}") from None
     if any(type(x) is not int for x in values):
         raise GraphError(f"{what} must hold integers, got {values!r}")
     return values
@@ -345,10 +348,14 @@ def nullity(g: BipGraph) -> int:
 
 def normalize_edge_order(g: BipGraph, order=None) -> tuple[int, ...]:
     """Validate an order on E (a permutation of indices, smallest first)."""
+    return _edge_order(g.n_e, order)
+
+
+def _edge_order(n_e: int, order) -> tuple[int, ...]:
     if order is None:
-        return tuple(range(g.n_e))
+        return tuple(range(n_e))
     order = _integers(order, "an order on E")
-    if sorted(order) != list(range(g.n_e)):
+    if sorted(order) != list(range(n_e)):
         raise GraphError("order must be a permutation of all E indices")
     return order
 

@@ -291,9 +291,10 @@ def _inactivity_polynomial(g: BipGraph, order, hypertrees, flags_fn, what: str) 
     activity flag per hyperedge."""
     if not g.connected:
         raise DisconnectedGraphError(f"the {what} polynomial requires a connected graph")
-    order = normalize_edge_order(g, order)
+    # The flags get the caller's None: the input order needs no check per hypertree.
+    order = None if order is None else normalize_edge_order(g, order)
     if hypertrees is None:
-        pair = polynomial_pair(g) if order == tuple(range(g.n_e)) else (
+        pair = polynomial_pair(g) if order in (None, tuple(range(g.n_e))) else (
             polynomial_pairs(g, [order])[0])
         return pair[0 if what == "interior" else 1]
     if not isinstance(hypertrees, HypertreeSet):
@@ -375,7 +376,10 @@ class MultiGraph:
             raise GraphError(f"a multigraph needs a positive int vertex count, got {n!r}")
         norm = []
         for edge in edges:
-            u, v = _integers(edge, "a multigraph edge")
+            edge = _integers(edge, "a multigraph edge")
+            if len(edge) != 2:
+                raise GraphError(f"a multigraph edge has two ends, got {edge!r}")
+            u, v = edge
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range")
             norm.append((u, v) if u <= v else (v, u))

@@ -1,11 +1,11 @@
 """Executable theorem checks over a deterministic corpus.
 
-Each check sweeps a corpus of connected bipartite graphs (an exhaustive
-small census, the named family instances, and seeded random graphs) and
-returns a :class:`CheckReport`; :func:`run_all_checks` runs any subset of
-them.  Corpora are iterated smallest graph first, so the counterexample
-attached to a failing report is minimal for the corpus order and can be
-replayed in isolation with :func:`replay_counterexample`.  Deliberately
+Each check sweeps a corpus of connected bipartite graphs and returns a
+:class:`CheckReport`; :func:`run_all_checks` runs any subset of them over
+the caller's corpus or :func:`default_corpus` (an exhaustive small census,
+family instances and seeded random graphs, smallest graph first), so the
+counterexample attached to a failing report is minimal for the corpus order
+and can be replayed alone with :func:`replay_counterexample`.  Deliberately
 corrupted fixtures are part of the suite (the ``negative_controls`` check)
 so a vacuously green harness cannot go unnoticed.
 """
@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckReport:
     """Outcome of one named check over a corpus."""
 
@@ -75,8 +75,8 @@ class CheckReport:
     instances: int
     passed: bool
     counterexample: dict | None = field(default=None)
-    # Wall time of the check, filled in by run_all_checks; not serialised,
-    # so reports stay byte-identical across runs.
+    # Wall time of the check; not serialised, so reports stay byte-identical
+    # across runs.
     seconds: float = field(default=0.0, compare=False)
 
     def to_json(self) -> dict:
@@ -89,16 +89,27 @@ class CheckReport:
         }
 
 
-def _sweep(name: str, desc: str, outcomes) -> CheckReport:
-    """The report of a check whose instances are the items of ``outcomes``:
-    None for an instance that holds, its counterexample for one that fails.
-    The sweep stops at the first counterexample."""
-    instances = 0
+def _sweep(name: str, corpus: list, seed: int, orders_per_graph: int) -> CheckReport:
+    """The timed report of the check ``name``, whose row of :data:`_CHECKS`
+    gives the outcome of each instance: None when it holds, else its
+    counterexample, at which the sweep stops."""
+    start = time.perf_counter()
+    desc, outcomes = _CHECKS[name](corpus, seed, orders_per_graph)
+    instances, ce = 0, None
     for ce in outcomes:
         instances += 1
         if ce is not None:
-            return CheckReport(name, desc, instances, False, ce)
-    return CheckReport(name, desc, instances, True)
+            break
+    return CheckReport(name, desc, instances, ce is None, ce,
+                       time.perf_counter() - start)
+
+
+def _integer(value, what: str, least: int | None = None) -> int:
+    """``value`` when it is an ``int`` (a bool is not) of at least ``least``."""
+    if type(value) is not int or least is not None and value < least:
+        floor = "" if least is None else f" of at least {least}"
+        raise GraphError(f"{what} must be an integer{floor}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +133,7 @@ def exhaustive_connected_bipartite(max_total: int = 9) -> list[BipGraph]:
     """Every connected bipartite graph with |V| + |E| <= max_total, one
     representative per isomorphism class (classes distinguished): the one
     whose sorted tuple of hyperedge masks comes first."""
+    _integer(max_total, "census size |V| + |E|")
     forms = CanonicalForms()
     out = []
     # The graphs of a (|V|, |E|) cell share one pair of label tuples, and all
@@ -199,9 +211,9 @@ def random_connected_bipartite(count: int = 50, max_total: int = 14,
                                seed: int = 0) -> list[BipGraph]:
     """Seeded random model: class sizes, a uniform spanning tree, then each
     remaining allowed edge independently with probability 1/3."""
-    if max_total < 2:
-        raise GraphError("random graphs need at least one vertex per class")
-    rng = random.Random(f"{seed}:random-corpus")
+    _integer(count, "random graph count", 0)
+    _integer(max_total, "random graph size |V| + |E|", 2)
+    rng = random.Random(f"{_integer(seed, 'seed')}:random-corpus")
     out = []
     for _ in range(count):
         total = rng.randint(min(4, max_total), max_total)
@@ -216,13 +228,24 @@ def random_connected_bipartite(count: int = 50, max_total: int = 14,
     return out
 
 
+# Cap on the census size of default_corpus.  On a 2-core CPython 3.11 host the
+# full suite (seed 7) takes 4-6 s at max_total 9 (1,959 corpus graphs) and
+# 42-50 s at 10 (9,748), of which building the corpus is 0.6-1.1 s and 11-16 s.
+CENSUS_CAP = 9
+
+
 def default_corpus(seed: int = 0, max_total: int = 9, random_count: int = 50,
                    random_max_total: int = 14) -> list[BipGraph]:
     """Census + family instances + seeded random graphs, deduplicated and
-    sorted smallest first."""
-    graphs = (exhaustive_connected_bipartite(max_total)
-              + family_instances()
-              + random_connected_bipartite(random_count, random_max_total, seed))
+    sorted smallest first.  A census size outside 2..:data:`CENSUS_CAP`, or
+    a random-graph argument out of range, is a GraphError before any build."""
+    if _integer(max_total, "census size |V| + |E|", 2) > CENSUS_CAP:
+        raise GraphError(f"census size |V| + |E| <= {max_total} is above the cap "
+                         f"of {CENSUS_CAP}; at 10 the full suite already takes "
+                         f"about 45 s")
+    # The random graphs check their own arguments; the census comes after.
+    randoms = random_connected_bipartite(random_count, random_max_total, seed)
+    graphs = exhaustive_connected_bipartite(max_total) + family_instances() + randoms
     forms = CanonicalForms()
     seen = set()
     unique = []
@@ -580,7 +603,7 @@ def tutte_graph_corpus(seed: int = 0) -> list[MultiGraph]:
     graphs = _connected_simple_graphs(5, 7)
     graphs += [MultiGraph.cycle(6), MultiGraph.cycle(7),
                MultiGraph.path(7), MultiGraph.path(8), MultiGraph.star(6)]
-    rng = random.Random(f"{seed}:tutte-corpus")
+    rng = random.Random(f"{_integer(seed, 'seed')}:tutte-corpus")
     for _ in range(_TUTTE_SAMPLE):
         n = rng.randint(3, 7)
         edges = {tuple(sorted((i, rng.randrange(i)))) for i in range(1, n)}
@@ -755,100 +778,102 @@ _CHECKS = {
 CHECK_NAMES = tuple(_CHECKS)
 
 
-# Cap on the census size of run_all_checks.  On a 2-core CPython 3.11 host the
-# full suite (seed 7) takes about 7 s at max_total 9 (1,959 corpus graphs) and
-# 62 s at 10 (9,748), of which building the corpus is 0.8 s and 14 s.
-CENSUS_CAP = 9
-
-
 def run_all_checks(seed: int = 0, corpus=None, orders_per_graph: int = 20,
-                   max_total: int = 9, random_count: int = 50,
-                   random_max_total: int = 14, names=None,
-                   progress=None, on_corpus=None) -> list[CheckReport]:
+                   names=None, progress=None) -> list[CheckReport]:
     """Run the named checks (all when ``names`` is None) over one shared
-    corpus, in table order, so the enumeration-oracle gate runs first.  An
-    empty or unknown selection, parameters that would silently skip checks,
-    or a census above :data:`CENSUS_CAP` are rejected with
+    corpus, in table order, so the enumeration-oracle gate runs first.
+    ``corpus`` is any iterable of connected bipartite graphs, read once
+    after the other arguments are checked; None means
+    ``default_corpus(seed=seed)``.  An empty or unknown selection, a string
+    for ``names``, or fewer than one order per graph is rejected with
     :class:`GraphError`.  ``progress`` is called with each report as it is
-    made, and ``on_corpus`` with the corpus and the seconds it took when the
-    corpus is built here."""
-    if orders_per_graph < 1:
-        raise GraphError(f"orders per graph must be at least 1, got {orders_per_graph}")
-    if random_count < 0:
-        raise GraphError(f"random graph count must be non-negative, got {random_count}")
-    if max_total < 2 or random_max_total < 2:
-        raise GraphError("corpus sizes |V| + |E| must be at least 2, got "
-                         f"{max_total} and {random_max_total}")
-    if max_total > CENSUS_CAP:
-        raise GraphError(f"census size |V| + |E| <= {max_total} is above the cap "
-                         f"of {CENSUS_CAP}; at 10 the full suite already takes "
-                         f"about 60 s")
+    made."""
+    _integer(seed, "seed")
+    _integer(orders_per_graph, "orders per graph", 1)
+    if isinstance(names, str):
+        raise GraphError(f"names must be a sequence of check names, got {names!r}")
     selected = CHECK_NAMES if names is None else tuple(names)
     if not selected:
         raise GraphError("no check selected; pass names=None to run them all")
     for n in selected:
-        if n not in _CHECKS:
+        if n not in CHECK_NAMES:
             raise GraphError(f"unknown check {n!r}")
-    if corpus is None:
-        start = time.perf_counter()
-        corpus = default_corpus(seed=seed, max_total=max_total,
-                                random_count=random_count,
-                                random_max_total=random_max_total)
-        if on_corpus is not None:
-            on_corpus(corpus, time.perf_counter() - start)
+    corpus = default_corpus(seed=seed) if corpus is None else list(corpus)
     reports = []
     # The checks ask for the input-order polynomials of most corpus graphs
     # several times; count each once for this run only.
     with pair_memo():
-        for check_name, check in _CHECKS.items():
-            if check_name not in selected:
-                continue
-            start = time.perf_counter()
-            report = _sweep(check_name, *check(corpus, seed, orders_per_graph))
-            report.seconds = time.perf_counter() - start
-            reports.append(report)
-            if progress is not None:
-                progress(report)
+        for name in CHECK_NAMES:
+            if name in selected:
+                reports.append(_sweep(name, corpus, seed, orders_per_graph))
+                if progress is not None:
+                    progress(reports[-1])
     return reports
 
 
-# (kind, mode) of a counterexample -> its instance, rebuilt from the graph the
-# counterexample records (None when it records none) and its other fields.
+# What replay requires of a counterexample field before any instance function
+# runs.  A graph is parsed by graph_from_json; any other field not named here
+# is checked by what it is handed to: an order by polynomial_pairs, a label by
+# the surgery, params and seed by FamilySpec.
+_FIELD_OK = {
+    "which": lambda value: value in ("interior", "exterior"),
+    "factors": lambda value: isinstance(value, list) and len(value) == 2,
+    "join": lambda value: value in ("v", "e", "edge"),
+    "pair": lambda value: isinstance(value, list) and len(value) == 2,
+    "t": lambda value: type(value) is int and value >= 1,
+    "multigraph": lambda value: (isinstance(value, dict) and value.keys() == {"n", "edges"}
+                                 and isinstance(value["edges"], list)),
+    "control": lambda value: value in tuple(_CONTROLS),
+}
+
+
+# (kind, mode) of a counterexample -> the fields its instance is rebuilt
+# from, and a function of those fields (the graph parsed) that runs it.
 _REPLAY = {
-    ("enumeration", None): lambda g, ce: _enumeration(g),
-    ("enumeration", "activity"): lambda g, ce: _enumeration(g),
-    ("interpolating", None): lambda g, ce: _interpolating(g, ce["which"]),
-    ("degree_bound", None): lambda g, ce: _degree_bounds(g),
-    ("linear_coefficient", None): lambda g, ce: _linear_coefficients(g),
-    ("invariance", "order"): lambda g, ce: _order_invariance(
-        g, ce["order"], polynomial_pair(g),
-        polynomial_pairs(g, [None, ce["order"]])[1]),
-    ("invariance", "dual"): lambda g, ce: _dual_invariance(g),
-    ("invariance", "asymmetry"): lambda g, ce: _exterior_asymmetry(g),
-    ("recursion", "pendant"): lambda g, ce: _pendant(g, ce["vertex"]),
-    ("recursion", "deletion_contraction"):
-        lambda g, ce: _deletion_contraction(g, ce["vertex"]),
-    ("recursion", "join"):
-        lambda g, ce: _join(*map(graph_from_json, ce["factors"]), ce["join"]),
-    ("recursion", "parallel_pair"): lambda g, ce: _parallel_pair(g, *ce["pair"], ce["t"]),
-    ("recursion", "decomposition"): lambda g, ce: _decomposition(g),
-    ("monic", "ear"): lambda g, ce: _monic_ear(
-        FamilySpec("ear_graph", ce["params"], ce["seed"])),
-    ("monic", "cap"): lambda g, ce: _monic_cap(g),
-    ("tutte", None): lambda g, ce: _tutte(MultiGraph(
-        ce["multigraph"]["n"], [tuple(e) for e in ce["multigraph"]["edges"]])),
-    ("negative_control", None): lambda g, ce: _CONTROLS[ce["control"]](),
+    ("enumeration", None): (("graph",), _enumeration),
+    ("enumeration", "activity"): (("graph",), _enumeration),
+    ("interpolating", None): (("graph", "which"), _interpolating),
+    ("degree_bound", None): (("graph",), _degree_bounds),
+    ("linear_coefficient", None): (("graph",), _linear_coefficients),
+    ("invariance", "order"): (("graph", "order"), lambda g, order: _order_invariance(
+        g, order, polynomial_pair(g), polynomial_pairs(g, [None, order])[1])),
+    ("invariance", "dual"): (("graph",), _dual_invariance),
+    ("invariance", "asymmetry"): (("graph",), _exterior_asymmetry),
+    ("recursion", "pendant"): (("graph", "vertex"), _pendant),
+    ("recursion", "deletion_contraction"): (("graph", "vertex"), _deletion_contraction),
+    ("recursion", "join"): (("factors", "join"), lambda factors, how: _join(
+        *map(graph_from_json, factors), how)),
+    ("recursion", "parallel_pair"): (("graph", "pair", "t"),
+                                     lambda g, pair, t: _parallel_pair(g, *pair, t)),
+    ("recursion", "decomposition"): (("graph",), _decomposition),
+    ("monic", "ear"): (("params", "seed"), lambda params, seed: _monic_ear(
+        FamilySpec("ear_graph", params, seed))),
+    ("monic", "cap"): (("graph",), _monic_cap),
+    ("tutte", None): (("multigraph",), lambda mg: _tutte(MultiGraph(mg["n"], mg["edges"]))),
+    ("negative_control", None): (("control",), lambda control: _CONTROLS[control]()),
 }
 
 
 def replay_counterexample(counterexample: dict) -> bool:
     """Rebuild the instance behind a counterexample and run the instance
-    function that made it again; True means the failure reproduces."""
+    function that made it again; True means the failure reproduces.  Input
+    that is no object, of an unknown kind or mode, or with a field missing
+    or malformed is a GraphError (a vertex label unknown to the graph is
+    reported by the surgery it names)."""
+    if not isinstance(counterexample, dict):
+        raise GraphError(f"a counterexample must be an object, got {counterexample!r}")
     kind, mode = counterexample.get("kind"), counterexample.get("mode")
-    replay = _REPLAY.get((kind, mode))
-    if replay is None:
+    try:
+        fields, instance = _REPLAY[kind, mode]
+    except (KeyError, TypeError):  # TypeError: a kind or mode that is no key
         raise GraphError(f"cannot replay counterexample of kind {kind!r}"
-                         + (f" in mode {mode!r}" if mode is not None else ""))
-    graph = counterexample.get("graph")
-    g = graph_from_json(graph) if graph is not None else None
-    return replay(g, counterexample) is not None
+                         + (f" in mode {mode!r}" if mode is not None else "")) from None
+    args = []
+    for name in fields:
+        if name not in counterexample:
+            raise GraphError(f"a {kind} counterexample needs the field {name!r}")
+        value = counterexample[name]
+        if not _FIELD_OK.get(name, lambda value: True)(value):
+            raise GraphError(f"malformed {name!r} in a {kind} counterexample: {value!r}")
+        args.append(graph_from_json(value) if name == "graph" else value)
+    return instance(*args) is not None

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import complete_bipartite, connected_bipgraphs, cycle, path_graph
-from hytrex import hypertrees
+from hytrex import hypertrees, poly
 from hytrex.activity import external_active_flags, internal_active_flags
 from hytrex.errors import GraphError
 from hytrex.hypertrees import (
@@ -76,6 +76,40 @@ class TestProbeFlags:
         # valence from e1; nothing else moves down the order
         assert internal_active_flags(b, (1, 0, 1), (0, 1, 2)) == (True, True, False)
         assert external_active_flags(b, (1, 0, 1), (0, 1, 2)) == (True, False, True)
+
+    def test_none_is_the_input_order(self):
+        b = enumerate_hypertrees(cycle(3))
+        for f in list(b) + [(2, 0, 1)]:
+            for flags in (internal_active_flags, external_active_flags):
+                assert flags(b, f, None) == flags(b, f) == flags(b, f, (0, 1, 2))
+
+    @pytest.mark.parametrize("order, message", [
+        ([0], "permutation"), ([0, 0, 1], "permutation"), ([0, 1, 5], "permutation"),
+        ("012", "integers"), (5, "integers"), ([0, 1, 2.0], "integers"),
+        ([0, 1, True], "integers")],
+        ids=["short", "repeated", "out-of-range", "string", "int", "float", "bool"])
+    def test_order_must_be_a_permutation_of_the_hyperedges(self, order, message):
+        b = enumerate_hypertrees(cycle(3))
+        # a member, and a vector no member is one transfer from
+        for f in [(1, 0, 1), (2, 2, 2)]:
+            for flags in (internal_active_flags, external_active_flags):
+                with pytest.raises(GraphError, match=message):
+                    flags(b, f, order)
+
+    def test_the_probe_path_hands_the_flags_the_callers_order(self, monkeypatch):
+        # The input order is not checked once per hypertree: None reaches
+        # the flags as None.
+        seen = set()
+        for name in ("internal_active_flags", "external_active_flags"):
+            monkeypatch.setattr(poly, name, lambda b, f, order, flags=getattr(poly, name):
+                                seen.add(order) or flags(b, f, order))
+        g = cycle(3)
+        b = enumerate_hypertrees(g)
+        for order, expected in ((None, None), ([2, 0, 1], (2, 0, 1))):
+            seen.clear()
+            assert (poly.interior_polynomial(g, order, hypertrees=b),
+                    poly.exterior_polynomial(g, order, hypertrees=b)) == poly.polynomial_pair(g)
+            assert seen == {expected}
 
     @settings(max_examples=30, deadline=None)
     @given(connected_bipgraphs())

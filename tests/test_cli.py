@@ -230,7 +230,7 @@ class TestVerifyCommand:
         code, out, err = run(capsys, ["verify", "all", "--max-total", "12"])
         assert code == 2
         assert out == ""
-        assert "cap of 9" in err and "60 s" in err
+        assert "cap of 9" in err and "45 s" in err
 
 
 class TestErrors:

@@ -267,9 +267,10 @@ class TestTutte:
     # third kept n = 2.5.
     @pytest.mark.parametrize("n, edges", [(3, [(0.9, 1.2), (1, 2)]),
                                           (3, [(0, 1), ("2", True)]),
-                                          (2.5, [(0, 1)]), (True, []), (2.0, [(0, 1)])],
+                                          (2.5, [(0, 1)]), (True, []), (2.0, [(0, 1)]),
+                                          (3, [(0, 1, 2)]), (3, [(0,)]), (3, [5])],
                              ids=["float-edge", "str-bool-edge", "float-n", "bool-n",
-                                  "integral-float-n"])
+                                  "integral-float-n", "three-ends", "one-end", "int-edge"])
     def test_non_integers_rejected(self, n, edges):
         with pytest.raises(GraphError):
             MultiGraph(n, edges)

@@ -1,6 +1,7 @@
 """The check suite itself: corpus construction, determinism, replay, and the
 negative controls that prove the harness can fail."""
 
+import dataclasses
 import inspect
 import json
 import textwrap
@@ -68,6 +69,41 @@ class TestCorpus:
         assert [graph_to_json(g) for g in a] == [graph_to_json(g) for g in b]
         assert [graph_to_json(g) for g in a] != [graph_to_json(g) for g in c]
         assert all(g.connected and g.n_v + g.n_e <= 10 for g in a)
+
+    @pytest.mark.parametrize("call", [
+        lambda: exhaustive_connected_bipartite(True),
+        lambda: exhaustive_connected_bipartite(9.0),
+        lambda: random_connected_bipartite(count=-1),
+        lambda: random_connected_bipartite(count=2.0),
+        lambda: random_connected_bipartite(count=True),
+        lambda: random_connected_bipartite(max_total=1),
+        lambda: random_connected_bipartite(seed=True),
+        lambda: random_connected_bipartite(seed="1"),
+        lambda: tutte_graph_corpus(seed=True),
+    ], ids=["census-bool", "census-float", "count-negative", "count-float", "count-bool",
+            "random-size", "seed-bool", "seed-str", "tutte-seed-bool"])
+    def test_integer_arguments_are_ints_in_range(self, call):
+        with pytest.raises(GraphError):
+            call()
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_total": 1}, {"max_total": CENSUS_CAP + 1}, {"max_total": 12},
+        {"max_total": True}, {"random_count": -1}, {"random_count": 2.0},
+        {"random_max_total": 1}, {"seed": True}])
+    def test_default_corpus_rejects_sizes_before_building_a_graph(self, monkeypatch,
+                                                                  kwargs):
+        def build(*args, **kwargs):
+            raise AssertionError("no graph may be built for a rejected size")
+
+        for name in ("exhaustive_connected_bipartite", "family_instances",
+                     "_wilson_spanning_tree"):
+            monkeypatch.setattr(verify, name, build)
+        with pytest.raises(GraphError):
+            default_corpus(**kwargs)
+
+    def test_census_above_the_cap_is_rejected(self):
+        with pytest.raises(GraphError, match="cap of 9"):
+            default_corpus(max_total=CENSUS_CAP + 1)
 
     def test_family_instances_connected(self):
         instances = family_instances()
@@ -211,22 +247,42 @@ class TestSuite:
             with pytest.raises(GraphError, match="no check selected"):
                 run_all_checks(names=names)
 
+    def test_parameters(self):
+        # Every corpus size belongs to default_corpus; the runner takes a corpus.
+        params = inspect.signature(run_all_checks).parameters
+        assert [(p.name, p.default) for p in params.values()] == [
+            ("seed", 0), ("corpus", None), ("orders_per_graph", 20), ("names", None),
+            ("progress", None)]
+
     @pytest.mark.parametrize("kwargs", [
-        {"orders_per_graph": 0}, {"orders_per_graph": -1}, {"random_count": -1},
-        {"max_total": 1}, {"random_max_total": 1}])
-    def test_parameters_that_skip_checks_are_rejected(self, small_corpus, kwargs):
-        with pytest.raises(GraphError):
-            run_all_checks(seed=5, corpus=small_corpus, **kwargs)
+        {"orders_per_graph": 0}, {"orders_per_graph": -1},
+        {"orders_per_graph": True}, {"orders_per_graph": 2.0},
+        {"seed": True}, {"seed": 1.0}, {"names": ("nonsense",)},
+        {"names": "tutte"}])
+    def test_bad_arguments_are_rejected_before_the_corpus_is_read(self, kwargs):
+        started = []
 
-    def test_census_above_the_cap_is_rejected_before_it_is_built(self, monkeypatch):
-        def build(*args, **kwargs):
-            raise AssertionError("the corpus must not be built above the cap")
+        def corpus():
+            started.append(True)
+            yield cycle(2)
 
-        monkeypatch.setattr(verify, "default_corpus", build)
-        with pytest.raises(GraphError, match="cap of 9"):
-            run_all_checks(max_total=CENSUS_CAP + 1)
         with pytest.raises(GraphError):
-            run_all_checks(max_total=12)
+            run_all_checks(corpus=corpus(), **kwargs)
+        assert started == []
+        report, = run_all_checks(corpus=corpus(), names=("degree_bounds",))
+        assert (started, report.instances, report.passed) == ([True], 1, True)
+
+    def test_names_must_be_a_sequence(self):
+        with pytest.raises(GraphError, match="sequence of check names"):
+            run_all_checks(corpus=(), names="tutte")
+
+    def test_an_iterator_corpus_gives_the_reports_of_a_list(self, small_corpus):
+        names = ("interpolating", "invariance", "recursions", "monic_ear")
+        from_list = run_all_checks(seed=5, corpus=small_corpus, orders_per_graph=2,
+                                   names=names)
+        from_iterator = run_all_checks(seed=5, corpus=iter(small_corpus),
+                                       orders_per_graph=2, names=names)
+        assert [r.to_json() for r in from_iterator] == [r.to_json() for r in from_list]
 
     def test_seconds_are_recorded_but_not_serialised(self, small_corpus):
         seen = []
@@ -235,6 +291,8 @@ class TestSuite:
         assert seen == reports
         assert reports[0].seconds > 0
         assert "seconds" not in reports[0].to_json()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            reports[0].seconds = 0.0
 
     def test_reports_serialize(self, small_corpus):
         reports = run_all_checks(seed=5, corpus=small_corpus,
@@ -286,6 +344,47 @@ class TestReplay:
     def test_unknown_kind_rejected(self):
         with pytest.raises(GraphError, match="cannot replay counterexample of kind"):
             replay_counterexample({"kind": "???"})
+
+    @pytest.mark.parametrize("counterexample", [
+        [1], None,
+        {"kind": ["enumeration"]},
+        {"kind": "enumeration"},
+        {"kind": "enumeration", "graph": [1]},
+        {"kind": "interpolating", "graph": graph_to_json(cycle(2)), "which": "both"},
+        {"kind": "recursion", "mode": "pendant", "graph": graph_to_json(cycle(2))},
+        {"kind": "recursion", "mode": "join", "factors": [graph_to_json(cycle(2))],
+         "join": "v"},
+        {"kind": "recursion", "mode": "join",
+         "factors": [graph_to_json(cycle(2))] * 2, "join": "x"},
+        {"kind": "recursion", "mode": "parallel_pair", "graph": graph_to_json(cycle(2)),
+         "pair": ["e1"], "t": 1},
+        {"kind": "recursion", "mode": "parallel_pair", "graph": graph_to_json(cycle(2)),
+         "pair": ["e1", "e2"], "t": "1"},
+        {"kind": "invariance", "mode": "order", "graph": graph_to_json(cycle(2)),
+         "order": 5},
+        {"kind": "monic", "mode": "ear", "params": [2, 1]},
+        {"kind": "tutte", "multigraph": {"n": 3}},
+        {"kind": "tutte", "multigraph": [3, [[0, 1]]]},
+        {"kind": "tutte", "multigraph": {"n": 3, "edges": 5}},
+        {"kind": "tutte", "multigraph": {"n": 3, "edges": [[0, 1, 2]]}},
+        {"kind": "negative_control", "control": "corrupted_nothing"},
+        {"kind": "negative_control"},
+    ], ids=["list", "none", "unhashable-kind", "no-graph", "bad-graph", "bad-which",
+            "pendant-no-vertex", "one-factor", "bad-join", "short-pair", "str-t",
+            "int-order", "ear-no-seed", "multigraph-no-edges", "multigraph-list",
+            "multigraph-int-edges", "multigraph-three-ends",
+            "unknown-control", "no-control"])
+    def test_malformed_counterexample_rejected(self, counterexample):
+        with pytest.raises(GraphError):
+            replay_counterexample(counterexample)
+
+    def test_an_error_inside_the_instance_surfaces_unchanged(self, monkeypatch):
+        def fail(g):
+            raise KeyError("inside the instance")
+
+        monkeypatch.setattr(verify, "enumerate_hypertrees", fail)
+        with pytest.raises(KeyError, match="inside the instance"):
+            replay_counterexample({"kind": "enumeration", "graph": graph_to_json(cycle(2))})
 
 
 _ONE_POINT_JOIN = transforms.one_point_join
