@@ -16,7 +16,7 @@ largest plus two.  So the sum is the key of the transferred vector."""
 from __future__ import annotations
 
 from .errors import GraphError
-from .graph import _edge_order
+from .graph import _edge_order, _integers
 # No probe calls ``transfer``; the binding stays because perfbench's tracer
 # counts ``activity.probes`` through it and will not install without it.
 from .hypertrees import HypertreeSet, transfer  # noqa: F401
@@ -29,9 +29,10 @@ def _probe_key(b: HypertreeSet, f: tuple):
     transfer from ``f``; ``f`` must be a vector of naturals, as long as the
     members of ``b``."""
     key = b._key(f)
-    if key is None and (any(type(x) is not int or x < 0 for x in f)
-                        or b and len(f) != len(b._units)):
-        raise GraphError(f"a probed vector must hold naturals, one per hyperedge, got {f!r}")
+    if key is None:
+        _integers(f, "a probed vector", 0)
+        if b and len(f) != len(b._units):
+            raise GraphError(f"a probed vector must hold one entry per hyperedge, got {f!r}")
     return key
 
 

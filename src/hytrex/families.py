@@ -22,7 +22,7 @@ import math
 import random
 
 from .errors import ClosedFormUnavailable, GraphError
-from .graph import BipGraph, _Frozen, build_bipartite, integer
+from .graph import BipGraph, _Frozen, _integer, _integers, build_bipartite, integer
 from .poly import IntPoly
 
 __all__ = [
@@ -45,16 +45,9 @@ class FamilySpec(_Frozen):
     def __init__(self, tag: str, params: tuple[int, ...], seed: int | None = None):
         if tag not in FAMILY_TAGS:
             raise GraphError(f"unknown family {tag!r}")
-        try:
-            values = tuple(params)
-        except TypeError:
-            raise GraphError(
-                f"family parameters must be a sequence of integers, got {params!r}") from None
-        # bool is an int subclass; True is no parameter value either.
-        if any(type(p) is not int for p in values):
-            raise GraphError(f"family parameters must be integers, got {params!r}")
-        if seed is not None and type(seed) is not int:
-            raise GraphError(f"family seed must be an integer or None, got {seed!r}")
+        values = _integers(params, "family parameters")
+        if seed is not None:
+            _integer(seed, "family seed")
         count, seeded, valid, message, _ = _FAMILIES[tag]
         if seed is not None and not seeded:
             raise GraphError(f"family {tag!r} takes no seed; only "

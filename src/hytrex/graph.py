@@ -15,7 +15,7 @@ the hyperedge with index ``i``.
 
 from __future__ import annotations
 
-from .errors import CapacityError, GraphError
+from .errors import CapacityError, DisconnectedGraphError, GraphError
 
 __all__ = [
     "BipGraph",
@@ -136,10 +136,8 @@ class BipGraph(_ReadOnly):
         v_masks = [0] * len(v_names)
         e_masks = [0] * len(e_names)
         for v, e in adj:
-            # bool is an int subclass; True is no index either.
-            if type(v) is not int or type(e) is not int:
-                raise GraphError(f"adjacency pair ({v!r}, {e!r}) must hold integer indices")
-            if not (0 <= v < len(v_names) and 0 <= e < len(e_names)):
+            if not (0 <= _integer(v, "an adjacency index") < len(v_names)
+                    and 0 <= _integer(e, "an adjacency index") < len(e_names)):
                 raise GraphError(f"adjacency pair ({v}, {e}) out of range")
             v_masks[v] |= 1 << e
             e_masks[e] |= 1 << v
@@ -199,17 +197,34 @@ class BipGraph(_ReadOnly):
                 f"edges={self.n_edges}, connected={self.connected})")
 
 
-def _integers(values, what: str) -> tuple[int, ...]:
-    """``values`` as a tuple, or a GraphError naming ``what`` when an entry
-    is not an ``int``: a float, a numeric string or a bool is not truncated
-    or converted."""
+# The integer rule of every argument that counts or indexes: it must be an
+# ``int``.  A float, a numeric string or a bool (an int subclass) is a
+# GraphError, never truncated or converted.
+
+
+def _integer(value, what: str, least: int | None = None) -> int:
+    """``value`` when it is an ``int`` of at least ``least``, else a
+    GraphError naming ``what``."""
+    if type(value) is not int or least is not None and value < least:
+        floor = "" if least is None else f" of at least {least}"
+        raise GraphError(f"{what} must be an integer{floor}, got {value!r}")
+    return value
+
+
+def _integers(values, what: str, least: int | None = None) -> tuple[int, ...]:
+    """``values`` as a tuple when every entry is an ``int`` of at least
+    ``least``, else a GraphError naming ``what``.  The checks are bulk
+    passes, so one call may cover many vectors at once."""
     try:
         values = tuple(values)
     except TypeError:
-        raise GraphError(f"{what} must hold integers, got {values!r}") from None
-    if any(type(x) is not int for x in values):
-        raise GraphError(f"{what} must hold integers, got {values!r}")
-    return values
+        pass
+    else:
+        if not set(map(type, values)) - {int} and (
+                least is None or min(values, default=least) >= least):
+            return values
+    floor = "" if least is None else f" of at least {least}"
+    raise GraphError(f"{what} must hold integers{floor}, got {values!r}")
 
 
 def integer(text: str) -> int:
@@ -314,9 +329,17 @@ def components(masks, subset: int, v_all: int = 0) -> int:
 
 def subgraph_components(g: BipGraph, subset: int) -> int:
     """Number of connected components of the restriction to ``subset``."""
-    if subset < 0 or subset >= (1 << g.n_e):
+    if not 0 <= _integer(subset, "a subset mask") < 1 << g.n_e:
         raise GraphError(f"subset mask {subset} out of range for |E|={g.n_e}")
     return components(g.e_masks, subset)
+
+
+def _require_connected(g, what: str) -> None:
+    """The connectivity rule: ``what`` needs a connected graph (a
+    :class:`BipGraph` or anything else with a ``connected`` flag), else a
+    DisconnectedGraphError."""
+    if not g.connected:
+        raise DisconnectedGraphError(f"{what} requires a connected graph")
 
 
 def mu_table(g: BipGraph) -> tuple[int, ...]:

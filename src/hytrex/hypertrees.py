@@ -33,7 +33,7 @@ import struct
 from collections import deque
 from itertools import chain, combinations
 
-from .errors import DisconnectedGraphError, GraphError
+from .errors import GraphError
 from .graph import (
     BipGraph,
     bits_of,
@@ -42,6 +42,7 @@ from .graph import (
     subgraph_components,
     _integers,
     _ReadOnly,
+    _require_connected,
 )
 
 __all__ = [
@@ -76,17 +77,16 @@ class HypertreeSet(_ReadOnly):
     __slots__ = ("vectors", "_keys", "_units", "_top", "_pack")
 
     def __init__(self, vectors):
-        vs = [tuple(v) for v in vectors]
-        if set(map(type, chain.from_iterable(vs))) - {int}:
+        vs = list(map(tuple, vectors))
+        try:  # one bulk pass over all entries; a failure names its vector
+            top = max(_integers(chain.from_iterable(vs), "hypertree entries", 0), default=0)
+        except GraphError:
             for v in vs:
-                _integers(v, "a hypertree vector")
-        if min(chain.from_iterable(vs), default=0) < 0:
-            negative = next(v for v in vs if min(v) < 0)
-            raise GraphError(f"a hypertree vector must hold naturals, got {negative!r}")
-        lengths = {len(v) for v in vs}
+                _integers(v, "a hypertree vector", 0)
+            raise
+        lengths = set(map(len, vs))
         if len(lengths) > 1:
             raise GraphError(f"hypertree vectors must all have one length, got {sorted(lengths)}")
-        top = max(chain.from_iterable(vs), default=0)
         width = next((w for w in _FIELDS if top + 2 < 1 << w), None)
         if width is None:
             raise GraphError(f"hypertree entries must fit 64 bits with room for two more, got {top}")
@@ -145,11 +145,6 @@ def transfer(f, e_from: int, e_to: int) -> tuple[int, ...]:
     out[e_from] -= 1
     out[e_to] += 1
     return tuple(out)
-
-
-def _require_connected(g: BipGraph, what: str) -> None:
-    if not g.connected:
-        raise DisconnectedGraphError(f"{what} requires a connected graph")
 
 
 def _hypertree_vector(g: BipGraph, f) -> tuple[int, ...]:

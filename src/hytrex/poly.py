@@ -13,14 +13,17 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
+from itertools import zip_longest
 
-from .errors import CapacityError, DisconnectedGraphError, GraphError
+from .errors import CapacityError, GraphError
 from .graph import (
     BipGraph,
     Hypergraph,
     from_hypergraph,
     normalize_edge_order,
+    _integer,
     _integers,
+    _require_connected,
 )
 from .activity import external_active_flags, internal_active_flags
 from .hypertrees import HypertreeSet, hypertrees_with_inactivity
@@ -82,16 +85,12 @@ class IntPoly:
         return tuple(i for i, c in enumerate(self.coeffs) if c)
 
     def coeff(self, k: int) -> int:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
+        """The coefficient of x^k (0 for a negative k)."""
+        return self.coeffs[k] if 0 <= _integer(k, "a coefficient index") < len(self.coeffs) else 0
 
     def shift(self, k: int) -> "IntPoly":
         """Multiply by x^k."""
-        if type(k) is not int:
-            raise GraphError(f"a shift must be an integer, got {k!r}")
-        if k < 0:
-            raise ValueError("negative shifts are not polynomials")
+        _integer(k, "a shift", 0)
         if self.is_zero:
             return self
         return IntPoly((0,) * k + self.coeffs)
@@ -101,8 +100,7 @@ class IntPoly:
             other = IntPoly((other,))
         if not isinstance(other, IntPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(self.coeff(i) + other.coeff(i) for i in range(n))
+        return IntPoly(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
 
     __radd__ = __add__
 
@@ -134,12 +132,8 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if type(n) is not int:
-            raise GraphError(f"an exponent must be an integer, got {n!r}")
-        if n < 0:
-            raise ValueError("negative powers are not polynomials")
         out = IntPoly.one()
-        for _ in range(n):
+        for _ in range(_integer(n, "an exponent", 0)):
             out = out * self
         return out
 
@@ -289,8 +283,7 @@ def _inactivity_polynomial(g: BipGraph, order, hypertrees, flags_fn, what: str) 
     """Count the hypertrees by their number of inactive hyperedges: from an
     enumeration engine, or over ``hypertrees`` with ``flags_fn(b, f, order)`` giving one
     activity flag per hyperedge."""
-    if not g.connected:
-        raise DisconnectedGraphError(f"the {what} polynomial requires a connected graph")
+    _require_connected(g, f"the {what} polynomial")
     # The flags get the caller's None: the input order needs no check per hypertree.
     order = None if order is None else normalize_edge_order(g, order)
     if hypertrees is None:
@@ -371,9 +364,7 @@ class MultiGraph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges):
-        # bool is an int subclass; True is no vertex count either.
-        if type(n) is not int or n <= 0:
-            raise GraphError(f"a multigraph needs a positive int vertex count, got {n!r}")
+        _integer(n, "a multigraph vertex count", 1)
         norm = []
         for edge in edges:
             edge = _integers(edge, "a multigraph edge")
@@ -499,8 +490,7 @@ def subdivision(graph: MultiGraph) -> BipGraph:
 def _tutte_reversed(graph: MultiGraph, axis: int, bound: int, overflow: str) -> IntPoly:
     """The Tutte coefficients summed over the other variable, with the
     exponent k of variable ``axis`` (0 for x, 1 for y) moved to bound - k."""
-    if not graph.connected:
-        raise DisconnectedGraphError("the Tutte specialization requires a connected graph")
+    _require_connected(graph, "the Tutte specialization")
     coeffs = [0] * (bound + 1)
     for exponents, c in tutte_polynomial(graph).terms.items():
         if exponents[axis] > bound:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .errors import GraphError
-from .graph import BipGraph, _Frozen, bits_of
+from .graph import BipGraph, _Frozen, _integer, _require_connected, bits_of
 
 __all__ = [
     "DecompositionTerm",
@@ -178,8 +178,7 @@ def add_parallel_pair_vertices(g: BipGraph, e1: str, e2: str, t: int) -> BipGrap
     """Add t new degree-2 V-vertices, each adjacent to exactly {e1, e2}."""
     if e1 == e2:
         raise GraphError("the two hyperedges must be distinct")
-    if t < 1:
-        raise GraphError("t must be at least 1")
+    _integer(t, "t", 1)
     ends = (g.e_index(e1), g.e_index(e2))
     own, other, pairs = _from_side(g, "v")
     own, pairs = list(own), list(pairs)
@@ -205,7 +204,8 @@ class DecompositionTerm(_Frozen):
     __slots__ = ("coefficient", "exponent", "graph")
 
     def __init__(self, coefficient: int, exponent: int, graph: BipGraph):
-        super().__init__(coefficient, exponent, graph)
+        super().__init__(_integer(coefficient, "a term coefficient"),
+                         _integer(exponent, "a term exponent", 0), graph)
 
 
 def balanced_decomposition(g: BipGraph) -> list[DecompositionTerm]:
@@ -217,8 +217,7 @@ def balanced_decomposition(g: BipGraph) -> list[DecompositionTerm]:
     identifies the pair to the next level.  Level i contributes coefficient
     (-1)^i * t! / (t-i)! on x^i, where t = |E| - |V|.
     """
-    if not g.connected:
-        raise GraphError("balanced decomposition requires a connected graph")
+    _require_connected(g, "balanced decomposition")
     if g.n_v > g.n_e:
         raise GraphError("balanced decomposition requires |V| <= |E|; "
                          "take the abstract dual first")

@@ -28,6 +28,7 @@ from .graph import (
     graph_from_json,
     graph_to_json,
     nullity,
+    _integer,
 )
 from .hypertrees import (
     HypertreeSet,
@@ -102,14 +103,6 @@ def _sweep(name: str, corpus: list, seed: int, orders_per_graph: int) -> CheckRe
             break
     return CheckReport(name, desc, instances, ce is None, ce,
                        time.perf_counter() - start)
-
-
-def _integer(value, what: str, least: int | None = None) -> int:
-    """``value`` when it is an ``int`` (a bool is not) of at least ``least``."""
-    if type(value) is not int or least is not None and value < least:
-        floor = "" if least is None else f" of at least {least}"
-        raise GraphError(f"{what} must be an integer{floor}, got {value!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -813,14 +806,13 @@ def run_all_checks(seed: int = 0, corpus=None, orders_per_graph: int = 20,
 
 # What replay requires of a counterexample field before any instance function
 # runs.  A graph is parsed by graph_from_json; any other field not named here
-# is checked by what it is handed to: an order by polynomial_pairs, a label by
-# the surgery, params and seed by FamilySpec.
+# is checked by what it is handed to: an order by polynomial_pairs, a label
+# and t by the surgery, params and seed by FamilySpec.
 _FIELD_OK = {
     "which": lambda value: value in ("interior", "exterior"),
     "factors": lambda value: isinstance(value, list) and len(value) == 2,
     "join": lambda value: value in ("v", "e", "edge"),
     "pair": lambda value: isinstance(value, list) and len(value) == 2,
-    "t": lambda value: type(value) is int and value >= 1,
     "multigraph": lambda value: (isinstance(value, dict) and value.keys() == {"n", "edges"}
                                  and isinstance(value["edges"], list)),
     "control": lambda value: value in tuple(_CONTROLS),

@@ -324,5 +324,5 @@ class TestPackedProbes:
     def test_probed_vector_must_be_natural_of_the_set_length(self, f):
         b = enumerate_hypertrees(cycle(3))
         for flags in (internal_active_flags, external_active_flags):
-            with pytest.raises(GraphError, match="must hold naturals"):
+            with pytest.raises(GraphError, match="a probed vector must hold"):
                 flags(b, f, range(len(f)))

@@ -1,9 +1,12 @@
 """Graph data model: construction, mu, duals, JSON format."""
 
+import ast
 import copy
 import json
 import pickle
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -61,7 +64,7 @@ class TestBuild:
     @pytest.mark.parametrize("pair", [(1.5, 0), (True, 0), ("0", 0), (0, 0.0), (0, None)],
                              ids=["float", "bool", "str", "float-e", "None-e"])
     def test_non_integer_index_rejected(self, pair):
-        with pytest.raises(GraphError, match="must hold integer indices"):
+        with pytest.raises(GraphError, match="an adjacency index must be an integer"):
             BipGraph(("a", "b"), ("e",), [pair, (0, 0)])
 
     @pytest.mark.parametrize("order", [[2.9, 0.2, 1.5], ["x", "0", "1"], ["2", "0", "1"],
@@ -251,9 +254,10 @@ class TestSubgraphComponents:
         g = cycle(4)
         assert subgraph_components(g, 1 << g.e_index("e1") | 1 << g.e_index("e3")) == 2
 
+    # True counted as the mask 1; 1.5 and "1" raised bare TypeErrors.
     def test_out_of_range_subset_rejected(self):
         g = cycle(3)
-        for subset in (-1, 1 << g.n_e):
+        for subset in (-1, 1 << g.n_e, True, 1.5, "1"):
             with pytest.raises(GraphError):
                 subgraph_components(g, subset)
 
@@ -344,3 +348,34 @@ class TestJson:
             graph_from_json({"v": ["a"], "e": ["b"], "adj": [["a", "b", "c"]]})
         with pytest.raises(GraphError):
             graph_from_json({"v": ["a"], "e": ["b"], "adj": [["a", "zzz"]]})
+
+
+# Where the package spells out the integer rule ("an int, and a bool is not
+# one"): the two graph.py helpers that every integer argument goes through,
+# and IntPoly's operators, which take an int as a constant polynomial.
+INTEGER_RULE_SITES = {
+    ("graph.py", "_integer"), ("graph.py", "_integers"),
+    ("poly.py", "IntPoly.__add__"), ("poly.py", "IntPoly.__sub__"),
+    ("poly.py", "IntPoly.__mul__"), ("poly.py", "IntPoly.__eq__"),
+}
+
+
+INTEGER_RULE = re.compile(r"type\(.*\) is (not )?int$|map\(type, ")
+
+
+def _integer_rule_scopes(node, scope=""):
+    """The scope of each expression under ``node`` that spells out the rule:
+    ``type(x) is int``, ``type(x) is not int`` or ``map(type, ...)``."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}".lstrip(".")
+    elif isinstance(node, (ast.Compare, ast.Call)) and INTEGER_RULE.match(ast.unparse(node)):
+        yield scope
+    for child in ast.iter_child_nodes(node):
+        yield from _integer_rule_scopes(child, scope)
+
+
+def test_integer_rule_is_written_only_in_the_graph_helpers():
+    src = Path(__file__).resolve().parents[1] / "src" / "hytrex"
+    sites = {(path.name, scope) for path in src.glob("*.py")
+             for scope in _integer_rule_scopes(ast.parse(path.read_text()))}
+    assert sites == INTEGER_RULE_SITES

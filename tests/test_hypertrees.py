@@ -369,7 +369,8 @@ class TestHypertreeSet:
 
     # Accepted, and the hexagon's probe path then counted it as 1.
     def test_negative_entries_rejected(self):
-        with pytest.raises(GraphError, match=r"must hold naturals, got \(-1, 2, 1\)"):
+        with pytest.raises(GraphError, match=r"a hypertree vector must hold integers of "
+                                             r"at least 0, got \(-1, 2, 1\)"):
             HypertreeSet([(-1, 2, 1)])
 
     def test_entries_too_wide_for_64_bit_fields_rejected(self):

@@ -60,13 +60,19 @@ class TestIntPoly:
 
     @pytest.mark.parametrize("poly", [IntPoly([0, 1]), IntPoly.zero()], ids=["x", "zero"])
     def test_negative_shift_rejected(self, poly):
-        with pytest.raises(ValueError, match="negative shifts"):
+        with pytest.raises(GraphError, match="a shift must be an integer of at least 0"):
             poly.shift(-1)
 
     @pytest.mark.parametrize("k", [True, 1.0, "1"], ids=["bool", "float", "string"])
     def test_non_integer_shift_rejected(self, k):
         with pytest.raises(GraphError, match="a shift must be an integer"):
             IntPoly([0, 1]).shift(k)
+
+    # True read the coefficient of x; 1.5 raised a bare TypeError.
+    @pytest.mark.parametrize("k", [True, 1.5, "1"], ids=["bool", "float", "string"])
+    def test_non_integer_coefficient_index_rejected(self, k):
+        with pytest.raises(GraphError, match="a coefficient index must be an integer"):
+            IntPoly([1, 2]).coeff(k)
 
     # True acted as 1, and 2.0 raised a bare TypeError from range.
     @pytest.mark.parametrize("n", [True, 2.0, "2"], ids=["bool", "float", "string"])

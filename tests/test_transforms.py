@@ -13,10 +13,11 @@ from conftest import (
     path_graph,
     sha256_json,
 )
-from hytrex.errors import GraphError
+from hytrex.errors import DisconnectedGraphError, GraphError
 from hytrex.graph import BipGraph, build_bipartite, graph_to_json
 from hytrex.poly import IntPoly, exterior_polynomial, interior_polynomial
 from hytrex.transforms import (
+    DecompositionTerm,
     add_parallel_pair_vertices,
     balanced_decomposition,
     contract_vertex,
@@ -247,6 +248,12 @@ class TestParallelPair:
         with pytest.raises(GraphError):
             identify_pair(cycle(3), "e1", "e1")
 
+    # True added one vertex; 2.0 and "x" raised bare TypeErrors.
+    @pytest.mark.parametrize("t", [True, 2.0, "x"], ids=["bool", "float", "str"])
+    def test_non_integer_count_rejected(self, t):
+        with pytest.raises(GraphError, match="t must be an integer of at least 1"):
+            add_parallel_pair_vertices(cycle(3), "e1", "e2", t)
+
     def test_hexagon_identity(self):
         g = cycle(3)
         interior_g = interior_polynomial(g)
@@ -298,6 +305,24 @@ class TestBalancedDecomposition:
         with pytest.raises(GraphError):
             balanced_decomposition(complete_bipartite(2, 3).__class__(
                 ("a", "b", "c"), ("d",), [(0, 0), (1, 0), (2, 0)]))
+
+    # A plain GraphError, where every other connectivity precondition
+    # raises DisconnectedGraphError.
+    def test_disconnected_graph_rejected(self):
+        g = BipGraph(("a", "b"), ("c", "d"), [(0, 0), (1, 1)])
+        with pytest.raises(DisconnectedGraphError,
+                           match="balanced decomposition requires a connected graph"):
+            balanced_decomposition(g)
+
+    # Accepted; verify's reassembly shifts by the exponent.
+    @pytest.mark.parametrize("coefficient, exponent",
+                             [(True, 0), (1.5, 0), ("1", 0), (1, True), (1, 1.5), (1, "1"),
+                              (1, -1)],
+                             ids=["bool", "float", "str", "bool-exponent", "float-exponent",
+                                  "str-exponent", "negative-exponent"])
+    def test_non_integer_term_rejected(self, coefficient, exponent):
+        with pytest.raises(GraphError, match="a term (coefficient|exponent) must be an integer"):
+            DecompositionTerm(coefficient, exponent, cycle(3))
 
     @settings(max_examples=20, deadline=None)
     @given(connected_bipgraphs(max_v=3, max_e=4))

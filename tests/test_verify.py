@@ -360,6 +360,8 @@ class TestReplay:
          "pair": ["e1"], "t": 1},
         {"kind": "recursion", "mode": "parallel_pair", "graph": graph_to_json(cycle(2)),
          "pair": ["e1", "e2"], "t": "1"},
+        {"kind": "recursion", "mode": "parallel_pair", "graph": graph_to_json(cycle(2)),
+         "pair": ["e1", "e2"], "t": True},
         {"kind": "invariance", "mode": "order", "graph": graph_to_json(cycle(2)),
          "order": 5},
         {"kind": "monic", "mode": "ear", "params": [2, 1]},
@@ -370,7 +372,7 @@ class TestReplay:
         {"kind": "negative_control", "control": "corrupted_nothing"},
         {"kind": "negative_control"},
     ], ids=["list", "none", "unhashable-kind", "no-graph", "bad-graph", "bad-which",
-            "pendant-no-vertex", "one-factor", "bad-join", "short-pair", "str-t",
+            "pendant-no-vertex", "one-factor", "bad-join", "short-pair", "str-t", "bool-t",
             "int-order", "ear-no-seed", "multigraph-no-edges", "multigraph-list",
             "multigraph-int-edges", "multigraph-three-ends",
             "unknown-control", "no-control"])
