@@ -135,7 +135,12 @@ class BipGraph(_ReadOnly):
         _check_names(v_names, e_names)
         v_masks = [0] * len(v_names)
         e_masks = [0] * len(e_names)
-        for v, e in adj:
+        for entry in adj:
+            try:
+                v, e = entry
+            except (TypeError, ValueError):
+                raise GraphError(f"an adjacency entry must be a (v, e) pair, "
+                                 f"got {entry!r}") from None
             if not (0 <= _integer(v, "an adjacency index") < len(v_names)
                     and 0 <= _integer(e, "an adjacency index") < len(e_names)):
                 raise GraphError(f"adjacency pair ({v}, {e}) out of range")

@@ -9,28 +9,34 @@ are the integer bases of the polymatroid ``mu``, an M-convex set, so the
 fibre search fixes one entry at a time from the last hyperedge of an order
 to the first: each entry ranges over an interval read off a residual rank
 table, and where it sits in that interval says whether its hyperedge is
-inactive.  The walk closes the set under single valence transfers and
-carries a realizing spanning tree with each hypertree, whose fundamental
-cycles decide every transfer out of it and whose exchange along a shortest
-path gives each new hypertree its own tree; every carried tree is checked
-when its hypertree is expanded.  Its closures give the inactivities under
-any number of orders at once.  :func:`hypertrees_with_inactivity` alone
+inactive.  What lies below an entry depends on its table alone, so the
+search finds the completions of each table once and reuses them, each as
+one int: the hypertree's key in a :class:`HypertreeSet` with its two
+inactivity masks above it.  The walk closes the set under single valence
+transfers and carries a realizing spanning tree with each hypertree, whose
+fundamental cycles decide every transfer out of it and whose exchange along
+a shortest path gives each new hypertree its own tree; every carried tree
+is checked when its hypertree is expanded.  Its closures give the
+inactivities under any number of orders at once.  :func:`_route` alone
 picks the engine: the search for one order on at most :data:`_SEARCH_CAP`
 hyperedges (its table has 2^|E| entries), the walk for any other input.
-The tree search and the brute-force enumerators stay as oracles, so both
-engines can be cross-checked rather than assumed complete.  The search's
-rank table shares no code with the oracle's ``mu_table``, which the
-polymatroid box scan builds once and :func:`is_hypertree_by_polymatroid`
-once per call.  A :class:`HypertreeSet` holds each member packed into one
-int as well, so its membership test, deduplication and sorting work on
-ints, and the probe oracle of :mod:`hytrex.activity` moves valence by
-adding to them.
+Three readers share it: :func:`enumerate_hypertrees` makes the search's
+keys a set as they are, the counts behind ``poly.polynomial_pairs`` are
+read off the mask bits, and :func:`hypertrees_with_inactivity` unpacks
+rows.  The tree search and the brute-force enumerators stay as oracles, so
+both engines can be cross-checked rather than assumed complete.  The
+search's rank table shares no code with the oracle's ``mu_table``, which
+the polymatroid box scan builds once and
+:func:`is_hypertree_by_polymatroid` once per call.  A
+:class:`HypertreeSet` holds each member packed into one int as well, so
+its membership test, deduplication and sorting work on ints, and the probe
+oracle of :mod:`hytrex.activity` moves valence by adding to them.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import deque
+from collections import deque, namedtuple
 from itertools import chain, combinations
 
 from .errors import GraphError
@@ -58,8 +64,26 @@ __all__ = [
 ]
 
 
-# Field widths in bits, narrowest first, and their struct codes.
-_FIELDS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+# The field width of a key, in bits, by the bit length of the largest entry
+# plus two, and the struct code of each width.
+_WIDTHS = (8,) * 9 + (16,) * 8 + (32,) * 16 + (64,) * 32
+_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _width(top: int) -> int:
+    """The field width of the keys of a set whose largest entry is ``top``:
+    the narrowest of 8, 16, 32 and 64 bits that holds ``top + 2``."""
+    bits = (top + 2).bit_length()
+    if bits >= len(_WIDTHS):
+        raise GraphError(f"hypertree entries must fit 64 bits with room for two more, got {top}")
+    return _WIDTHS[bits]
+
+
+def _layout(width: int, n: int) -> tuple[struct.Struct, tuple[int, ...]]:
+    """The struct that packs ``n`` fields of ``width`` bits big-endian, and
+    the units: the key of the vector with a single 1, at each field."""
+    return (struct.Struct(f">{n}{_CODES[width]}"),
+            tuple([1 << width * (n - 1 - e) for e in range(n)]))
 
 
 class HypertreeSet(_ReadOnly):
@@ -87,18 +111,30 @@ class HypertreeSet(_ReadOnly):
         lengths = set(map(len, vs))
         if len(lengths) > 1:
             raise GraphError(f"hypertree vectors must all have one length, got {sorted(lengths)}")
-        width = next((w for w in _FIELDS if top + 2 < 1 << w), None)
-        if width is None:
-            raise GraphError(f"hypertree entries must fit 64 bits with room for two more, got {top}")
-        n = lengths.pop() if lengths else 0
-        pack = struct.Struct(f">{n}{_FIELDS[width]}").pack
-        by_key = {int.from_bytes(pack(*v), "big"): v for v in vs}
+        layout = _layout(_width(top), lengths.pop() if lengths else 0)
+        pack = layout[0].pack
+        self._settle({int.from_bytes(pack(*v), "big") for v in vs}, top, *layout)
+
+    @classmethod
+    def _from_keys(cls, keys, top: int, layout) -> "HypertreeSet":
+        """The set of the vectors with keys ``keys``, packed by ``layout``
+        (see :func:`_layout`) for a set whose largest entry is ``top``;
+        nothing is checked."""
+        self = cls.__new__(cls)
+        self._settle(keys, top, *layout)
+        return self
+
+    def _settle(self, keys, top, fields, units):
+        """The tail of every construction: sort the keys, unpack the
+        vectors with the struct ``fields`` and fill the slots."""
+        keys = sorted(keys)
+        size, unpack = fields.size, fields.unpack
         set_field = object.__setattr__
-        set_field(self, "vectors", tuple(by_key[k] for k in sorted(by_key)))
-        set_field(self, "_keys", frozenset(by_key))
-        set_field(self, "_units", tuple(1 << width * (n - 1 - e) for e in range(n)))
+        set_field(self, "vectors", tuple([unpack(k.to_bytes(size, "big")) for k in keys]))
+        set_field(self, "_keys", frozenset(keys))
+        set_field(self, "_units", units)
         set_field(self, "_top", top)
-        set_field(self, "_pack", pack)
+        set_field(self, "_pack", fields.pack)
 
     def _key(self, f):
         """The key of ``f``, or None when ``f`` does not pack (a wrong
@@ -254,42 +290,89 @@ def _within_ranks(table, f) -> bool:
 
 
 def enumerate_hypertrees(g: BipGraph) -> HypertreeSet:
-    """All hypertrees of ``g``, from :func:`hypertrees_with_inactivity`
-    under the input order.  No membership test runs, and nothing is cached:
-    every call enumerates the hypertrees afresh, and the polynomials do not
-    need the set at all."""
-    return HypertreeSet(f for f, _ in hypertrees_with_inactivity(g, [None]))
+    """All hypertrees of ``g``, from the engine :func:`_route` picks for the
+    input order; the fibre search's keys become the set as they are.  No
+    membership test runs, and nothing is cached: every call enumerates the
+    hypertrees afresh, and the polynomials do not need the set at all."""
+    _, found = _route(g, [None])
+    if isinstance(found, _Search):
+        return _searched_set(g, found)
+    return HypertreeSet(f for f, _ in found)
 
 
 def hypertrees_with_inactivity(g: BipGraph, orders):
-    """Yield ``(f, sets)`` for every hypertree ``f`` of ``g``, in the order
-    the engine finds them, where ``sets[i]`` is the pair of bitmasks of the
-    internally and externally inactive hyperedges of ``f`` under
-    ``orders[i]`` (None is the input order).  One order on at most
-    :data:`_SEARCH_CAP` hyperedges is served by the fibre search; any other
-    input by one walk for every order (:func:`_inactive_sets`)."""
-    orders = [normalize_edge_order(g, order) for order in orders]
-    if len(orders) == 1 and g.n_e <= _SEARCH_CAP:
-        for f, internal, external in _fibres(g, orders[0]):
+    """Yield ``(f, sets)`` for every hypertree ``f`` of ``g``, where
+    ``sets[i]`` is the pair of bitmasks of the internally and externally
+    inactive hyperedges of ``f`` under ``orders[i]`` (None is the input
+    order).  The fibre search's rows come in lexicographic order, the
+    walk's in the order it finds them; :func:`_route` picks the engine."""
+    orders, found = _route(g, orders)
+    if isinstance(found, _Search):
+        for f, internal, external in _rows(g, found):
             yield f, [(internal, external)]
         return
-    for f, reach in _walk(g):
+    for f, reach in found:
         yield f, [_inactive_sets(reach, order) for order in orders]
+
+
+def _inactivity_counts(g: BipGraph, orders) -> list[tuple[list[int], list[int]]]:
+    """Per order of ``orders`` (None is the input order), the number of
+    hypertrees of ``g`` with each number of internally and of externally
+    inactive hyperedges, as two lists indexed by that number.  The fibre
+    search's counts are read off the mask bits of its keys."""
+    orders, found = _route(g, orders)
+    n = g.n_e
+    counts = [([0] * (n + 1), [0] * (n + 1)) for _ in orders]
+    if isinstance(found, _Search):
+        _searched_set(g, found)  # for its checks
+        interior, exterior = counts[0]
+        low = (1 << n) - 1
+        for masks in map(found.shift.__rrshift__, found.keys):
+            interior[(masks & low).bit_count()] += 1
+            exterior[(masks >> n).bit_count()] += 1
+        return counts
+    for _, reach in found:
+        for (interior, exterior), order in zip(counts, orders):
+            internal, external = _inactive_sets(reach, order)
+            interior[internal.bit_count()] += 1
+            exterior[external.bit_count()] += 1
+    return counts
+
+
+def _route(g: BipGraph, orders):
+    """``(orders, found)``, each order normalised: the one place an engine
+    is chosen.  One order on at most :data:`_SEARCH_CAP` hyperedges is
+    served by the fibre search, and ``found`` is its :class:`_Search`; any
+    other input by the walk, and ``found`` is its generator, whose closures
+    give every order at once (:func:`_inactive_sets`)."""
+    orders = [normalize_edge_order(g, order) for order in orders]
+    if len(orders) == 1 and g.n_e <= _SEARCH_CAP:
+        return orders, _fibres(g, orders[0])
+    return orders, _walk(g)
 
 
 # Largest |E| the fibre search serves; the walk takes larger graphs.  The
 # search's rank table has 2^|E| entries.  On a 2-core CPython 3.11 host, with
-# the components-based table, the 112 polys items of seed 1 took 5.7 s with
-# the walk alone and 1.30, 1.01, 0.57, 0.60 and 0.90 s with the search up to
-# |E| = 10 ... 14 (seed 2: 5.0 s, then 1.21, 0.79, 0.63, 0.85 and 0.93 s); with
-# the DP table, cycle(16) takes 48-71 ms to build it and 1.1-1.4 ms to walk.
+# the memoised search, the 112 polys items of seed 1 took 4.11 s with the
+# walk alone and 1.18, 0.78, 0.58, 0.62, 0.66 and 0.79 s with the search up
+# to |E| = 10, 11, 12, 13, 14 and 16 (seed 2: 4.20 s, then 1.10, 0.75, 0.58,
+# 0.62, 0.65 and 0.74 s; best of two passes each); cycle(16) takes 39-40 ms
+# by the search and 0.7 ms by the walk.
 _SEARCH_CAP = 12
 
 
+# What the fibre search finds: ``keys`` holds one int per hypertree (see
+# _fibres), whose bits from ``shift`` up are the inactivity masks and whose
+# bits below are the key of the hypertree in a HypertreeSet with largest
+# entry ``top`` and ``layout`` (see _layout).
+_Search = namedtuple("_Search", "keys top shift layout")
+
+
 def _fibres(g: BipGraph, order):
-    """Yield ``(f, internal, external)`` for every hypertree ``f`` of ``g``,
-    with the bitmasks of its internally and externally inactive hyperedges
-    under ``order`` (a validated order on E).
+    """The :class:`_Search` of ``g`` under ``order`` (a validated order on
+    E): one int per hypertree ``f``, holding the key :class:`HypertreeSet`
+    gives ``f`` plus the bitmasks of its internally and of its externally
+    inactive hyperedges under ``order``, shifted up past the key.
 
     Entries are fixed from ``order[-1]`` down to ``order[0]``.  With the
     entries after position ``k`` fixed, the free positions ``0..k`` carry a
@@ -300,53 +383,88 @@ def _fibres(g: BipGraph, order):
     position ``k`` capped at ``t``.  By the exchange axiom of M-convex sets,
     valence can move from ``order[k]`` to an earlier hyperedge exactly when
     ``t`` is above the bottom of its interval, and can arrive from one
-    exactly when ``t`` is below the top.  A leaf is checked to sum to
-    |V| - 1, and an empty interval is an internal error, as neither can
-    happen on a rank table.
+    exactly when ``t`` is below the top.  What lies below a position depends
+    on its table alone (Murota, Discrete Convex Analysis, ch. 6), so the
+    completions of each table from position 2 up are found once and reused:
+    a parent adds its own entry and mask bits to each.  Each position sets
+    only its own field and its own bits, so the additions never carry.  An
+    empty interval, or position 0 with more than one value, is an internal
+    error, as neither can happen on a rank table; the leaves' sums are
+    checked on the output (:func:`_searched_set`).
     """
     _require_connected(g, "hypertree enumeration")
-    order = tuple(order)
-    target, first = g.n_v - 1, order[0]
-    vec = [0] * g.n_e
+    n = g.n_e
+    table = _rank_table([g.e_masks[e] for e in order])
+    top = max([table[1 << k] for k in range(n)])
+    width = _width(top)
+    layout = _layout(width, n)
+    unit, shift = layout[1], width * n
+    inner, outer = 1 << shift, 1 << shift + n
+    last = unit[order[0]]
+    memo = {}
 
-    def leaf(c0, c1, internal, external):
-        # Position 0 alone is left, with the table [c0, c1]: its interval
-        # [c1 - c0, c1] is the one value c1, and order[0] is never inactive.
-        if c0:
-            raise RuntimeError(f"internal error: position 0 of order {order} "
-                               f"ranges over [{c1 - c0}, {c1}], not one value")
-        vec[first] = c1
-        if sum(vec) != target:
-            raise RuntimeError(f"internal error: fibre leaf {vec} does not "
-                               f"sum to |V| - 1 = {target}")
-        return tuple(vec), internal, external
-
-    def fibre(k, table, internal, external):
+    def fibre(table):
         half = len(table) >> 1
         lo, hi = table[-1] - table[half - 1], table[half]
-        if lo > hi:
-            raise RuntimeError(f"internal error: the entries after position {k} "
-                               f"of order {order} leave no value for position {k}")
+        k = half.bit_length() - 1
+        if lo > hi or not k and lo < hi:
+            raise RuntimeError(f"internal error: the entries after position {k} of "
+                               f"order {order} leave [{lo}, {hi}] for position {k}")
         e = order[k]
-        bit = 1 << e
+        one, inside, outside = unit[e], inner << e, outer << e
         upper = table[half:]
+        out = []
         for t in range(lo, hi + 1):
-            vec[e] = t
-            inside = internal | bit if t > lo else internal
-            outside = external | bit if t < hi else external
+            step = t * one + (inside if t > lo else 0) + (outside if t < hi else 0)
             if k > 1:
-                yield from fibre(k - 1, [a if a < b - t else b - t
-                                         for a, b in zip(table, upper)],
-                                 inside, outside)
-            else:  # the child table of position 0, inlined: the hot case
-                yield leaf(table[0] if table[0] < table[2] - t else table[2] - t,
-                           table[1] if table[1] < table[3] - t else table[3] - t,
-                           inside, outside)
+                child = tuple([a if a < b - t else b - t for a, b in zip(table, upper)])
+                if k > 2:
+                    below = memo.get(child)
+                    if below is None:
+                        below = memo[child] = fibre(child)
+                else:  # position 1 is searched afresh; a memo there measured no faster
+                    below = fibre(child)
+                out.extend(map(step.__add__, below))
+            elif k:  # position 0 is left with [c0, c1]: one value, c1, when c0 is 0
+                c0 = table[0] if table[0] < table[2] - t else table[2] - t
+                c1 = table[1] if table[1] < table[3] - t else table[3] - t
+                if c0:
+                    raise RuntimeError(f"internal error: position 0 of order {order} "
+                                       f"ranges over [{c1 - c0}, {c1}], not one value")
+                out.append(step + c1 * last)
+            else:  # |E| = 1: the root is position 0
+                out.append(step)
+        return out
 
-    table = _rank_table([g.e_masks[e] for e in order])
-    if g.n_e == 1:
-        return iter([leaf(*table, 0, 0)])
-    return fibre(g.n_e - 1, table, 0, 0)
+    try:
+        return _Search(fibre(table), top, shift, layout)
+    finally:
+        del fibre  # the closure refers to itself; leave no cycle behind
+
+
+def _searched_set(g: BipGraph, found) -> HypertreeSet:
+    """The :class:`HypertreeSet` of the fibre search's ``found``, after the
+    checks that stand in for the leaves': no key repeats, and every vector
+    sums to |V| - 1, which a field carried into its neighbour breaks too."""
+    keys = found.keys
+    b = HypertreeSet._from_keys(map(((1 << found.shift) - 1).__and__, keys), found.top,
+                                found.layout)
+    if len(b._keys) != len(keys) or set(map(sum, b.vectors)) != {g.n_v - 1}:
+        raise RuntimeError(f"internal error: the fibre search found {len(keys)} "
+                           f"vectors, {len(b._keys)} distinct, with sums "
+                           f"{sorted(set(map(sum, b.vectors)))}, not all |V| - 1 = {g.n_v - 1}")
+    return b
+
+
+def _rows(g: BipGraph, found):
+    """``(f, internal, external)`` for every hypertree ``f`` the fibre
+    search found, in lexicographic order, with its two inactivity masks."""
+    vectors = _searched_set(g, found).vectors
+    n, shift = g.n_e, found.shift
+    low = (1 << n) - 1
+    for f, key in zip(vectors, sorted(found.keys, key=((1 << shift) - 1).__and__)):
+        masks = key >> shift
+        yield f, masks & low, masks >> n
 
 
 def _rank_table(masks) -> list[int]:

@@ -25,8 +25,8 @@ from .graph import (
     _integers,
     _require_connected,
 )
-from .activity import external_active_flags, internal_active_flags
-from .hypertrees import HypertreeSet, hypertrees_with_inactivity
+from .activity import _probe_counts
+from .hypertrees import HypertreeSet, _inactivity_counts
 
 __all__ = [
     "IntPoly",
@@ -269,22 +269,21 @@ def interior_polynomial(g: BipGraph, order=None, hypertrees=None) -> IntPoly:
     set it is handed.  Its vectors must have one entry per hyperedge; an
     iterable of vectors that is not a :class:`HypertreeSet` is counted as
     the set of them."""
-    return _inactivity_polynomial(g, order, hypertrees, internal_active_flags, "interior")
+    return _inactivity_polynomial(g, order, hypertrees, "interior")
 
 
 def exterior_polynomial(g: BipGraph, order=None, hypertrees=None) -> IntPoly:
     """Sum of y^(external inactivity) over all hypertrees, with the E class
     acting as the hyperedges (pass ``abstract_dual(g)`` for the V class).
     ``hypertrees`` is handled as in :func:`interior_polynomial`."""
-    return _inactivity_polynomial(g, order, hypertrees, external_active_flags, "exterior")
+    return _inactivity_polynomial(g, order, hypertrees, "exterior")
 
 
-def _inactivity_polynomial(g: BipGraph, order, hypertrees, flags_fn, what: str) -> IntPoly:
+def _inactivity_polynomial(g: BipGraph, order, hypertrees, what: str) -> IntPoly:
     """Count the hypertrees by their number of inactive hyperedges: from an
-    enumeration engine, or over ``hypertrees`` with ``flags_fn(b, f, order)`` giving one
-    activity flag per hyperedge."""
+    enumeration engine, or over ``hypertrees`` by the probes of
+    :mod:`hytrex.activity`, one pass over the whole set."""
     _require_connected(g, f"the {what} polynomial")
-    # The flags get the caller's None: the input order needs no check per hypertree.
     order = None if order is None else normalize_edge_order(g, order)
     if hypertrees is None:
         pair = polynomial_pair(g) if order in (None, tuple(range(g.n_e))) else (
@@ -295,25 +294,17 @@ def _inactivity_polynomial(g: BipGraph, order, hypertrees, flags_fn, what: str) 
     if hypertrees and len(hypertrees.vectors[0]) != g.n_e:
         raise GraphError(f"hypertree vectors have length {len(hypertrees.vectors[0])}, "
                          f"expected {g.n_e}")
-    coeffs = [0] * (g.n_e + 1)
-    for f in hypertrees:
-        flags = flags_fn(hypertrees, f, order)
-        coeffs[len(flags) - sum(flags)] += 1
-    return IntPoly(coeffs)
+    return IntPoly(_probe_counts(hypertrees, order, what == "exterior"))
 
 
 def polynomial_pairs(g: BipGraph, orders) -> list[tuple[IntPoly, IntPoly]]:
     """``(I, X)`` of ``g`` under each order of ``orders`` (None is the input
-    order), all counted from one enumeration, which
-    :func:`hypertrees.hypertrees_with_inactivity` chooses.  The polynomials
-    do not depend on the order; the orders are there to check that they do
-    not."""
-    counts = [([0] * (g.n_e + 1), [0] * (g.n_e + 1)) for _ in orders]
-    for _, sets in hypertrees_with_inactivity(g, orders):
-        for (interior, exterior), (internal, external) in zip(counts, sets):
-            interior[internal.bit_count()] += 1
-            exterior[external.bit_count()] += 1
-    return [(IntPoly(interior), IntPoly(exterior)) for interior, exterior in counts]
+    order), all counted from one enumeration, which :mod:`hytrex.hypertrees`
+    chooses; the fibre search's are read off the mask bits of its keys.  The
+    polynomials do not depend on the order; the orders are there to check
+    that they do not."""
+    return [(IntPoly(interior), IntPoly(exterior))
+            for interior, exterior in _inactivity_counts(g, orders)]
 
 
 # Input-order (I, X) by graph while a pair_memo() block is open in this

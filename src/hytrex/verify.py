@@ -445,7 +445,7 @@ def _invariance_check(corpus, seed: int, orders_per_graph: int):
                 orders.append(order)
             # With None first this call always has several orders, so it
             # takes the walk even where polynomial_pair's one order takes
-            # the fibre search (see hypertrees.hypertrees_with_inactivity).
+            # the fibre search (see the routing in hytrex.hypertrees).
             base = polynomial_pair(g)
             _, *others = polynomial_pairs(g, [None] + orders)
             for order, other in zip(orders, others):

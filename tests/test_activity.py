@@ -97,19 +97,19 @@ class TestProbeFlags:
                     flags(b, f, order)
 
     def test_the_probe_path_hands_the_flags_the_callers_order(self, monkeypatch):
-        # The input order is not checked once per hypertree: None reaches
-        # the flags as None.
-        seen = set()
-        for name in ("internal_active_flags", "external_active_flags"):
-            monkeypatch.setattr(poly, name, lambda b, f, order, flags=getattr(poly, name):
-                                seen.add(order) or flags(b, f, order))
+        # The order is normalised once per set, not once per hypertree: each
+        # polynomial counts its set in one call, and None reaches it as None.
+        seen = []
+        count = poly._probe_counts
+        monkeypatch.setattr(poly, "_probe_counts", lambda b, order, external:
+                            seen.append((order, external)) or count(b, order, external))
         g = cycle(3)
         b = enumerate_hypertrees(g)
         for order, expected in ((None, None), ([2, 0, 1], (2, 0, 1))):
             seen.clear()
             assert (poly.interior_polynomial(g, order, hypertrees=b),
                     poly.exterior_polynomial(g, order, hypertrees=b)) == poly.polynomial_pair(g)
-            assert seen == {expected}
+            assert seen == [(expected, False), (expected, True)]
 
     @settings(max_examples=30, deadline=None)
     @given(connected_bipgraphs())

@@ -61,10 +61,18 @@ class TestBuild:
         with pytest.raises(GraphError):
             build_bipartite(["v1", "v1"], ["e1"], [])
 
-    @pytest.mark.parametrize("pair", [(1.5, 0), (True, 0), ("0", 0), (0, 0.0), (0, None)],
-                             ids=["float", "bool", "str", "float-e", "None-e"])
-    def test_non_integer_index_rejected(self, pair):
-        with pytest.raises(GraphError, match="an adjacency index must be an integer"):
+    @pytest.mark.parametrize("pair, message", [
+        ((1.5, 0), "an adjacency index must be an integer, got 1.5"),
+        ((True, 0), "an adjacency index must be an integer, got True"),
+        (("0", 0), "an adjacency index must be an integer, got '0'"),
+        ((0, 0.0), "an adjacency index must be an integer, got 0.0"),
+        ((0, None), "an adjacency index must be an integer, got None"),
+        ((0, 0, 0), r"an adjacency entry must be a \(v, e\) pair, got \(0, 0, 0\)"),
+        ((0,), r"an adjacency entry must be a \(v, e\) pair, got \(0,\)"),
+        (5, r"an adjacency entry must be a \(v, e\) pair, got 5")],
+        ids=["float", "bool", "str", "float-e", "None-e", "triple", "single", "int"])
+    def test_non_integer_index_rejected(self, pair, message):
+        with pytest.raises(GraphError, match=message):
             BipGraph(("a", "b"), ("e",), [pair, (0, 0)])
 
     @pytest.mark.parametrize("order", [[2.9, 0.2, 1.5], ["x", "0", "1"], ["2", "0", "1"],

@@ -1,6 +1,7 @@
 """Hypertree membership oracles, enumeration, tightness, transfers."""
 
 import copy
+import gc
 import hashlib
 import json
 import pickle
@@ -416,7 +417,7 @@ def _engines(g):
     """``(hypertrees, I, X)`` in the input order from the fibre search and
     from the walk, each driven directly whatever |E| is."""
     natural = tuple(range(g.n_e))
-    search = [(f, i, x) for f, i, x in hypertrees._fibres(g, natural)]
+    search = list(hypertrees._rows(g, hypertrees._fibres(g, natural)))
     walk = [(f, *hypertrees._inactive_sets(reach, natural))
             for f, reach in hypertrees._walk(g)]
     out = []
@@ -476,8 +477,8 @@ def _record(monkeypatch, name, calls):
 
 
 class TestRouting:
-    """``hypertrees_with_inactivity`` is the one place an engine is chosen,
-    and every fast reader of the engines goes through it."""
+    """``_route`` is the one place an engine is chosen, and every fast
+    reader of the engines goes through it."""
 
     @pytest.mark.parametrize("rungs, reverse_too, engine", [
         (hypertrees._SEARCH_CAP - 1, False, "_fibres"),
@@ -497,13 +498,13 @@ class TestRouting:
         assert {len(sets) for _, sets in found} == {len(orders)}
 
     def test_every_reader_reaches_the_routine(self, monkeypatch, capsys):
-        routine, calls, inside = hypertrees_with_inactivity, [], []
+        routine, calls, inside = hypertrees._route, [], []
 
         def traced(g, orders):
             calls.append(len(orders))
             inside.append(g)
             try:
-                yield from routine(g, orders)
+                return routine(g, orders)
             finally:
                 inside.pop()
 
@@ -515,7 +516,7 @@ class TestRouting:
             engine = getattr(hypertrees, name)
 
             def guarded(*args, engine=engine):
-                assert inside, "an engine ran outside hypertrees_with_inactivity"
+                assert inside, "an engine ran outside _route"
                 return engine(*args)
 
             monkeypatch.setattr(hypertrees, name, guarded)
@@ -527,11 +528,51 @@ class TestRouting:
         assert calls == [1, 2, 1]
 
     def test_no_other_module_names_the_engines(self):
-        private = re.compile(r"\b(?:_SEARCH_CAP|_fibres|_walk|_inactive_sets)\b")
+        private = re.compile(r"\b(?:_SEARCH_CAP|_route|_fibres|_walk|_inactive_sets)\b")
         named = {path.name: sorted(set(private.findall(path.read_text())))
                  for path in Path(hypertrees.__file__).parent.glob("*.py")
                  if path.name != "hypertrees.py"}
         assert {name: found for name, found in named.items() if found} == {}
+
+
+# The three readers of the engine _route picks, each called on a graph.
+_EVERY_READER = pytest.mark.parametrize("read", [
+    enumerate_hypertrees, poly.polynomial_pair,
+    lambda g: list(hypertrees_with_inactivity(g, [None]))],
+    ids=["enumerate_hypertrees", "polynomial_pair", "hypertrees_with_inactivity"])
+
+
+@pytest.mark.parametrize("g", [ladder(4), complete_bipartite(2, hypertrees._SEARCH_CAP + 1)],
+                         ids=["search", "walk"])
+@_EVERY_READER
+def test_an_enumeration_leaves_no_cyclic_garbage(g, read):
+    # Everything an engine builds, its memo included, is freed by reference
+    # counting as soon as the call returns, not at the next collection.
+    gc.collect()
+    gc.disable()
+    try:
+        read(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@_EVERY_READER
+@pytest.mark.parametrize("corrupt", [
+    lambda keys, unit: keys + keys[:1],
+    lambda keys, unit: [keys[0] + unit[-1]] + keys[1:]],
+    ids=["repeated-key", "entry-one-up"])
+def test_every_reader_checks_the_search_output(monkeypatch, read, corrupt):
+    # The leaves' checks, made in bulk: no key twice, every sum |V| - 1.
+    search = hypertrees._fibres
+
+    def wrong(g, order):
+        found = search(g, order)
+        return found._replace(keys=corrupt(found.keys, found.layout[1]))
+
+    monkeypatch.setattr(hypertrees, "_fibres", wrong)
+    with pytest.raises(RuntimeError, match="internal error"):
+        read(cycle(3))
 
 
 def _off_by_one(monkeypatch, subset, delta):

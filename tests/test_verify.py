@@ -460,6 +460,15 @@ FAULTS = [
      lambda mp: _edit_source(mp, hypertrees, "_fibres",
                              "if t > lo else", "if t > lo + 1 else"),
      _run("enumeration_oracles")),
+    # Every completion of a reused memo entry gains the internal-inactivity
+    # bit of order[0], which the rule never sets.  No table is reused below
+    # |V| + |E| = 7, so the census to 7 is the corpus.
+    ({"kind": "enumeration", "mode": "activity",
+      "detail": "inactivities read off the enumeration engine disagree with membership "
+                "probes of the polymatroid scan"},
+     lambda mp: _edit_source(mp, hypertrees, "_fibres", "below = memo.get(child)",
+                             "below = memo.get(child); step += inner if below else 0"),
+     _run("enumeration_oracles", corpus=exhaustive_connected_bipartite(7))),
     ({"kind": "interpolating", "which": "exterior"},
      lambda mp: _wrap(mp, verify, "exterior_polynomial",
                       lambda p, *args, **kwargs: IntPoly((1, 0) + p.coeffs[1:])),
