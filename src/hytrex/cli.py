@@ -190,7 +190,7 @@ def _cmd_hypertrees(args) -> int:
     rows = [{"f": list(f),
              "internal_inactivity": internal.bit_count(),
              "external_inactivity": external.bit_count()}
-            for f, [(internal, external)] in sorted(hypertrees_with_inactivity(g, [order]))]
+            for f, [(internal, external)] in hypertrees_with_inactivity(g, [order])]
     if args.as_json:
         out = {"order": [g.e_names[e] for e in order], "hypertrees": rows}
         print(json.dumps(out, separators=(",", ":")))

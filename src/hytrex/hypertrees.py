@@ -10,19 +10,20 @@ fibre search fixes one entry at a time from the last hyperedge of an order
 to the first: each entry ranges over an interval read off a residual rank
 table, and where it sits in that interval says whether its hyperedge is
 inactive.  What lies below an entry depends on its table alone, so the
-search finds the completions of each table once and reuses them, each as
-one int: the hypertree's key in a :class:`HypertreeSet` with its two
-inactivity masks above it.  The walk closes the set under single valence
-transfers and carries a realizing spanning tree with each hypertree, whose
-fundamental cycles decide every transfer out of it and whose exchange along
-a shortest path gives each new hypertree its own tree; every carried tree
-is checked when its hypertree is expanded.  Its closures give the
-inactivities under any number of orders at once.  :func:`_route` alone
-picks the engine: the search for one order on at most :data:`_SEARCH_CAP`
-hyperedges (its table has 2^|E| entries), the walk for any other input.
-Three readers share it: :func:`enumerate_hypertrees` makes the search's
-keys a set as they are, the counts behind ``poly.polynomial_pairs`` are
-read off the mask bits, and :func:`hypertrees_with_inactivity` unpacks
+search finds the completions of each table once and reuses them.  The walk
+closes the set under single valence transfers and carries a realizing
+spanning tree with each hypertree, whose fundamental cycles decide every
+transfer out of it and whose exchange along a shortest path gives each new
+hypertree its own tree; every carried tree is checked when its hypertree is
+expanded.  Its closures give the inactivities under any number of orders at
+once.  Both engines give one output, a :data:`_Search`: one int per
+hypertree, its key in a :class:`HypertreeSet` with its two inactivity masks
+per order above it.  :func:`_route` alone picks the engine: the search for
+one order on at most :data:`_SEARCH_CAP` hyperedges (its table has 2^|E|
+entries), the walk for any other input.  Its three readers read either
+engine's output one way: :func:`enumerate_hypertrees` makes the keys a set
+as they are, the counts behind ``poly.polynomial_pairs`` are read off the
+mask bits, and :func:`hypertrees_with_inactivity` unpacks lexicographic
 rows.  The tree search and the brute-force enumerators stay as oracles, so
 both engines can be cross-checked rather than assumed complete.  The
 search's rank table shares no code with the oracle's ``mu_table``, which
@@ -291,64 +292,59 @@ def _within_ranks(table, f) -> bool:
 
 def enumerate_hypertrees(g: BipGraph) -> HypertreeSet:
     """All hypertrees of ``g``, from the engine :func:`_route` picks for the
-    input order; the fibre search's keys become the set as they are.  No
+    input order; the engine's keys become the set as they are.  No
     membership test runs, and nothing is cached: every call enumerates the
     hypertrees afresh, and the polynomials do not need the set at all."""
-    _, found = _route(g, [None])
-    if isinstance(found, _Search):
-        return _searched_set(g, found)
-    return HypertreeSet(f for f, _ in found)
+    return _searched_set(g, _route(g, [None])[1])
 
 
 def hypertrees_with_inactivity(g: BipGraph, orders):
-    """Yield ``(f, sets)`` for every hypertree ``f`` of ``g``, where
-    ``sets[i]`` is the pair of bitmasks of the internally and externally
-    inactive hyperedges of ``f`` under ``orders[i]`` (None is the input
-    order).  The fibre search's rows come in lexicographic order, the
-    walk's in the order it finds them; :func:`_route` picks the engine."""
+    """Yield ``(f, sets)`` for every hypertree ``f`` of ``g`` in
+    lexicographic order, where ``sets[i]`` is the pair of bitmasks of the
+    internally and externally inactive hyperedges of ``f`` under
+    ``orders[i]`` (None is the input order)."""
     orders, found = _route(g, orders)
-    if isinstance(found, _Search):
-        for f, internal, external in _rows(g, found):
-            yield f, [(internal, external)]
-        return
-    for f, reach in found:
-        yield f, [_inactive_sets(reach, order) for order in orders]
+    vectors = _searched_set(g, found).vectors
+    n, shift = g.n_e, found.shift
+    low = (1 << n) - 1
+    spans = range(0, 2 * n * len(orders), 2 * n)
+    for f, key in zip(vectors, sorted(found.keys, key=((1 << shift) - 1).__and__)):
+        masks = key >> shift
+        yield f, [(masks >> at & low, masks >> at + n & low) for at in spans]
 
 
 def _inactivity_counts(g: BipGraph, orders) -> list[tuple[list[int], list[int]]]:
     """Per order of ``orders`` (None is the input order), the number of
     hypertrees of ``g`` with each number of internally and of externally
-    inactive hyperedges, as two lists indexed by that number.  The fibre
-    search's counts are read off the mask bits of its keys."""
+    inactive hyperedges, as two lists indexed by that number, read off the
+    mask bits of the engine's keys."""
     orders, found = _route(g, orders)
-    n = g.n_e
-    counts = [([0] * (n + 1), [0] * (n + 1)) for _ in orders]
-    if isinstance(found, _Search):
-        _searched_set(g, found)  # for its checks
-        interior, exterior = counts[0]
-        low = (1 << n) - 1
-        for masks in map(found.shift.__rrshift__, found.keys):
+    _searched_set(g, found)  # for its checks
+    n, shift = g.n_e, found.shift
+    low = (1 << n) - 1
+    counts = []
+    for at in range(shift, shift + 2 * n * len(orders), 2 * n):
+        interior, exterior = [0] * (n + 1), [0] * (n + 1)
+        for masks in map(at.__rrshift__, found.keys):
             interior[(masks & low).bit_count()] += 1
-            exterior[(masks >> n).bit_count()] += 1
-        return counts
-    for _, reach in found:
-        for (interior, exterior), order in zip(counts, orders):
-            internal, external = _inactive_sets(reach, order)
-            interior[internal.bit_count()] += 1
-            exterior[external.bit_count()] += 1
+            exterior[(masks >> n & low).bit_count()] += 1
+        counts.append((interior, exterior))
     return counts
 
 
 def _route(g: BipGraph, orders):
-    """``(orders, found)``, each order normalised: the one place an engine
-    is chosen.  One order on at most :data:`_SEARCH_CAP` hyperedges is
-    served by the fibre search, and ``found`` is its :class:`_Search`; any
-    other input by the walk, and ``found`` is its generator, whose closures
-    give every order at once (:func:`_inactive_sets`)."""
+    """``(orders, found)``, each order normalised and ``found`` the
+    :data:`_Search` of the one engine that serves them: the one place an
+    engine is chosen.  One order on at most :data:`_SEARCH_CAP` hyperedges
+    goes to the fibre search; any other input to the walk, whose closures
+    give every order at once.  ``orders`` is a collection of orders, not
+    None, a string or a single value."""
+    if isinstance(orders, str) or not hasattr(orders, "__iter__"):
+        raise GraphError(f"orders must be a collection of orders on E, got {orders!r}")
     orders = [normalize_edge_order(g, order) for order in orders]
     if len(orders) == 1 and g.n_e <= _SEARCH_CAP:
         return orders, _fibres(g, orders[0])
-    return orders, _walk(g)
+    return orders, _walk(g, orders)
 
 
 # Largest |E| the fibre search serves; the walk takes larger graphs.  The
@@ -361,15 +357,16 @@ def _route(g: BipGraph, orders):
 _SEARCH_CAP = 12
 
 
-# What the fibre search finds: ``keys`` holds one int per hypertree (see
-# _fibres), whose bits from ``shift`` up are the inactivity masks and whose
-# bits below are the key of the hypertree in a HypertreeSet with largest
-# entry ``top`` and ``layout`` (see _layout).
+# What an engine finds: ``keys`` holds one int per hypertree, whose bits
+# below ``shift`` are its key in a HypertreeSet with largest entry ``top``
+# and ``layout`` (see _layout), and whose bits from ``shift`` up hold 2|E|
+# per order of the call, in order: the internal inactivity mask, then the
+# external one.
 _Search = namedtuple("_Search", "keys top shift layout")
 
 
 def _fibres(g: BipGraph, order):
-    """The :class:`_Search` of ``g`` under ``order`` (a validated order on
+    """The :data:`_Search` of ``g`` under ``order`` (a validated order on
     E): one int per hypertree ``f``, holding the key :class:`HypertreeSet`
     gives ``f`` plus the bitmasks of its internally and of its externally
     inactive hyperedges under ``order``, shifted up past the key.
@@ -443,28 +440,18 @@ def _fibres(g: BipGraph, order):
 
 
 def _searched_set(g: BipGraph, found) -> HypertreeSet:
-    """The :class:`HypertreeSet` of the fibre search's ``found``, after the
-    checks that stand in for the leaves': no key repeats, and every vector
-    sums to |V| - 1, which a field carried into its neighbour breaks too."""
+    """The :class:`HypertreeSet` of an engine's ``found``, after the checks
+    that stand in for the search's leaves and back the walk's: no key
+    repeats, and every vector sums to |V| - 1, which a field carried into
+    its neighbour breaks too."""
     keys = found.keys
     b = HypertreeSet._from_keys(map(((1 << found.shift) - 1).__and__, keys), found.top,
                                 found.layout)
     if len(b._keys) != len(keys) or set(map(sum, b.vectors)) != {g.n_v - 1}:
-        raise RuntimeError(f"internal error: the fibre search found {len(keys)} "
+        raise RuntimeError(f"internal error: the enumeration found {len(keys)} "
                            f"vectors, {len(b._keys)} distinct, with sums "
                            f"{sorted(set(map(sum, b.vectors)))}, not all |V| - 1 = {g.n_v - 1}")
     return b
-
-
-def _rows(g: BipGraph, found):
-    """``(f, internal, external)`` for every hypertree ``f`` the fibre
-    search found, in lexicographic order, with its two inactivity masks."""
-    vectors = _searched_set(g, found).vectors
-    n, shift = g.n_e, found.shift
-    low = (1 << n) - 1
-    for f, key in zip(vectors, sorted(found.keys, key=((1 << shift) - 1).__and__)):
-        masks = key >> shift
-        yield f, masks & low, masks >> n
 
 
 def _rank_table(masks) -> list[int]:
@@ -492,16 +479,19 @@ def _rank_table(masks) -> list[int]:
     return table
 
 
-def _walk(g: BipGraph):
-    """Yield ``(f, reach)`` for every hypertree ``f`` in breadth-first order.
+def _walk(g: BipGraph, orders):
+    """The :data:`_Search` of ``g`` under every order of ``orders`` (each a
+    validated order on E), its keys in breadth-first order.
 
-    ``reach`` is the closure of :func:`_closure`.  The walk starts at the
+    The inactivities of each hypertree come from its closure (see
+    :func:`_closure` and :func:`_inactive_sets`).  The walk starts at the
     greedy exterior hypertree, the unique maximum of ``sum(e * f(e))``.
     Every other hypertree has a transfer into a larger index that raises
     that sum, because an integer base of a polymatroid is optimal exactly
     when no single exchange improves it (Murota, Discrete Convex Analysis,
     ch. 6).  So following only transfers from ``a`` to ``b < a`` still
-    reaches every hypertree.  Found hypertrees are kept as packed ints;
+    reaches every hypertree.  Keys are packed as the fibre search packs
+    them, for the largest entry any hypertree can have, ``max deg(e) - 1``;
     pending witnesses are edge bitmasks, dropped once expanded.
     """
     _require_connected(g, "hypertree enumeration")
@@ -511,17 +501,24 @@ def _walk(g: BipGraph):
     if w.degrees(tree) != start:
         raise RuntimeError("internal error: greedy hypertree differs from "
                            "the reverse-order Kruskal tree")
-    width = (max(g.deg_e(e) for e in range(g.n_e)) - 1).bit_length() or 1
-    unit = [1 << width * e for e in range(g.n_e)]
+    n = g.n_e
+    top = max(g.deg_e(e) for e in range(n)) - 1
+    width = _width(top)
+    layout = _layout(width, n)
+    unit, shift = layout[1], width * n
     key = sum(x * u for x, u in zip(start, unit))
-    found = {key}
+    found, keys = {key}, []
     queue = deque([(start, key, tree)])
     while queue:
         f, key, tree = queue.popleft()
         rooted = w.root(f, tree)
         step = w.step(tree, rooted)
         reach = _closure(step)
-        yield f, reach
+        masks = 0
+        for order in reversed(orders):
+            internal, external = _inactive_sets(reach, order)
+            masks = (masks << n | external) << n | internal
+        keys.append(masks << shift | key)
         for b, sources in enumerate(reach):
             sources &= -(2 << b)  # only a > b
             if not sources:
@@ -536,6 +533,7 @@ def _walk(g: BipGraph):
                     prev = _shortest_paths(step, b)
                 queue.append((transfer(f, a, b), child,
                               w.exchange(tree, rooted, prev, a)))
+    return _Search(keys, top, shift, layout)
 
 
 def _closure(step):

@@ -300,7 +300,7 @@ def _inactivity_polynomial(g: BipGraph, order, hypertrees, what: str) -> IntPoly
 def polynomial_pairs(g: BipGraph, orders) -> list[tuple[IntPoly, IntPoly]]:
     """``(I, X)`` of ``g`` under each order of ``orders`` (None is the input
     order), all counted from one enumeration, which :mod:`hytrex.hypertrees`
-    chooses; the fibre search's are read off the mask bits of its keys.  The
+    chooses; they are read off the mask bits of the engine's keys.  The
     polynomials do not depend on the order; the orders are there to check
     that they do not."""
     return [(IntPoly(interior), IntPoly(exterior))

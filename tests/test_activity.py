@@ -8,7 +8,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings
 
-from conftest import complete_bipartite, connected_bipgraphs, cycle, path_graph
+from conftest import complete_bipartite, connected_bipgraphs, cycle, ladder, path_graph
 from hytrex import hypertrees, poly
 from hytrex.activity import external_active_flags, internal_active_flags
 from hytrex.errors import GraphError
@@ -260,6 +260,22 @@ class TestWalkInactivity:
     def test_bad_order_rejected(self):
         with pytest.raises(GraphError):
             list(hypertrees_with_inactivity(cycle(3), [(0, 0, 1)]))
+        # ``orders`` is a collection of orders: None, a string (which would
+        # read as one order per character) and a single value are refused.
+        for orders in (None, "012", 3):
+            with pytest.raises(GraphError, match="orders"):
+                list(hypertrees_with_inactivity(cycle(3), orders))
+            with pytest.raises(GraphError, match="orders"):
+                poly.polynomial_pairs(cycle(3), orders)
+
+    @pytest.mark.parametrize("g, orders", [
+        (ladder(3), [None, (3, 2, 1, 0)]),
+        (complete_bipartite(3, 4), [None, None]),
+        (complete_bipartite(2, hypertrees._SEARCH_CAP + 1), [None])],
+        ids=["ladder3-two-orders", "k34-two-orders", "above-the-cap"])
+    def test_rows_are_lexicographic_from_the_walk(self, g, orders):
+        rows = [f for f, _ in hypertrees_with_inactivity(g, orders)]
+        assert rows == sorted(set(rows)) == list(enumerate_hypertrees(g))
 
 
 def _reference_flags(b, f, order):

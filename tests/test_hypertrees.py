@@ -189,7 +189,7 @@ class TestCertificates:
         monkeypatch.setattr(hypertrees._Witnesses, "exchange",
                             lambda self, tree, *rest: tree)
         with pytest.raises(RuntimeError, match="internal error"):
-            list(hypertrees._walk(cycle(3)))
+            hypertrees._walk(cycle(3), [(0, 1, 2)])
 
     def test_exchange_paths_have_no_shortcut(self, monkeypatch):
         # The exchange is a spanning tree because no step x_i -> x_j with
@@ -202,7 +202,8 @@ class TestCertificates:
             return root(self, f, tree)
 
         monkeypatch.setattr(hypertrees._Witnesses, "root", recording_root)
-        list(hypertrees._walk(ladder(6)))
+        g = ladder(6)
+        hypertrees._walk(g, [tuple(range(g.n_e))])
         longest = 0
         for w, f, tree in expanded:
             step = w.step(tree, root(w, f, tree))
@@ -239,12 +240,21 @@ class TestCertificates:
         with pytest.raises(RuntimeError, match="internal error"):
             w.root(child, detour)
 
-    def test_closure_decides_every_transfer_on_census_7(self):
+    def test_closure_decides_every_transfer_on_census_7(self, monkeypatch):
+        # The walk's closures, recorded as they are made, paired with its
+        # keys, which come in the same breadth-first order.
+        closure, reaches = hypertrees._closure, []
+        monkeypatch.setattr(hypertrees, "_closure",
+                            lambda step: reaches.append(closure(step)) or reaches[-1])
         for g in exhaustive_connected_bipartite(7):
             brute = hypertrees_by_brute_force(g)
-            walked = []
-            for f, reach in hypertrees._walk(g):
-                walked.append(f)
+            reaches.clear()
+            found = hypertrees._walk(g, [tuple(range(g.n_e))])
+            fields, low = found.layout[0], (1 << found.shift) - 1
+            walked = [fields.unpack((key & low).to_bytes(fields.size, "big"))
+                      for key in found.keys]
+            assert len(walked) == len(reaches)
+            for f, reach in zip(walked, reaches):
                 for a in range(g.n_e):
                     for b in range(g.n_e):
                         if a != b:
@@ -415,18 +425,17 @@ class TestHypertreeSet:
 
 def _engines(g):
     """``(hypertrees, I, X)`` in the input order from the fibre search and
-    from the walk, each driven directly whatever |E| is."""
+    from the walk, each driven directly whatever |E| is and read one way."""
     natural = tuple(range(g.n_e))
-    search = list(hypertrees._rows(g, hypertrees._fibres(g, natural)))
-    walk = [(f, *hypertrees._inactive_sets(reach, natural))
-            for f, reach in hypertrees._walk(g)]
+    low = (1 << g.n_e) - 1
     out = []
-    for rows in (search, walk):
+    for found in (hypertrees._fibres(g, natural), hypertrees._walk(g, [natural])):
         interior, exterior = [0] * (g.n_e + 1), [0] * (g.n_e + 1)
-        for _, i, x in rows:
-            interior[i.bit_count()] += 1
-            exterior[x.bit_count()] += 1
-        out.append((HypertreeSet(f for f, _, _ in rows), IntPoly(interior), IntPoly(exterior)))
+        for key in found.keys:
+            masks = key >> found.shift
+            interior[(masks & low).bit_count()] += 1
+            exterior[(masks >> g.n_e).bit_count()] += 1
+        out.append((hypertrees._searched_set(g, found), IntPoly(interior), IntPoly(exterior)))
     return out
 
 
@@ -562,17 +571,21 @@ def test_an_enumeration_leaves_no_cyclic_garbage(g, read):
     lambda keys, unit: keys + keys[:1],
     lambda keys, unit: [keys[0] + unit[-1]] + keys[1:]],
     ids=["repeated-key", "entry-one-up"])
-def test_every_reader_checks_the_search_output(monkeypatch, read, corrupt):
-    # The leaves' checks, made in bulk: no key twice, every sum |V| - 1.
-    search = hypertrees._fibres
+@pytest.mark.parametrize("name, g", [
+    ("_fibres", cycle(3)), ("_walk", complete_bipartite(2, hypertrees._SEARCH_CAP + 1))],
+    ids=["search", "walk"])
+def test_every_reader_checks_the_search_output(monkeypatch, read, corrupt, name, g):
+    # The bulk checks on either engine's output: no key twice, every sum
+    # |V| - 1.
+    engine = getattr(hypertrees, name)
 
-    def wrong(g, order):
-        found = search(g, order)
+    def wrong(*args):
+        found = engine(*args)
         return found._replace(keys=corrupt(found.keys, found.layout[1]))
 
-    monkeypatch.setattr(hypertrees, "_fibres", wrong)
+    monkeypatch.setattr(hypertrees, name, wrong)
     with pytest.raises(RuntimeError, match="internal error"):
-        read(cycle(3))
+        read(g)
 
 
 def _off_by_one(monkeypatch, subset, delta):
