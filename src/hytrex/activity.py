@@ -6,9 +6,10 @@ to some smaller hyperedge of an enumerated set, externally inactive when it
 can receive valence from one.
 
 A probe is one addition and one lookup on the packed keys of a
-:class:`HypertreeSet`: moving one unit of valence from ``e`` to ``s`` turns
-the key ``k`` of ``f`` into ``k + (unit[s] - unit[e])``, and the deltas
-``unit[s] - unit[e]`` are computed once per order, not once per hypertree.
+:class:`HypertreeSet` ``b``: with ``unit = b._layout.units``, moving one
+unit of valence from ``e`` to ``s`` turns the key ``k`` of ``f`` into
+``k + (unit[s] - unit[e])``, and the deltas ``unit[s] - unit[e]`` are
+computed once per order, not once per hypertree.
 No field carries, because ``f`` has a key only when its entries are at most
 one above the set's largest, and every field holds the largest plus two.  A
 field borrows only when the sending entry is 0, and then the sum has the
@@ -35,7 +36,7 @@ def _probe_key(b: HypertreeSet, f: tuple):
     key = b._key(f)
     if key is None:
         _integers(f, "a probed vector", 0)
-        if b and len(f) != len(b._units):
+        if b and len(f) != len(b._layout.units):
             raise GraphError(f"a probed vector must hold one entry per hyperedge, got {f!r}")
     return key
 
@@ -66,7 +67,7 @@ def _probe_counts(b: HypertreeSet, order, external: bool) -> list[int]:
     with ``external``, externally) inactive hyperedges under ``order`` (a
     validated order on E, or None for the input order), as a list indexed
     by that number: every member counted in one pass."""
-    n = len(b._units)
+    n = len(b._layout.units)
     counts = [0] * (n + 1)
     rows = zip(sorted(b._keys), b.vectors)
     for inactive in _inactive_masks(b, rows, range(n) if order is None else order, external):
@@ -80,7 +81,7 @@ def _inactive_masks(b: HypertreeSet, rows, order, external: bool):
     internally inactive when ``key - unit[e] + unit[s]`` is a member key
     for some ``s`` before ``e``, externally when ``key + unit[e] - unit[s]``
     is; each such difference is precomputed once per order."""
-    members, unit = b._keys, b._units
+    members, unit = b._keys, b._layout.units
     plan, before = [], []
     for e in order:
         plan.append((e, 1 << e, tuple(unit[e] - u if external else u - unit[e]

@@ -65,26 +65,21 @@ __all__ = [
 ]
 
 
-# The field width of a key, in bits, by the bit length of the largest entry
-# plus two, and the struct code of each width.
-_WIDTHS = (8,) * 9 + (16,) * 8 + (32,) * 16 + (64,) * 32
-_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+# How the vectors of a set whose largest entry is ``top`` pack into ints:
+# big-endian ``fields`` of the narrowest of 8, 16, 32 and 64 bits that holds
+# ``top + 2``, the key of the vector with a single 1 at each position
+# (``units``), and the bit length of a key (``shift``).
+_Layout = namedtuple("_Layout", "top fields units shift")
 
 
-def _width(top: int) -> int:
-    """The field width of the keys of a set whose largest entry is ``top``:
-    the narrowest of 8, 16, 32 and 64 bits that holds ``top + 2``."""
+def _layout(top: int, n: int) -> _Layout:
+    """The :data:`_Layout` of ``n``-entry vectors whose largest entry is ``top``."""
     bits = (top + 2).bit_length()
-    if bits >= len(_WIDTHS):
-        raise GraphError(f"hypertree entries must fit 64 bits with room for two more, got {top}")
-    return _WIDTHS[bits]
-
-
-def _layout(width: int, n: int) -> tuple[struct.Struct, tuple[int, ...]]:
-    """The struct that packs ``n`` fields of ``width`` bits big-endian, and
-    the units: the key of the vector with a single 1, at each field."""
-    return (struct.Struct(f">{n}{_CODES[width]}"),
-            tuple([1 << width * (n - 1 - e) for e in range(n)]))
+    for width, code in (8, "B"), (16, "H"), (32, "I"), (64, "Q"):
+        if bits <= width:
+            return _Layout(top, struct.Struct(f">{n}{code}"),
+                           tuple([1 << width * (n - 1 - e) for e in range(n)]), width * n)
+    raise GraphError(f"hypertree entries must fit 64 bits with room for two more, got {top}")
 
 
 class HypertreeSet(_ReadOnly):
@@ -96,10 +91,10 @@ class HypertreeSet(_ReadOnly):
     narrowest of 8, 16, 32 and 64 bits that holds the largest entry plus
     two.  Packed big-endian order is lexicographic order, so the keys
     deduplicate and sort the vectors, and the frozenset of keys is the one
-    member set.  Adding ``_units[e]`` to a key adds one to entry ``e``; the
-    probes of :mod:`hytrex.activity` are such additions."""
+    member set.  Adding ``_layout.units[e]`` to a key adds one to entry
+    ``e``; the probes of :mod:`hytrex.activity` are such additions."""
 
-    __slots__ = ("vectors", "_keys", "_units", "_top", "_pack")
+    __slots__ = ("vectors", "_keys", "_layout")
 
     def __init__(self, vectors):
         vs = list(map(tuple, vectors))
@@ -112,30 +107,27 @@ class HypertreeSet(_ReadOnly):
         lengths = set(map(len, vs))
         if len(lengths) > 1:
             raise GraphError(f"hypertree vectors must all have one length, got {sorted(lengths)}")
-        layout = _layout(_width(top), lengths.pop() if lengths else 0)
-        pack = layout[0].pack
-        self._settle({int.from_bytes(pack(*v), "big") for v in vs}, top, *layout)
+        layout = _layout(top, lengths.pop() if lengths else 0)
+        pack = layout.fields.pack
+        self._settle({int.from_bytes(pack(*v), "big") for v in vs}, layout)
 
     @classmethod
-    def _from_keys(cls, keys, top: int, layout) -> "HypertreeSet":
-        """The set of the vectors with keys ``keys``, packed by ``layout``
-        (see :func:`_layout`) for a set whose largest entry is ``top``;
+    def _from_keys(cls, keys, layout: _Layout) -> "HypertreeSet":
+        """The set of the vectors with keys ``keys``, packed by ``layout``;
         nothing is checked."""
         self = cls.__new__(cls)
-        self._settle(keys, top, *layout)
+        self._settle(keys, layout)
         return self
 
-    def _settle(self, keys, top, fields, units):
+    def _settle(self, keys, layout):
         """The tail of every construction: sort the keys, unpack the
-        vectors with the struct ``fields`` and fill the slots."""
+        vectors with the layout's fields and fill the slots."""
         keys = sorted(keys)
-        size, unpack = fields.size, fields.unpack
+        size, unpack = layout.fields.size, layout.fields.unpack
         set_field = object.__setattr__
         set_field(self, "vectors", tuple([unpack(k.to_bytes(size, "big")) for k in keys]))
         set_field(self, "_keys", frozenset(keys))
-        set_field(self, "_units", units)
-        set_field(self, "_top", top)
-        set_field(self, "_pack", fields.pack)
+        set_field(self, "_layout", layout)
 
     def _key(self, f):
         """The key of ``f``, or None when ``f`` does not pack (a wrong
@@ -144,10 +136,10 @@ class HypertreeSet(_ReadOnly):
         member is one transfer from a vector of naturals without a key, and
         every transfer of one with a key fits the fields."""
         try:
-            key = int.from_bytes(self._pack(*f), "big")
+            key = int.from_bytes(self._layout.fields.pack(*f), "big")
         except struct.error:
             return None
-        return key if key in self._keys or max(f, default=0) <= self._top + 1 else None
+        return key if key in self._keys or max(f, default=0) <= self._layout.top + 1 else None
 
     def __contains__(self, f) -> bool:
         return self._key(f) in self._keys
@@ -299,18 +291,19 @@ def enumerate_hypertrees(g: BipGraph) -> HypertreeSet:
 
 
 def hypertrees_with_inactivity(g: BipGraph, orders):
-    """Yield ``(f, sets)`` for every hypertree ``f`` of ``g`` in
+    """An iterator of ``(f, sets)`` for every hypertree ``f`` of ``g`` in
     lexicographic order, where ``sets[i]`` is the pair of bitmasks of the
     internally and externally inactive hyperedges of ``f`` under
-    ``orders[i]`` (None is the input order)."""
+    ``orders[i]`` (None is the input order).  The hypertrees are found, and
+    a bad input raises, at the call."""
     orders, found = _route(g, orders)
     vectors = _searched_set(g, found).vectors
-    n, shift = g.n_e, found.shift
+    n, shift = g.n_e, found.layout.shift
     low = (1 << n) - 1
     spans = range(0, 2 * n * len(orders), 2 * n)
-    for f, key in zip(vectors, sorted(found.keys, key=((1 << shift) - 1).__and__)):
-        masks = key >> shift
-        yield f, [(masks >> at & low, masks >> at + n & low) for at in spans]
+    masks = map(shift.__rrshift__, sorted(found.keys, key=((1 << shift) - 1).__and__))
+    return ((f, [(m >> at & low, m >> at + n & low) for at in spans])
+            for f, m in zip(vectors, masks))
 
 
 def _inactivity_counts(g: BipGraph, orders) -> list[tuple[list[int], list[int]]]:
@@ -320,7 +313,7 @@ def _inactivity_counts(g: BipGraph, orders) -> list[tuple[list[int], list[int]]]
     mask bits of the engine's keys."""
     orders, found = _route(g, orders)
     _searched_set(g, found)  # for its checks
-    n, shift = g.n_e, found.shift
+    n, shift = g.n_e, found.layout.shift
     low = (1 << n) - 1
     counts = []
     for at in range(shift, shift + 2 * n * len(orders), 2 * n):
@@ -358,11 +351,10 @@ _SEARCH_CAP = 12
 
 
 # What an engine finds: ``keys`` holds one int per hypertree, whose bits
-# below ``shift`` are its key in a HypertreeSet with largest entry ``top``
-# and ``layout`` (see _layout), and whose bits from ``shift`` up hold 2|E|
-# per order of the call, in order: the internal inactivity mask, then the
-# external one.
-_Search = namedtuple("_Search", "keys top shift layout")
+# below ``layout.shift`` are its key in a HypertreeSet with that _Layout,
+# and whose bits from there up hold 2|E| per order of the call, in order:
+# the internal inactivity mask, then the external one.
+_Search = namedtuple("_Search", "keys layout")
 
 
 def _fibres(g: BipGraph, order):
@@ -384,20 +376,17 @@ def _fibres(g: BipGraph, order):
     on its table alone (Murota, Discrete Convex Analysis, ch. 6), so the
     completions of each table from position 2 up are found once and reused:
     a parent adds its own entry and mask bits to each.  Each position sets
-    only its own field and its own bits, so the additions never carry.  An
-    empty interval, or position 0 with more than one value, is an internal
-    error, as neither can happen on a rank table; the leaves' sums are
-    checked on the output (:func:`_searched_set`).
+    only its own field and its own bits, so the additions never carry.
+    Position 0 is a fibre like the others, whose interval is one value, its
+    one completion.  An empty interval, or more than one value at position
+    0, is an internal error, as neither can happen on a rank table; the
+    leaves' sums are checked on the output (:func:`_searched_set`).
     """
     _require_connected(g, "hypertree enumeration")
     n = g.n_e
     table = _rank_table([g.e_masks[e] for e in order])
-    top = max([table[1 << k] for k in range(n)])
-    width = _width(top)
-    layout = _layout(width, n)
-    unit, shift = layout[1], width * n
-    inner, outer = 1 << shift, 1 << shift + n
-    last = unit[order[0]]
+    layout = _layout(max([table[1 << k] for k in range(n)]), n)
+    unit, inner, outer = layout.units, 1 << layout.shift, 1 << layout.shift + n
     memo = {}
 
     def fibre(table):
@@ -408,33 +397,24 @@ def _fibres(g: BipGraph, order):
             raise RuntimeError(f"internal error: the entries after position {k} of "
                                f"order {order} leave [{lo}, {hi}] for position {k}")
         e = order[k]
+        if not k:
+            return [lo * unit[e]]
         one, inside, outside = unit[e], inner << e, outer << e
         upper = table[half:]
         out = []
         for t in range(lo, hi + 1):
             step = t * one + (inside if t > lo else 0) + (outside if t < hi else 0)
-            if k > 1:
-                child = tuple([a if a < b - t else b - t for a, b in zip(table, upper)])
-                if k > 2:
-                    below = memo.get(child)
-                    if below is None:
-                        below = memo[child] = fibre(child)
-                else:  # position 1 is searched afresh; a memo there measured no faster
-                    below = fibre(child)
-                out.extend(map(step.__add__, below))
-            elif k:  # position 0 is left with [c0, c1]: one value, c1, when c0 is 0
-                c0 = table[0] if table[0] < table[2] - t else table[2] - t
-                c1 = table[1] if table[1] < table[3] - t else table[3] - t
-                if c0:
-                    raise RuntimeError(f"internal error: position 0 of order {order} "
-                                       f"ranges over [{c1 - c0}, {c1}], not one value")
-                out.append(step + c1 * last)
-            else:  # |E| = 1: the root is position 0
-                out.append(step)
+            child = tuple([a if a < b - t else b - t for a, b in zip(table, upper)])
+            below = memo.get(child)
+            if below is None:
+                below = fibre(child)
+                if k > 2:  # a memo below position 2 measured no faster
+                    memo[child] = below
+            out.extend(map(step.__add__, below))
         return out
 
     try:
-        return _Search(fibre(table), top, shift, layout)
+        return _Search(fibre(table), layout)
     finally:
         del fibre  # the closure refers to itself; leave no cycle behind
 
@@ -444,9 +424,8 @@ def _searched_set(g: BipGraph, found) -> HypertreeSet:
     that stand in for the search's leaves and back the walk's: no key
     repeats, and every vector sums to |V| - 1, which a field carried into
     its neighbour breaks too."""
-    keys = found.keys
-    b = HypertreeSet._from_keys(map(((1 << found.shift) - 1).__and__, keys), found.top,
-                                found.layout)
+    keys, layout = found
+    b = HypertreeSet._from_keys(map(((1 << layout.shift) - 1).__and__, keys), layout)
     if len(b._keys) != len(keys) or set(map(sum, b.vectors)) != {g.n_v - 1}:
         raise RuntimeError(f"internal error: the enumeration found {len(keys)} "
                            f"vectors, {len(b._keys)} distinct, with sums "
@@ -502,10 +481,8 @@ def _walk(g: BipGraph, orders):
         raise RuntimeError("internal error: greedy hypertree differs from "
                            "the reverse-order Kruskal tree")
     n = g.n_e
-    top = max(g.deg_e(e) for e in range(n)) - 1
-    width = _width(top)
-    layout = _layout(width, n)
-    unit, shift = layout[1], width * n
+    layout = _layout(max(g.deg_e(e) for e in range(n)) - 1, n)
+    unit, shift = layout.units, layout.shift
     key = sum(x * u for x, u in zip(start, unit))
     found, keys = {key}, []
     queue = deque([(start, key, tree)])
@@ -533,7 +510,7 @@ def _walk(g: BipGraph, orders):
                     prev = _shortest_paths(step, b)
                 queue.append((transfer(f, a, b), child,
                               w.exchange(tree, rooted, prev, a)))
-    return _Search(keys, top, shift, layout)
+    return _Search(keys, layout)
 
 
 def _closure(step):
@@ -685,15 +662,12 @@ class _Witnesses:
         """``step[h]``: the hyperedges on the fundamental cycles of the
         non-tree edges at ``h``.  Swapping such an edge in and a tree edge
         at ``a`` out moves one unit from ``a`` to ``h``."""
-        order, _, _, up_e, up_rank = rooted
-        ebit = self.ebit
         step = []
         for h in range(self.n_v, len(self.inc)):
-            mask, uh, rh = 0, up_e[h], up_rank[h]
+            mask = 0
             for v, i in self.adj[h]:
                 if not tree >> i & 1:
-                    # _cycle(rooted, v, h), inlined: this is the hot loop.
-                    mask |= up_e[v] ^ uh | ebit[order[(up_rank[v] & rh).bit_length() - 1]]
+                    mask |= self._cycle(rooted, v, h)[0]
             step.append(mask)
         return step
 

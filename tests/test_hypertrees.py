@@ -250,7 +250,7 @@ class TestCertificates:
             brute = hypertrees_by_brute_force(g)
             reaches.clear()
             found = hypertrees._walk(g, [tuple(range(g.n_e))])
-            fields, low = found.layout[0], (1 << found.shift) - 1
+            fields, low = found.layout.fields, (1 << found.layout.shift) - 1
             walked = [fields.unpack((key & low).to_bytes(fields.size, "big"))
                       for key in found.keys]
             assert len(walked) == len(reaches)
@@ -393,7 +393,7 @@ class TestHypertreeSet:
     @pytest.mark.parametrize("top, bits", [(0, 8), (253, 8), (254, 16), (65533, 16),
                                            (65534, 32), (2**32 - 3, 32), (2**32 - 2, 64)])
     def test_field_width(self, top, bits):
-        assert HypertreeSet([(top, 0, 1)])._units == (1 << 2 * bits, 1 << bits, 1)
+        assert HypertreeSet([(top, 0, 1)])._layout.units == (1 << 2 * bits, 1 << bits, 1)
 
     # Vectors that do not pack are no members; (1.0, 0) was one.
     @pytest.mark.parametrize("f", [(1, 0, 0), (1,), (-1, 2), (256, 0), (2**70, 0),
@@ -432,7 +432,7 @@ def _engines(g):
     for found in (hypertrees._fibres(g, natural), hypertrees._walk(g, [natural])):
         interior, exterior = [0] * (g.n_e + 1), [0] * (g.n_e + 1)
         for key in found.keys:
-            masks = key >> found.shift
+            masks = key >> found.layout.shift
             interior[(masks & low).bit_count()] += 1
             exterior[(masks >> g.n_e).bit_count()] += 1
         out.append((hypertrees._searched_set(g, found), IntPoly(interior), IntPoly(exterior)))
@@ -581,11 +581,45 @@ def test_every_reader_checks_the_search_output(monkeypatch, read, corrupt, name,
 
     def wrong(*args):
         found = engine(*args)
-        return found._replace(keys=corrupt(found.keys, found.layout[1]))
+        return found._replace(keys=corrupt(found.keys, found.layout.units))
 
     monkeypatch.setattr(hypertrees, name, wrong)
     with pytest.raises(RuntimeError, match="internal error"):
         read(g)
+
+
+# A generator raised only at the first next, so a caller that never
+# iterated never learnt its input was bad.
+def test_hypertrees_with_inactivity_raises_at_the_call():
+    with pytest.raises(GraphError, match="orders"):
+        hypertrees_with_inactivity(cycle(3), None)
+    with pytest.raises(DisconnectedGraphError):
+        hypertrees_with_inactivity(BipGraph(("a", "b"), ("c", "d"), [(0, 0), (1, 1)]), [None])
+
+
+@pytest.mark.parametrize("zeroed", [0, 1], ids=["first-order-zeroed", "second-order-zeroed"])
+def test_each_order_is_read_off_its_own_bits(monkeypatch, zeroed):
+    # Correct engines give equal counts under every order, so a reader that
+    # took one order's masks for all passed every other test.  Here one
+    # order's masks are zeroed in the engine's output, so that order must
+    # count every hypertree at inactivity 0 and the other its true counts.
+    g = ladder(3)
+    true_counts = hypertrees._inactivity_counts(g, [None])[0]
+    route, n = hypertrees._route, g.n_e
+
+    def one_order_zeroed(g, orders):
+        orders, found = route(g, orders)
+        keep = ~((1 << 2 * n) - 1 << found.layout.shift + 2 * n * zeroed)
+        return orders, found._replace(keys=[key & keep for key in found.keys])
+
+    monkeypatch.setattr(hypertrees, "_route", one_order_zeroed)
+    total = [[2 ** 3] + [0] * n] * 2
+    assert true_counts != tuple(total)
+    counts = hypertrees._inactivity_counts(g, [None, None])
+    assert counts[zeroed] == tuple(total) and counts[1 - zeroed] == true_counts
+    rows = list(hypertrees_with_inactivity(g, [None, None]))
+    assert {sets[zeroed] for _, sets in rows} == {(0, 0)}
+    assert len({sets[1 - zeroed] for _, sets in rows}) > 1
 
 
 def _off_by_one(monkeypatch, subset, delta):
