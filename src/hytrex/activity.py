@@ -66,7 +66,9 @@ def _probe_counts(b: HypertreeSet, order, external: bool) -> list[int]:
     """The number of members of ``b`` with each number of internally (or,
     with ``external``, externally) inactive hyperedges under ``order`` (a
     validated order on E, or None for the input order), as a list indexed
-    by that number: every member counted in one pass."""
+    by that number: every member counted in one pass; an empty ``b`` counts none."""
+    if not b:
+        return []
     n = len(b._layout.units)
     counts = [0] * (n + 1)
     rows = zip(sorted(b._keys), b.vectors)

@@ -65,8 +65,8 @@ class _ReadOnly:
 
 class _Frozen(_ReadOnly):
     """Base of the small value classes.  The fields are the ``__slots__`` in
-    order; ``==``, ``hash`` and ``repr`` read them as a frozen dataclass's
-    would."""
+    order; ``==`` and ``hash`` compare ``_values()``, all of them unless a
+    class leaves some out, and ``repr`` writes ``Class(field=value, ...)``."""
 
     __slots__ = ()
 

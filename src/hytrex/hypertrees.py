@@ -330,11 +330,13 @@ def _route(g: BipGraph, orders):
     :data:`_Search` of the one engine that serves them: the one place an
     engine is chosen.  One order on at most :data:`_SEARCH_CAP` hyperedges
     goes to the fibre search; any other input to the walk, whose closures
-    give every order at once.  ``orders`` is a collection of orders, not
-    None, a string or a single value."""
+    give every order at once.  ``orders`` is a non-empty collection of
+    orders, not None, a string or a single value."""
     if isinstance(orders, str) or not hasattr(orders, "__iter__"):
         raise GraphError(f"orders must be a collection of orders on E, got {orders!r}")
     orders = [normalize_edge_order(g, order) for order in orders]
+    if not orders:
+        raise GraphError("orders must hold at least one order on E, got none")
     if len(orders) == 1 and g.n_e <= _SEARCH_CAP:
         return orders, _fibres(g, orders[0])
     return orders, _walk(g, orders)
@@ -714,7 +716,7 @@ def hypertrees_by_brute_force(g: BipGraph, method: str = "tree") -> HypertreeSet
         table = mu_table(g)
         accept = lambda f: _within_ranks(table, f)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise GraphError(f"unknown method {method!r}")
     caps = [g.deg_e(e) - 1 for e in range(g.n_e)]
     suffix = [0] * (g.n_e + 1)
     for e in range(g.n_e - 1, -1, -1):

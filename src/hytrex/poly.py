@@ -14,11 +14,14 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import zip_longest
+from types import MappingProxyType
 
 from .errors import CapacityError, GraphError
 from .graph import (
     BipGraph,
     Hypergraph,
+    _Frozen,
+    _ReadOnly,
     from_hypergraph,
     normalize_edge_order,
     _integer,
@@ -46,8 +49,8 @@ __all__ = [
 ]
 
 
-class IntPoly:
-    """Univariate polynomial with exact integer coefficients.
+class IntPoly(_ReadOnly):
+    """Immutable univariate polynomial with exact integer coefficients.
 
     Canonical form stores no trailing zeros; the zero polynomial is the
     empty vector and has no degree.  A coefficient that is not an ``int`` (a
@@ -60,7 +63,10 @@ class IntPoly:
         c = list(_integers(coeffs, "polynomial coefficients"))
         while c and c[-1] == 0:
             c.pop()
-        self.coeffs = tuple(c)
+        object.__setattr__(self, "coeffs", tuple(c))
+
+    def __reduce__(self):
+        return type(self), (self.coeffs,)
 
     @classmethod
     def zero(cls) -> "IntPoly":
@@ -152,33 +158,16 @@ class IntPoly:
 
     def render(self, var: str = "x") -> str:
         """Canonical ASCII form: ascending exponents, e.g. "1 + 2x + x^2"."""
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            elif k == 1:
-                body = var if mag == 1 else f"{mag}{var}"
-            else:
-                body = f"{var}^{k}" if mag == 1 else f"{mag}{var}^{k}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _join_terms((c, _power(var, k)) for k, c in enumerate(self.coeffs) if c)
 
     def to_json(self) -> list[int]:
         return list(self.coeffs)
 
 
-class IntPoly2:
-    """Sparse bivariate polynomial: map (i, j) -> non-zero integer.  An
-    exponent or coefficient that is not an ``int``, or a negative exponent,
-    is a GraphError."""
+class IntPoly2(_ReadOnly):
+    """Immutable sparse bivariate polynomial: a read-only map (i, j) ->
+    non-zero integer.  An exponent or coefficient that is not an ``int``, or
+    a negative exponent, is a GraphError."""
 
     __slots__ = ("terms",)
 
@@ -191,7 +180,10 @@ class IntPoly2:
                     raise GraphError(f"bivariate term {(i, j)!r}: {c} has a negative exponent")
                 if c:
                     clean[(i, j)] = c
-        self.terms = dict(sorted(clean.items()))
+        object.__setattr__(self, "terms", MappingProxyType(dict(sorted(clean.items()))))
+
+    def __reduce__(self):
+        return type(self), (dict(self.terms),)
 
     @classmethod
     def monomial(cls, i: int, j: int, coefficient: int = 1) -> "IntPoly2":
@@ -218,33 +210,30 @@ class IntPoly2:
 
     def render(self, var_x: str = "x", var_y: str = "y") -> str:
         """Terms by descending total degree, then descending x-degree."""
-        if not self.terms:
-            return "0"
         keys = sorted(self.terms, key=lambda ij: (ij[0] + ij[1], ij[0]), reverse=True)
-        parts = []
-        for i, j in keys:
-            c = self.terms[(i, j)]
-            mag = abs(c)
-            factors = []
-            if i == 1:
-                factors.append(var_x)
-            elif i > 1:
-                factors.append(f"{var_x}^{i}")
-            if j == 1:
-                factors.append(var_y)
-            elif j > 1:
-                factors.append(f"{var_y}^{j}")
-            body = " ".join(factors) if factors else str(mag)
-            if factors and mag != 1:
-                body = f"{mag}{body}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _join_terms(
+            (self.terms[i, j], " ".join(filter(None, (_power(var_x, i), _power(var_y, j)))))
+            for i, j in keys)
 
     def to_json(self) -> list[list[int]]:
         return [[i, j, c] for (i, j), c in self.terms.items()]
+
+
+def _power(var: str, k: int) -> str:
+    """``var`` to the power ``k``, written "" for k = 0."""
+    return "" if k == 0 else var if k == 1 else f"{var}^{k}"
+
+
+def _join_terms(terms) -> str:
+    """The signed sum of ``terms``, pairs (non-zero coefficient, monomial
+    text): "2x - y", with a coefficient of magnitude 1 left out before a
+    monomial, and "0" when there are none."""
+    parts = []
+    for c, monomial in terms:
+        body = monomial if abs(c) == 1 and monomial else f"{abs(c)}{monomial}"
+        sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+        parts.append(sign + body)
+    return " ".join(parts) or "0"
 
 
 def is_interpolating(p: IntPoly) -> bool:
@@ -348,9 +337,9 @@ def polynomial_pair(g: BipGraph) -> tuple[IntPoly, IntPoly]:
 TUTTE_CAP = 12
 
 
-class MultiGraph:
-    """Ordinary multigraph on vertices 0..n-1; loops and parallel edges
-    are allowed."""
+class MultiGraph(_Frozen):
+    """Immutable ordinary multigraph on vertices 0..n-1; loops and parallel
+    edges are allowed."""
 
     __slots__ = ("n", "edges")
 
@@ -365,8 +354,7 @@ class MultiGraph:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range")
             norm.append((u, v) if u <= v else (v, u))
-        self.n = n
-        self.edges = tuple(sorted(norm))
+        super().__init__(n, tuple(sorted(norm)))
 
     @classmethod
     def path(cls, n_vertices: int) -> "MultiGraph":
@@ -384,14 +372,6 @@ class MultiGraph:
     @property
     def connected(self) -> bool:
         return _graph_components(self.n, self.edges) == 1
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiGraph):
-            return NotImplemented
-        return self.n == other.n and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
 
     def __repr__(self):
         return f"MultiGraph(n={self.n}, edges={list(self.edges)})"
@@ -457,13 +437,9 @@ def tutte_polynomial(graph: MultiGraph) -> IntPoly2:
         else:
             u, v = edges[pick]
             deleted = edges[:pick] + edges[pick + 1:]
-            contracted = []
-            for i, (a, b) in enumerate(deleted):
-                a2 = u if a == v else a
-                b2 = u if b == v else b
-                a2, b2 = (a2, b2) if a2 <= b2 else (b2, a2)
-                contracted.append((a2, b2))
-            res = rec(n, deleted) + rec(n, tuple(sorted(contracted)))
+            contracted = tuple(sorted(tuple(sorted(u if end == v else end for end in edge))
+                                      for edge in deleted))
+            res = rec(n, deleted) + rec(n, contracted)
         memo[edges] = res
         return res
 

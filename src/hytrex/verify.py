@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, combinations, combinations_with_replacement
 
@@ -28,6 +27,7 @@ from .graph import (
     graph_from_json,
     graph_to_json,
     nullity,
+    _Frozen,
     _integer,
 )
 from .hypertrees import (
@@ -67,27 +67,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one named check over a corpus."""
+class CheckReport(_Frozen):
+    """Outcome of one named check over a corpus.  ``seconds``, the wall time
+    of the check, is neither serialised nor compared, so reports stay
+    byte-identical and equal across runs."""
 
-    name: str
-    corpus: str
-    instances: int
-    passed: bool
-    counterexample: dict | None = field(default=None)
-    # Wall time of the check; not serialised, so reports stay byte-identical
-    # across runs.
-    seconds: float = field(default=0.0, compare=False)
+    __slots__ = ("name", "corpus", "instances", "passed", "counterexample", "seconds")
+
+    def __init__(self, name: str, corpus: str, instances: int, passed: bool,
+                 counterexample: dict | None = None, seconds: float = 0.0):
+        super().__init__(name, corpus, instances, passed, counterexample, seconds)
+
+    def _values(self) -> tuple:
+        return super()._values()[:-1]
+
+    def __reduce__(self):
+        return type(self), (*self._values(), self.seconds)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "corpus": self.corpus,
-            "instances": self.instances,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-        }
+        return dict(zip(self.__slots__, self._values()))
 
 
 def _sweep(name: str, corpus: list, seed: int, orders_per_graph: int) -> CheckReport:

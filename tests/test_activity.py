@@ -260,9 +260,10 @@ class TestWalkInactivity:
     def test_bad_order_rejected(self):
         with pytest.raises(GraphError):
             list(hypertrees_with_inactivity(cycle(3), [(0, 0, 1)]))
-        # ``orders`` is a collection of orders: None, a string (which would
-        # read as one order per character) and a single value are refused.
-        for orders in (None, "012", 3):
+        # ``orders`` is a non-empty collection of orders: None, a string
+        # (which would read as one order per character), a single value and
+        # no order at all are refused.
+        for orders in (None, "012", 3, []):
             with pytest.raises(GraphError, match="orders"):
                 list(hypertrees_with_inactivity(cycle(3), orders))
             with pytest.raises(GraphError, match="orders"):

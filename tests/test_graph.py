@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from conftest import complete_bipartite, connected_bipgraphs, count_builds, cycle, path_graph
 from hytrex.errors import GraphError
 from hytrex.families import FamilySpec
+from hytrex.poly import IntPoly, IntPoly2, MultiGraph
 from hytrex.transforms import DecompositionTerm
+from hytrex.verify import CheckReport
 from hytrex.graph import (
     BipGraph,
     Hypergraph,
@@ -199,6 +201,8 @@ VALUES = [
     (DecompositionTerm, ("coefficient", "exponent", "graph"), (-2, 1, cycle(2)),
      "DecompositionTerm(coefficient=-2, exponent=1, "
      "graph=BipGraph(|V|=2, |E|=2, edges=4, connected=True))"),
+    # Its own repr, which lists the edges.
+    (MultiGraph, ("n", "edges"), (3, ((0, 1), (1, 1))), "MultiGraph(n=3, edges=[(0, 1), (1, 1)])"),
 ]
 
 
@@ -223,6 +227,59 @@ class TestValueClasses:
         a = cls(*values)
         assert copy.deepcopy(a) == a
         assert pickle.loads(pickle.dumps(a)) == a
+
+
+# The immutable values with their own ``==``, ``hash`` and ``repr``: a value,
+# an equal one built another way, the hash both have, and the repr of the first.
+OWN_VALUES = [
+    (IntPoly((1, -2, 0, 1, 0)), IntPoly([1, -2, 0, 1]), hash((1, -2, 0, 1)),
+     "IntPoly(1 - 2x + x^3)"),
+    (IntPoly2({(1, 0): 1, (0, 1): -1, (2, 2): 3}),
+     IntPoly2.monomial(2, 2, 3) + IntPoly2({(0, 1): -1, (1, 0): 1, (3, 0): 0}),
+     hash((((0, 1), -1), ((1, 0), 1), ((2, 2), 3))), "IntPoly2(3x^2 y^2 + x - y)"),
+    # ``seconds`` is neither compared nor hashed, but it is printed.
+    (CheckReport(name="tutte", corpus="3 graphs", instances=3, passed=True, seconds=1.5),
+     CheckReport("tutte", "3 graphs", 3, True, None, 0.25),
+     hash(("tutte", "3 graphs", 3, True, None)),
+     "CheckReport(name='tutte', corpus='3 graphs', instances=3, passed=True, "
+     "counterexample=None, seconds=1.5)"),
+]
+
+
+@pytest.mark.parametrize("a, b, digest, text", OWN_VALUES,
+                         ids=[type(row[0]).__name__ for row in OWN_VALUES])
+class TestOwnValueClasses:
+    def test_equal_hash_and_repr(self, a, b, digest, text):
+        assert a == b and hash(a) == hash(b) == digest
+        assert repr(a) == text
+
+    def test_immutable(self, a, b, digest, text):
+        for name in type(a).__slots__:
+            with pytest.raises(AttributeError, match="cannot assign to field"):
+                setattr(a, name, None)
+            with pytest.raises(AttributeError, match="cannot delete field"):
+                delattr(a, name)
+        assert a == b and repr(a) == text
+
+    def test_copy_and_pickle(self, a, b, digest, text):
+        for twin in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert type(twin) is type(a) and twin == a and repr(twin) == text
+
+
+def test_bivariate_terms_are_read_only():
+    p = IntPoly2({(0, 1): 1})
+    with pytest.raises(TypeError):
+        p.terms[(0, 1)] = 3
+    assert p.terms == {(0, 1): 1} and p == IntPoly2.monomial(0, 1)
+
+
+def test_check_report_defaults_and_unhashable_counterexample():
+    report = CheckReport("tutte", "3 graphs", 3, False, {"kind": "tutte"})
+    assert (report.counterexample, report.seconds) == ({"kind": "tutte"}, 0.0)
+    assert report == CheckReport(name="tutte", corpus="3 graphs", instances=3,
+                                 passed=False, counterexample={"kind": "tutte"}, seconds=2.0)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(report)
 
 
 class TestDual:

@@ -146,6 +146,10 @@ class TestEnumeration:
         with pytest.raises(DisconnectedGraphError):
             enumerate_hypertrees(g)
 
+    def test_brute_force_unknown_method_rejected(self):
+        with pytest.raises(GraphError, match="unknown method 'bogus'"):
+            hypertrees_by_brute_force(cycle(3), "bogus")
+
 
 class TestCertificates:
     """The enumerator carries a spanning tree per hypertree instead of

@@ -1,7 +1,8 @@
 """What ``import hytrex`` executes.  The CLI's polynomial subcommands need
-neither the check suite, the surgeries nor the family generators, nor
-``dataclasses``; each check runs in a fresh interpreter, since the test
-session has imported everything already."""
+neither the check suite, the surgeries nor the family generators, and no
+module of the package, the check suite included, loads ``dataclasses``;
+each check runs in a fresh interpreter, since the test session has
+imported everything already."""
 
 import json
 import os
@@ -39,6 +40,7 @@ print(json.dumps({
     "missing": missing,
     "resolved": [FamilySpec is sys.modules["hytrex.families"].FamilySpec,
                  run_all_checks is sys.modules["hytrex.verify"].run_all_checks],
+    "dataclasses": "dataclasses" in sys.modules,
 }))
 """
 
@@ -61,4 +63,4 @@ def test_interior_runs_without_checks_surgeries_families_or_dataclasses(tmp_path
 
 def test_package_binds_every_traced_module_and_resolves_lazy_names():
     report = _run(PACKAGE_FOOTPRINT, str(ROOT / "perfbench"))
-    assert report == {"missing": [], "resolved": [True, True]}
+    assert report == {"missing": [], "resolved": [True, True], "dataclasses": False}

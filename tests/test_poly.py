@@ -162,8 +162,12 @@ class TestPipeline:
             with pytest.raises(GraphError, match="expected 3"):
                 polynomial(cycle(3), hypertrees=HypertreeSet(vectors))
 
-    def test_given_empty_set_counts_nothing(self):
-        assert interior_polynomial(cycle(3), hypertrees=HypertreeSet([])).is_zero
+    # Under an explicit order the empty set once raised a bare IndexError.
+    @pytest.mark.parametrize("order", [None, (0, 1, 2), (2, 1, 0)])
+    def test_given_empty_set_counts_nothing(self, order):
+        for polynomial in (interior_polynomial, exterior_polynomial):
+            for empty in ([], HypertreeSet([])):
+                assert polynomial(cycle(3), order=order, hypertrees=empty) == IntPoly.zero()
 
     def test_given_plain_vectors_count_as_their_set(self):
         g = complete_bipartite(2, 3)
