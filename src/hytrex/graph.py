@@ -123,11 +123,12 @@ class BipGraph(_ReadOnly):
     ``adj`` (the frozenset of (v-index, e-index) pairs), the degrees and the
     label positions are derived.  Construction validates indices, collapses
     duplicate pairs and records whether the graph is connected; the fields
-    cannot be assigned afterwards.
+    cannot be assigned afterwards.  A graph can be weakly referenced, so a
+    memo keyed on it (``poly.pair_memo``) drops its entry with the graph.
     """
 
     __slots__ = ("v_names", "e_names", "v_masks", "e_masks", "connected",
-                 "_hash")
+                 "_hash", "__weakref__")
 
     def __init__(self, v_names, e_names, adj):
         v_names = tuple(v_names)

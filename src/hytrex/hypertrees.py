@@ -16,19 +16,22 @@ spanning tree with each hypertree, whose fundamental cycles decide every
 transfer out of it and whose exchange along a shortest path gives each new
 hypertree its own tree; every carried tree is checked when its hypertree is
 expanded.  Its closures give the inactivities under any number of orders at
-once.  Both engines give one output, a :data:`_Search`: one int per
+once.  Both engines list into one output, a :data:`_Search`: one int per
 hypertree, its key in a :class:`HypertreeSet` with its two inactivity masks
-per order above it.  :func:`_route` alone picks the engine: the search for
-one order on at most :data:`_SEARCH_CAP` hyperedges (its table has 2^|E|
-entries), the walk for any other input.  Its three readers read either
-engine's output one way: :func:`enumerate_hypertrees` makes the keys a set
-as they are, the counts behind ``poly.polynomial_pairs`` are read off the
-mask bits, and :func:`hypertrees_with_inactivity` unpacks lexicographic
-rows.  The tree search and the brute-force enumerators stay as oracles, so
-both engines can be cross-checked rather than assumed complete.  The
-search's rank table shares no code with the oracle's ``mu_table``, which
-the polymatroid box scan builds once and
-:func:`is_hypertree_by_polymatroid` once per call.  A
+per order above it.  The search can also count without listing: each
+memo entry then holds two count vectors in place of a list of
+completions.  :func:`_route` alone picks the engine: the search for one
+order on at most :data:`_SEARCH_CAP` hyperedges, or on at most
+:data:`_TABLE_CAP` when the degree box is large against the search's table
+(2^|E| entries); the walk for any other input.  Its three readers never
+ask which engine ran: :func:`enumerate_hypertrees` makes the keys a set as
+they are, :func:`hypertrees_with_inactivity` unpacks lexicographic rows,
+and the counts behind ``poly.polynomial_pairs`` come from the search's
+count vectors or off the walk's mask bits.  The tree search and the
+brute-force enumerators stay as oracles, so both engines can be
+cross-checked rather than assumed complete.  The search's rank table
+shares no code with the oracle's ``mu_table``, which the polymatroid box
+scan builds once and :func:`is_hypertree_by_polymatroid` once per call.  A
 :class:`HypertreeSet` holds each member packed into one int as well, so
 its membership test, deduplication and sorting work on ints, and the probe
 oracle of :mod:`hytrex.activity` moves valence by adding to them.
@@ -309,47 +312,80 @@ def hypertrees_with_inactivity(g: BipGraph, orders):
 def _inactivity_counts(g: BipGraph, orders) -> list[tuple[list[int], list[int]]]:
     """Per order of ``orders`` (None is the input order), the number of
     hypertrees of ``g`` with each number of internally and of externally
-    inactive hyperedges, as two lists indexed by that number, read off the
-    mask bits of the engine's keys."""
-    orders, found = _route(g, orders)
-    _searched_set(g, found)  # for its checks
-    n, shift = g.n_e, found.layout.shift
-    low = (1 << n) - 1
-    counts = []
-    for at in range(shift, shift + 2 * n * len(orders), 2 * n):
-        interior, exterior = [0] * (n + 1), [0] * (n + 1)
-        for masks in map(at.__rrshift__, found.keys):
-            interior[(masks & low).bit_count()] += 1
-            exterior[(masks >> n & low).bit_count()] += 1
-        counts.append((interior, exterior))
+    inactive hyperedges, as two lists indexed by that number: the engine
+    counts them without listing, or they are read off the walk's mask bits.
+    Each hypertree is in both lists once, so their sums must agree."""
+    orders, counts = _route(g, orders, counted=True)
+    for interior, exterior in counts:
+        if sum(interior) != sum(exterior):
+            raise RuntimeError(f"internal error: {sum(interior)} hypertrees counted by "
+                               f"internal and {sum(exterior)} by external inactivity")
     return counts
 
 
-def _route(g: BipGraph, orders):
+def _route(g: BipGraph, orders, counted: bool = False):
     """``(orders, found)``, each order normalised and ``found`` the
-    :data:`_Search` of the one engine that serves them: the one place an
-    engine is chosen.  One order on at most :data:`_SEARCH_CAP` hyperedges
-    goes to the fibre search; any other input to the walk, whose closures
-    give every order at once.  ``orders`` is a non-empty collection of
-    orders, not None, a string or a single value."""
+    :data:`_Search` of the one engine that serves them, or with ``counted``
+    their counts as :func:`_inactivity_counts` returns them: the one place an
+    engine is chosen.  One order goes to the fibre search on at most
+    :data:`_SEARCH_CAP` hyperedges, and on at most :data:`_TABLE_CAP` when
+    the degree box holds at least 2^|E| vectors; any other input goes to the
+    walk, whose closures give every order at once and whose keys are counted
+    here.  ``orders`` is a non-empty collection of orders, not None, a
+    string or a single value."""
     if isinstance(orders, str) or not hasattr(orders, "__iter__"):
         raise GraphError(f"orders must be a collection of orders on E, got {orders!r}")
     orders = [normalize_edge_order(g, order) for order in orders]
     if not orders:
         raise GraphError("orders must hold at least one order on E, got none")
-    if len(orders) == 1 and g.n_e <= _SEARCH_CAP:
-        return orders, _fibres(g, orders[0])
-    return orders, _walk(g, orders)
+    n = g.n_e
+    if len(orders) == 1 and (n <= _SEARCH_CAP
+                             or n <= _TABLE_CAP and _box_count(g) >= 1 << n):
+        return orders, _fibres(g, orders[0], counted)
+    found = _walk(g, orders)
+    return orders, _mask_counts(g, found, len(orders)) if counted else found
 
 
-# Largest |E| the fibre search serves; the walk takes larger graphs.  The
-# search's rank table has 2^|E| entries.  On a 2-core CPython 3.11 host, with
-# the memoised search, the 112 polys items of seed 1 took 4.11 s with the
-# walk alone and 1.18, 0.78, 0.58, 0.62, 0.66 and 0.79 s with the search up
-# to |E| = 10, 11, 12, 13, 14 and 16 (seed 2: 4.20 s, then 1.10, 0.75, 0.58,
-# 0.62, 0.65 and 0.74 s; best of two passes each); cycle(16) takes 39-40 ms
-# by the search and 0.7 ms by the walk.
+# Largest |E| the fibre search always serves; the walk takes larger graphs
+# unless the rule below sends them to the search.  The search's rank table
+# has 2^|E| entries.  On a 2-core CPython 3.11 host, with the memoised
+# search, the 112 polys items of seed 1 took 4.11 s with the walk alone and
+# 1.18, 0.78, 0.58, 0.62, 0.66 and 0.79 s with the search up to |E| = 10,
+# 11, 12, 13, 14 and 16 (seed 2: 4.20 s, then 1.10, 0.75, 0.58, 0.62, 0.65
+# and 0.74 s; best of two passes each); cycle(16) takes 39-40 ms by the
+# search and 0.7 ms by the walk.
 _SEARCH_CAP = 12
+
+# Largest |E| the fibre search serves at all.  Above _SEARCH_CAP it takes
+# one order only when the degree box (_box_count), which holds every
+# hypertree, has at least 2^|E| vectors: the walk spends about 68 us per
+# hypertree and the search under 1 us per table entry, so the walk keeps
+# the graphs with few hypertrees against their table.  On a 2-core CPython
+# 3.11 host, box / 2^|E| is at most 0.056 over the 39 polys pool graphs
+# with |E| > 12 and 0.0002 on cycle(16), so polys keeps its engines, and
+# 5.9 to 242 on ladder(10) to ladder(20).  Counting ladder(n), |E| = n + 1,
+# took 0.09, 0.17, 0.34, 0.70-1.06 and 1.57 s at |E| = 17 to 21, with peak
+# RSS 24, 34, 45, 70 and 126 MB (one process each); the walk lists
+# ladder(18) in 17.8 s at 115 MB.  The box can overstate without bound:
+# the fan of m hyperedges, each on two shared vertices and one of its own,
+# has m hypertrees, and at m = 20 the search takes 0.76 s where the walk
+# takes 1 ms.  This cap bounds that cost.
+_TABLE_CAP = 20
+
+
+def _box_count(g: BipGraph) -> int:
+    """The number of vectors ``f`` with ``0 <= f(e) < deg(e)`` that sum to
+    |V| - 1: the degree box that holds every hypertree, counted by a DP over
+    the hyperedges with a sliding window of width ``deg(e)``."""
+    target = g.n_v - 1
+    ways = [1] + [0] * target
+    for e in range(g.n_e):
+        d, run, grown = g.deg_e(e), 0, []
+        for s in range(target + 1):
+            run += ways[s] - (ways[s - d] if s >= d else 0)
+            grown.append(run)
+        ways = grown
+    return ways[target]
 
 
 # What an engine finds: ``keys`` holds one int per hypertree, whose bits
@@ -359,11 +395,14 @@ _SEARCH_CAP = 12
 _Search = namedtuple("_Search", "keys layout")
 
 
-def _fibres(g: BipGraph, order):
+def _fibres(g: BipGraph, order, counted: bool = False):
     """The :data:`_Search` of ``g`` under ``order`` (a validated order on
     E): one int per hypertree ``f``, holding the key :class:`HypertreeSet`
     gives ``f`` plus the bitmasks of its internally and of its externally
-    inactive hyperedges under ``order``, shifted up past the key.
+    inactive hyperedges under ``order``, shifted up past the key.  With
+    ``counted``, no hypertree is listed: the result is ``[(interior,
+    exterior)]``, the number of hypertrees with each number of internally
+    and of externally inactive hyperedges.
 
     Entries are fixed from ``order[-1]`` down to ``order[0]``.  With the
     entries after position ``k`` fixed, the free positions ``0..k`` carry a
@@ -376,19 +415,32 @@ def _fibres(g: BipGraph, order):
     ``t`` is above the bottom of its interval, and can arrive from one
     exactly when ``t`` is below the top.  What lies below a position depends
     on its table alone (Murota, Discrete Convex Analysis, ch. 6), so the
-    completions of each table from position 2 up are found once and reused:
-    a parent adds its own entry and mask bits to each.  Each position sets
-    only its own field and its own bits, so the additions never carry.
-    Position 0 is a fibre like the others, whose interval is one value, its
-    one completion.  An empty interval, or more than one value at position
-    0, is an internal error, as neither can happen on a rank table; the
-    leaves' sums are checked on the output (:func:`_searched_set`).
+    completions of each table from position 2 up are found once and reused.
+    A table's entry is either the list of its completions, to each of which
+    a parent adds its own entry and mask bits (each position sets only its
+    own field and its own bits, so the additions never carry), or two count
+    vectors, of its completions by their number of internally and of
+    externally inactive positions, which a parent shifts up by its own 0 or
+    1 of each.  A count vector is one int whose field ``j``, ``width`` bits
+    wide, counts the completions with ``j`` inactive positions; no count
+    exceeds the product of the degrees, the size of the box that holds the
+    completions, so the fields never carry either.  Position 0 is a fibre
+    like the others, whose interval is one value, its one completion with
+    no inactive position.  An empty interval, or more than one value at
+    position 0, is an internal error, as neither can happen on a rank
+    table.  The leaves' sums are checked on a listed output
+    (:func:`_searched_set`), and the totals of the two count vectors on a
+    counted one (:func:`_inactivity_counts`).
     """
     _require_connected(g, "hypertree enumeration")
     n = g.n_e
     table = _rank_table([g.e_masks[e] for e in order])
-    layout = _layout(max([table[1 << k] for k in range(n)]), n)
-    unit, inner, outer = layout.units, 1 << layout.shift, 1 << layout.shift + n
+    if counted:  # no keys to pack: every step adds 0
+        unit, inner, outer = (0,) * n, 0, 0
+        width = sum([m.bit_count().bit_length() for m in g.e_masks])
+    else:
+        layout = _layout(max([table[1 << k] for k in range(n)]), n)
+        unit, inner, outer = layout.units, 1 << layout.shift, 1 << layout.shift + n
     memo = {}
 
     def fibre(table):
@@ -400,25 +452,51 @@ def _fibres(g: BipGraph, order):
                                f"order {order} leave [{lo}, {hi}] for position {k}")
         e = order[k]
         if not k:
-            return [lo * unit[e]]
-        one, inside, outside = unit[e], inner << e, outer << e
+            return [1, 1] if counted else [lo * unit[e]]
+        one, inside_bit, outside_bit = unit[e], inner << e, outer << e
         upper = table[half:]
-        out = []
+        out = [0, 0] if counted else []
         for t in range(lo, hi + 1):
-            step = t * one + (inside if t > lo else 0) + (outside if t < hi else 0)
+            inside, outside = t > lo, t < hi
             child = tuple([a if a < b - t else b - t for a, b in zip(table, upper)])
             below = memo.get(child)
             if below is None:
                 below = fibre(child)
                 if k > 2:  # a memo below position 2 measured no faster
                     memo[child] = below
-            out.extend(map(step.__add__, below))
+            if counted:
+                out[0] += below[0] << inside * width
+                out[1] += below[1] << outside * width
+            else:
+                step = t * one + inside * inside_bit + outside * outside_bit
+                out.extend(map(step.__add__, below))
         return out
 
     try:
-        return _Search(fibre(table), layout)
+        found = fibre(table)
     finally:
         del fibre  # the closure refers to itself; leave no cycle behind
+    if not counted:
+        return _Search(found, layout)
+    field = (1 << width) - 1
+    return [tuple([vector >> j * width & field for j in range(n + 1)] for vector in found)]
+
+
+def _mask_counts(g: BipGraph, found, n_orders: int) -> list[tuple[list[int], list[int]]]:
+    """The counts of :func:`_inactivity_counts` for each of ``n_orders``
+    orders, read off the mask bits of the keys of ``found``, after the
+    checks of :func:`_searched_set`."""
+    _searched_set(g, found)
+    n, shift = g.n_e, found.layout.shift
+    low = (1 << n) - 1
+    counts = []
+    for at in range(shift, shift + 2 * n * n_orders, 2 * n):
+        interior, exterior = [0] * (n + 1), [0] * (n + 1)
+        for masks in map(at.__rrshift__, found.keys):
+            interior[(masks & low).bit_count()] += 1
+            exterior[(masks >> n & low).bit_count()] += 1
+        counts.append((interior, exterior))
+    return counts
 
 
 def _searched_set(g: BipGraph, found) -> HypertreeSet:

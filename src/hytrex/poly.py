@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import zip_longest
 from types import MappingProxyType
+from weakref import WeakKeyDictionary
 
 from .errors import CapacityError, GraphError
 from .graph import (
@@ -252,12 +253,12 @@ def is_interpolating(p: IntPoly) -> bool:
 def interior_polynomial(g: BipGraph, order=None, hypertrees=None) -> IntPoly:
     """Sum of x^(internal inactivity) over all hypertrees of ``g``.
 
-    Without ``hypertrees`` the inactivities are read off one enumeration
-    (:func:`polynomial_pairs`).  A given set ``hypertrees`` is counted by
-    membership probes instead: that is the oracle path, which trusts the
-    set it is handed.  Its vectors must have one entry per hyperedge; an
-    iterable of vectors that is not a :class:`HypertreeSet` is counted as
-    the set of them."""
+    Without ``hypertrees`` the hypertrees are counted by their inactivities
+    in one engine call (:func:`polynomial_pairs`).  A given set
+    ``hypertrees`` is counted by membership probes instead: that is the
+    oracle path, which trusts the set it is handed.  Its vectors must have
+    one entry per hyperedge; an iterable of vectors that is not a
+    :class:`HypertreeSet` is counted as the set of them."""
     return _inactivity_polynomial(g, order, hypertrees, "interior")
 
 
@@ -288,15 +289,16 @@ def _inactivity_polynomial(g: BipGraph, order, hypertrees, what: str) -> IntPoly
 
 def polynomial_pairs(g: BipGraph, orders) -> list[tuple[IntPoly, IntPoly]]:
     """``(I, X)`` of ``g`` under each order of ``orders`` (None is the input
-    order), all counted from one enumeration, which :mod:`hytrex.hypertrees`
-    chooses; they are read off the mask bits of the engine's keys.  The
-    polynomials do not depend on the order; the orders are there to check
-    that they do not."""
+    order), all counted in one call of the engine :mod:`hytrex.hypertrees`
+    chooses: the fibre search counts one order without listing, and the
+    walk's mask bits are counted for any other input.  The polynomials do
+    not depend on the order; the orders are there to check that they do
+    not."""
     return [(IntPoly(interior), IntPoly(exterior))
             for interior, exterior in _inactivity_counts(g, orders)]
 
 
-# Input-order (I, X) by graph while a pair_memo() block is open in this
+# Input-order (I, X) by live graph while a pair_memo() block is open in this
 # thread or task; None outside one.
 _pairs = ContextVar("hytrex_pairs", default=None)
 
@@ -304,9 +306,11 @@ _pairs = ContextVar("hytrex_pairs", default=None)
 @contextmanager
 def pair_memo():
     """Within the block, the input-order polynomials of each graph are
-    counted once and then reused.  The memo belongs to the outermost block
-    of the current thread or task and is dropped when that block exits."""
-    token = _pairs.set({}) if _pairs.get() is None else None
+    counted once and then reused for as long as that graph object is alive:
+    an entry is dropped with its graph, and an equal graph asked for after
+    that is counted again.  The memo belongs to the outermost block of the current
+    thread or task and is dropped when that block exits."""
+    token = _pairs.set(WeakKeyDictionary()) if _pairs.get() is None else None
     try:
         yield
     finally:
@@ -317,11 +321,11 @@ def pair_memo():
 def polynomial_pair(g: BipGraph) -> tuple[IntPoly, IntPoly]:
     """``(I, X)`` of ``g`` in the input order, memoised inside pair_memo()."""
     memo = _pairs.get()
-    pair = memo.get(g) if memo is not None else None
+    if memo is None or not isinstance(g, BipGraph):  # only a graph is a key
+        return polynomial_pairs(g, [None])[0]
+    pair = memo.get(g)
     if pair is None:
-        pair = polynomial_pairs(g, [None])[0]
-        if memo is not None:
-            memo[g] = pair
+        pair = memo[g] = polynomial_pairs(g, [None])[0]
     return pair
 
 

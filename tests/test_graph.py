@@ -329,8 +329,10 @@ class TestSubgraphComponents:
 
 class TestMu:
     def test_nothing_is_cached_on_a_graph(self):
+        # __weakref__ holds no value of the graph; it lets poly.pair_memo
+        # drop a graph's entry with the graph.
         assert BipGraph.__slots__ == ("v_names", "e_names", "v_masks", "e_masks",
-                                      "connected", "_hash")
+                                      "connected", "_hash", "__weakref__")
 
     def test_empty_set_is_zero(self):
         assert mu_table(cycle(3))[0] == 0

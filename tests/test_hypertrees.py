@@ -6,6 +6,7 @@ import hashlib
 import json
 import pickle
 import re
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -489,35 +490,99 @@ def _record(monkeypatch, name, calls):
     monkeypatch.setattr(hypertrees, name, recorded)
 
 
+def _fan(m):
+    """``m`` hyperedges, each on the vertices a and b and on one vertex of
+    its own: ``m`` hypertrees (one entry 2, the rest 1) in a degree box of
+    far more than 2^m vectors."""
+    return BipGraph(["a", "b"] + [f"p{i}" for i in range(m)], [f"e{i}" for i in range(m)],
+                    [(v, e) for e in range(m) for v in (0, 1, 2 + e)])
+
+
+def _engine_of(monkeypatch):
+    """The name of the engine ``_route`` picks for one order on a graph;
+    neither engine runs."""
+    for name in ("_fibres", "_walk"):
+        monkeypatch.setattr(hypertrees, name, lambda *args, name=name: name)
+    return lambda g: hypertrees._route(g, [None])[1]
+
+
 class TestRouting:
     """``_route`` is the one place an engine is chosen, and every fast
     reader of the engines goes through it."""
 
-    @pytest.mark.parametrize("rungs, reverse_too, engine", [
-        (hypertrees._SEARCH_CAP - 1, False, "_fibres"),
-        (hypertrees._SEARCH_CAP, False, "_walk"),
-        (2, True, "_walk"),
-    ], ids=["one-order-at-cap", "one-order-above-cap", "two-orders-small"])
-    def test_one_engine_per_call(self, monkeypatch, rungs, reverse_too, engine):
-        g = ladder(rungs)
-        assert g.n_e == rungs + 1
+    @pytest.mark.parametrize("g, reverse_too, engine, size", [
+        (ladder(hypertrees._SEARCH_CAP - 1), False, "_fibres", 2 ** 11),
+        (complete_bipartite(2, hypertrees._SEARCH_CAP + 1), False, "_walk", 13),
+        (ladder(hypertrees._SEARCH_CAP), False, "_fibres", 2 ** 12),
+        (_fan(hypertrees._SEARCH_CAP + 1), False, "_fibres", 13),
+        (_fan(hypertrees._TABLE_CAP + 1), False, "_walk", 21),
+        (ladder(2), True, "_walk", 4),
+    ], ids=["one-order-at-cap", "one-order-above-cap-small-box",
+            "one-order-above-cap-large-box", "fan-at-search-cap-plus-one",
+            "fan-above-table-cap", "two-orders-small"])
+    def test_one_engine_per_call(self, monkeypatch, g, reverse_too, engine, size):
         orders = [None] + ([tuple(reversed(range(g.n_e)))] if reverse_too else [])
         calls = []
         _record(monkeypatch, "_fibres", calls)
         _record(monkeypatch, "_walk", calls)
         found = list(hypertrees_with_inactivity(g, orders))
         assert calls == [engine]
-        assert len(found) == 2 ** rungs
+        assert len(found) == size
         assert {len(sets) for _, sets in found} == {len(orders)}
+
+    def test_the_search_counts_a_ladder_the_walk_would_list(self, monkeypatch):
+        # ladder(16) has |E| = 17 and 2^16 hypertrees: the walk lists them
+        # in about 5 s, the counting search takes well under one.
+        def refuse(*args):
+            raise AssertionError("the walk ran")
+
+        monkeypatch.setattr(hypertrees, "_walk", refuse)
+        spec = FamilySpec("ladder", (16,))
+        assert poly.polynomial_pair(generate(spec)) == (closed_form_interior(spec),
+                                                        closed_form_exterior(spec))
+
+    def test_polys_graphs_keep_their_engines(self, monkeypatch):
+        # The polys pool and cycle(16), the one polys family above the
+        # search cap: |E| <= 12 to the search, the rest to the walk.
+        engine_of = _engine_of(monkeypatch)
+        graphs = [cycle(16)]
+        for stratum in json.loads(POOL.read_text())["strata"]:
+            for entry in stratum:
+                n_v, masks = entry["n_v"], entry["masks"]
+                graphs.append(BipGraph([f"v{i + 1}" for i in range(n_v)],
+                                       [f"e{j + 1}" for j in range(len(masks))],
+                                       [(v, e) for e, m in enumerate(masks) for v in bits_of(m)]))
+        above = [g for g in graphs if g.n_e > hypertrees._SEARCH_CAP]
+        assert len(above) == 40
+        assert {engine_of(g) for g in above} == {"_walk"}
+        assert {engine_of(g) for g in graphs if g not in above} == {"_fibres"}
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_every_graph_within_the_search_cap_takes_the_search(self, data):
+        g = data.draw(st.one_of(
+            connected_bipgraphs(max_v=6, max_e=hypertrees._SEARCH_CAP),
+            st.integers(1, hypertrees._SEARCH_CAP - 1).map(ladder),
+            st.integers(1, hypertrees._SEARCH_CAP).map(_fan),
+            st.integers(2, hypertrees._SEARCH_CAP).map(lambda m: complete_bipartite(2, m))))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert _engine_of(monkeypatch)(g) == "_fibres"
+
+    @settings(max_examples=30, deadline=None)
+    @given(connected_bipgraphs(max_v=5, max_e=6))
+    def test_box_count_is_the_degree_box(self, g):
+        box = [f for f in product(*(range(g.deg_e(e)) for e in range(g.n_e)))
+               if sum(f) == g.n_v - 1]
+        assert hypertrees._box_count(g) == len(box) >= len(enumerate_hypertrees(g))
 
     def test_every_reader_reaches_the_routine(self, monkeypatch, capsys):
         routine, calls, inside = hypertrees._route, [], []
 
-        def traced(g, orders):
+        def traced(g, orders, **options):
             calls.append(len(orders))
             inside.append(g)
             try:
-                return routine(g, orders)
+                return routine(g, orders, **options)
             finally:
                 inside.pop()
 
@@ -585,6 +650,11 @@ def test_every_reader_checks_the_search_output(monkeypatch, read, corrupt, name,
 
     def wrong(*args):
         found = engine(*args)
+        if not isinstance(found, hypertrees._Search):
+            # The counting search has no keys to corrupt: the analogue of
+            # either fault is one hypertree counted twice by one vector.
+            [(interior, exterior)] = found
+            return [(interior, [exterior[0] + 1] + exterior[1:])]
         return found._replace(keys=corrupt(found.keys, found.layout.units))
 
     monkeypatch.setattr(hypertrees, name, wrong)
@@ -609,14 +679,14 @@ def test_each_order_is_read_off_its_own_bits(monkeypatch, zeroed):
     # count every hypertree at inactivity 0 and the other its true counts.
     g = ladder(3)
     true_counts = hypertrees._inactivity_counts(g, [None])[0]
-    route, n = hypertrees._route, g.n_e
+    walk, n = hypertrees._walk, g.n_e
 
     def one_order_zeroed(g, orders):
-        orders, found = route(g, orders)
+        found = walk(g, orders)
         keep = ~((1 << 2 * n) - 1 << found.layout.shift + 2 * n * zeroed)
-        return orders, found._replace(keys=[key & keep for key in found.keys])
+        return found._replace(keys=[key & keep for key in found.keys])
 
-    monkeypatch.setattr(hypertrees, "_route", one_order_zeroed)
+    monkeypatch.setattr(hypertrees, "_walk", one_order_zeroed)
     total = [[2 ** 3] + [0] * n] * 2
     assert true_counts != tuple(total)
     counts = hypertrees._inactivity_counts(g, [None, None])

@@ -24,7 +24,8 @@ from hytrex.poly import (
     subdivision,
     tutte_polynomial,
 )
-from hytrex import poly
+from hytrex import poly, transforms
+from hytrex.verify import exhaustive_connected_bipartite, run_all_checks
 
 K4 = MultiGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -234,6 +235,41 @@ class TestWalkPath:
         assert poly._pairs.get() is None
         interior_polynomial(g)
         assert len(walks) == 2
+
+    def test_memo_keeps_an_entry_only_while_its_graph_lives(self):
+        corpus_graph = complete_bipartite(2, 3)
+        with pair_memo():
+            memo = poly._pairs.get()
+            polynomial_pair(corpus_graph)
+            surgery = transforms.add_parallel_pair_vertices(corpus_graph, "e1", "e2", 1)
+            pair = polynomial_pair(surgery)
+            assert len(memo) == 2
+            assert polynomial_pair(surgery) is pair  # reuse while it lives
+            del surgery  # its last reference: reference counting frees it
+            assert list(memo.keys()) == [corpus_graph]
+            assert polynomial_pair(complete_bipartite(2, 3)) is memo[corpus_graph]
+        assert poly._pairs.get() is None
+
+    def test_a_run_keeps_no_more_entries_than_corpus_graphs(self):
+        corpus = exhaustive_connected_bipartite(6)
+        sizes = []
+        run_all_checks(corpus=corpus, orders_per_graph=2,
+                       progress=lambda report: sizes.append(len(poly._pairs.get())))
+        # Every check asks for the pairs of surgery results, which are gone
+        # by the time it reports; each corpus graph keeps its entry.
+        assert sizes[-1] == len(corpus) == len(set(corpus))
+        assert max(sizes) <= len(corpus)
+
+    @pytest.mark.parametrize("bad", ["x", 3, [1], None], ids=["str", "int", "list", "None"])
+    def test_a_non_graph_raises_alike_inside_and_outside_the_block(self, bad):
+        # A graph is the only memo key: anything else reaches the same
+        # check inside the block as outside, not a weak reference's TypeError.
+        with pytest.raises(Exception) as outside:
+            polynomial_pair(bad)
+        with pair_memo():
+            with pytest.raises(type(outside.value)) as inside:
+                polynomial_pair(bad)
+        assert str(inside.value) == str(outside.value)
 
     def test_no_module_level_cache(self):
         import hytrex

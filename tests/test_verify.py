@@ -456,17 +456,25 @@ FAULTS = [
                       if method == "polymatroid" else b),
      _run("enumeration_oracles")),
     ({"kind": "enumeration", "mode": "activity"},
-     lambda mp: _edit_source(mp, hypertrees, "_fibres",
-                             "if t > lo else", "if t > lo + 1 else"),
+     lambda mp: _edit_source(mp, hypertrees, "_fibres", "t > lo,", "t > lo + 1,"),
      _run("enumeration_oracles")),
-    # Every completion of a reused memo entry gains the internal-inactivity
-    # bit of order[0], which the rule never sets.  No table is reused below
-    # |V| + |E| = 7, so the census to 7 is the corpus.
+    # The internal-inactivity term grows by one wherever a memo entry is
+    # reused, in the one recursion that lists and counts: each completion of
+    # a reused count entry gains an internally inactive position.  No table
+    # is reused below |V| + |E| = 7, so the census to 7 is the corpus.
     ({"kind": "enumeration", "mode": "activity",
       "detail": "inactivities read off the enumeration engine disagree with membership "
                 "probes of the polymatroid scan"},
      lambda mp: _edit_source(mp, hypertrees, "_fibres", "below = memo.get(child)",
-                             "below = memo.get(child); step += inner if below else 0"),
+                             "below = memo.get(child); inside += below is not None"),
+     _run("enumeration_oracles", corpus=exhaustive_connected_bipartite(7))),
+    # A reused count entry gains one externally inactive position in every
+    # completion; the counting path alone reads it.  Both vectors still sum
+    # to the same total, so only the probe gate sees it.
+    ({"kind": "enumeration", "mode": "activity", "engine_exterior": [0, 2]},
+     lambda mp: _edit_source(mp, hypertrees, "_fibres", "memo[child] = below",
+                             "memo[child] = [below[0], below[1] << width] if counted "
+                             "else below"),
      _run("enumeration_oracles", corpus=exhaustive_connected_bipartite(7))),
     ({"kind": "interpolating", "which": "exterior"},
      lambda mp: _wrap(mp, verify, "exterior_polynomial",
