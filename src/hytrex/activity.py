@@ -53,7 +53,10 @@ def external_active_flags(b: HypertreeSet, f, order=None) -> tuple[bool, ...]:
 
 def _flags(b: HypertreeSet, f, order, external: bool) -> tuple[bool, ...]:
     """One flag per hyperedge of ``f``, False where it is inactive."""
-    f = tuple(f)
+    try:
+        f = tuple(f)
+    except TypeError:  # not iterable: the GraphError of a non-integer entry
+        _integers(f, "a probed vector", 0)
     order = range(len(f)) if order is None else _edge_order(len(f), order)
     key = _probe_key(b, f)
     if key is None:

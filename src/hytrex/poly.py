@@ -401,23 +401,12 @@ def _graph_components(n, edges) -> int:
     return comps
 
 
-def _bridge_indices(n, edges) -> set[int]:
-    from collections import Counter
-
-    multiplicity = Counter(edges)
-    bridges = set()
-    for idx, (u, v) in enumerate(edges):
-        if u == v or multiplicity[(u, v)] > 1:
-            continue
-        rest = edges[:idx] + edges[idx + 1:]
-        if _graph_components(n, rest) > _graph_components(n, edges):
-            bridges.add(idx)
-    return bridges
-
-
 def tutte_polynomial(graph: MultiGraph) -> IntPoly2:
     """Deletion-contraction with bridge/loop base cases, memoized on the
-    edges of each intermediate graph (contraction keeps the vertex count)."""
+    edges of each intermediate graph (contraction keeps the vertex count).
+    Each graph counts its components once and recurses on its first
+    non-loop edge whose deletion keeps that count: one bridge test per
+    candidate edge, up to the first that is no bridge."""
     if len(graph.edges) > TUTTE_CAP:
         raise CapacityError(
             f"Tutte recursion capped at {TUTTE_CAP} edges, got {len(graph.edges)}")
@@ -429,12 +418,9 @@ def tutte_polynomial(graph: MultiGraph) -> IntPoly2:
         hit = memo.get(edges)
         if hit is not None:
             return hit
-        bridges = _bridge_indices(n, edges)
-        pick = None
-        for idx, (u, v) in enumerate(edges):
-            if u != v and idx not in bridges:
-                pick = idx
-                break
+        comps = _graph_components(n, edges)
+        pick = next((idx for idx, (u, v) in enumerate(edges) if u != v and
+                     _graph_components(n, edges[:idx] + edges[idx + 1:]) == comps), None)
         if pick is None:
             n_loops = sum(1 for u, v in edges if u == v)
             res = IntPoly2.monomial(len(edges) - n_loops, n_loops)

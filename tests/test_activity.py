@@ -336,10 +336,12 @@ class TestPackedProbes:
                 vectors |= {_moved(m, i, j) for j in range(3) if j != i and m[i]}
         _assert_probes_match(b, sorted(vectors), list(permutations(range(3))))
 
-    @pytest.mark.parametrize("f", [(-1, 1, 1), (1.5, 0, 1), ("1", 0, 1), (1, 1)],
-                             ids=["negative", "float", "string", "short"])
+    # A non-vector (3, None) raised a bare TypeError, where the tree search
+    # raises this GraphError.
+    @pytest.mark.parametrize("f", [(-1, 1, 1), (1.5, 0, 1), ("1", 0, 1), (1, 1), 3, None],
+                             ids=["negative", "float", "string", "short", "int", "none"])
     def test_probed_vector_must_be_natural_of_the_set_length(self, f):
         b = enumerate_hypertrees(cycle(3))
         for flags in (internal_active_flags, external_active_flags):
             with pytest.raises(GraphError, match="a probed vector must hold"):
-                flags(b, f, range(len(f)))
+                flags(b, f)

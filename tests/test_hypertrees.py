@@ -44,6 +44,29 @@ class TestTreeSearch:
         assert degs == [1, 2, 2]
         assert len(witness) == g.n_v + g.n_e - 1
 
+    def test_every_witness_is_a_spanning_tree_with_the_degrees(self):
+        def find(parent, x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for g in exhaustive_connected_bipartite(6):
+            for f in hypertrees_by_brute_force(g, "polymatroid"):
+                witness = find_realizing_tree(g, f)
+                assert witness is not None, (g, f)
+                assert len(witness) == g.n_v + g.n_e - 1, (g, f, witness)
+                # V-vertex v is node v, hyperedge e node n_v + e; n - 1
+                # edges that close no cycle span all n nodes.
+                parent = list(range(g.n_v + g.n_e))
+                degree = [0] * g.n_e
+                for v, e in witness:
+                    assert g.e_masks[e] >> v & 1, (g, f, witness)
+                    root_v, root_e = find(parent, v), find(parent, g.n_v + e)
+                    assert root_v != root_e, (g, f, witness)
+                    parent[root_v] = root_e
+                    degree[e] += 1
+                assert degree == [x + 1 for x in f], (g, f, witness)
+
     def test_hexagon_degree_bound_violation(self):
         assert not is_hypertree_by_tree_search(cycle(3), (0, 0, 2))
 
@@ -400,9 +423,10 @@ class TestHypertreeSet:
     def test_field_width(self, top, bits):
         assert HypertreeSet([(top, 0, 1)])._layout.units == (1 << 2 * bits, 1 << bits, 1)
 
-    # Vectors that do not pack are no members; (1.0, 0) was one.
+    # Vectors that do not pack are no members; (1.0, 0) was one, and a
+    # non-iterable such as 3 or None raised TypeError.
     @pytest.mark.parametrize("f", [(1, 0, 0), (1,), (-1, 2), (256, 0), (2**70, 0),
-                                   (1.0, 0), ("1", 0), (None, 0)])
+                                   (1.0, 0), ("1", 0), (None, 0), 3, None])
     def test_vectors_that_do_not_pack_are_no_members(self, f):
         assert f not in HypertreeSet([(1, 0), (0, 1)])
 
