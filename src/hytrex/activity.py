@@ -16,29 +16,17 @@ field borrows only when the sending entry is 0, and then the sum has the
 field ``2^w - 1`` (or is negative), which no member's key has; the internal
 rule skips such senders outright.  So a probe hits exactly when the
 transferred vector is a member.  :func:`_probe_counts` counts a whole set
-in one pass through the same rule as the flags."""
+in one pass through the same rule as the flags, which check their vector
+once, up front, and so refuse a bool entry that would pack as 1."""
 
 from __future__ import annotations
 
-from .errors import GraphError
 from .graph import _edge_order, _integers
 # No probe calls ``transfer``; the binding stays because perfbench's tracer
 # counts ``activity.probes`` through it and will not install without it.
 from .hypertrees import HypertreeSet, transfer  # noqa: F401
 
 __all__ = ["internal_active_flags", "external_active_flags"]
-
-
-def _probe_key(b: HypertreeSet, f: tuple):
-    """The key of ``f`` in ``b``, or None when no member of ``b`` is one
-    transfer from ``f``; ``f`` must be a vector of naturals, as long as the
-    members of ``b``."""
-    key = b._key(f)
-    if key is None:
-        _integers(f, "a probed vector", 0)
-        if b and len(f) != len(b._layout.units):
-            raise GraphError(f"a probed vector must hold one entry per hyperedge, got {f!r}")
-    return key
 
 
 def internal_active_flags(b: HypertreeSet, f, order=None) -> tuple[bool, ...]:
@@ -52,13 +40,11 @@ def external_active_flags(b: HypertreeSet, f, order=None) -> tuple[bool, ...]:
 
 
 def _flags(b: HypertreeSet, f, order, external: bool) -> tuple[bool, ...]:
-    """One flag per hyperedge of ``f``, False where it is inactive."""
-    try:
-        f = tuple(f)
-    except TypeError:  # not iterable: the GraphError of a non-integer entry
-        _integers(f, "a probed vector", 0)
+    """One flag per hyperedge of ``f``, a vector of naturals as long as the
+    members of ``b``, False where it is inactive."""
+    f = _integers(f, "a probed vector", 0, len(b._layout.units) if b else None)
     order = range(len(f)) if order is None else _edge_order(len(f), order)
-    key = _probe_key(b, f)
+    key = b._key(f)
     if key is None:
         return (True,) * len(f)
     (inactive,) = _inactive_masks(b, [(key, f)], order, external)

@@ -136,12 +136,7 @@ class BipGraph(_ReadOnly):
         _check_names(v_names, e_names)
         v_masks = [0] * len(v_names)
         e_masks = [0] * len(e_names)
-        for entry in adj:
-            try:
-                v, e = entry
-            except (TypeError, ValueError):
-                raise GraphError(f"an adjacency entry must be a (v, e) pair, "
-                                 f"got {entry!r}") from None
+        for v, e in _pairs(adj, "(v, e)"):
             if not (0 <= _integer(v, "an adjacency index") < len(v_names)
                     and 0 <= _integer(e, "an adjacency index") < len(e_names)):
                 raise GraphError(f"adjacency pair ({v}, {e}) out of range")
@@ -217,9 +212,11 @@ def _integer(value, what: str, least: int | None = None) -> int:
     return value
 
 
-def _integers(values, what: str, least: int | None = None) -> tuple[int, ...]:
+def _integers(values, what: str, least: int | None = None,
+              length: int | None = None) -> tuple[int, ...]:
     """``values`` as a tuple when every entry is an ``int`` of at least
-    ``least``, else a GraphError naming ``what``.  The checks are bulk
+    ``least``, ``length`` of them if given, else a GraphError naming
+    ``what``: the one check of an integer vector.  The checks are bulk
     passes, so one call may cover many vectors at once."""
     try:
         values = tuple(values)
@@ -228,9 +225,24 @@ def _integers(values, what: str, least: int | None = None) -> tuple[int, ...]:
     else:
         if not set(map(type, values)) - {int} and (
                 least is None or min(values, default=least) >= least):
-            return values
+            if length is None or len(values) == length:
+                return values
+            raise GraphError(f"{what} must hold {length} integers, got {values!r}")
     floor = "" if least is None else f" of at least {least}"
     raise GraphError(f"{what} must hold integers{floor}, got {values!r}")
+
+
+def _pairs(entries, shape: str):
+    """Yield each entry of ``entries`` as a pair; no collection, or an entry
+    that is no pair, is a GraphError naming the ``shape`` of a pair."""
+    if not hasattr(entries, "__iter__"):
+        raise GraphError(f"adjacency must be a collection of {shape} pairs, got {entries!r}")
+    for pair in entries:
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise GraphError(f"an adjacency entry must be a {shape} pair, got {pair!r}") from None
+        yield a, b
 
 
 def integer(text: str) -> int:
@@ -261,7 +273,7 @@ def _lookup(position, label: str, side: str) -> int:
     """``position(label)``; an unknown label is a GraphError."""
     try:
         return position(label)
-    except (KeyError, ValueError):
+    except (KeyError, ValueError, TypeError):  # TypeError: an unhashable label
         raise GraphError(f"unknown {side} label {label!r}") from None
 
 
@@ -272,7 +284,7 @@ def build_bipartite(v_names, e_names, adj_pairs) -> BipGraph:
     v_index = {name: i for i, name in enumerate(v_names)}
     e_index = {name: i for i, name in enumerate(e_names)}
     pairs = []
-    for v_label, e_label in adj_pairs:
+    for v_label, e_label in _pairs(adj_pairs, "(v-label, e-label)"):
         pairs.append((_lookup(v_index.__getitem__, v_label, "V"),
                       _lookup(e_index.__getitem__, e_label, "E")))
     return BipGraph(v_names, e_names, pairs)

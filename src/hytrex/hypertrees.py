@@ -11,10 +11,10 @@ to the first: each entry ranges over an interval read off a residual rank
 table, and where it sits in that interval says whether its hyperedge is
 inactive.  What lies below an entry depends on its table alone, so the
 search finds the completions of each table once and reuses them.  The walk
-closes the set under single valence transfers and carries a realizing
-spanning tree with each hypertree, whose fundamental cycles decide every
-transfer out of it and whose exchange along a shortest path gives each new
-hypertree its own tree; every carried tree is checked when its hypertree is
+closes the set under single valence transfers, adding to packed keys, and
+carries a realizing spanning tree with each key, whose fundamental cycles
+decide every transfer out of it and whose exchange along a shortest path
+gives each new hypertree its own tree, checked against its key when it is
 expanded.  Its closures give the inactivities under any number of orders at
 once.  Both engines list into one output, a :data:`_Search`: one int per
 hypertree, its key in a :class:`HypertreeSet` with its two inactivity masks
@@ -34,7 +34,8 @@ shares no code with the oracle's ``mu_table``, which the polymatroid box
 scan builds once and :func:`is_hypertree_by_polymatroid` once per call.  A
 :class:`HypertreeSet` holds each member packed into one int as well, so
 its membership test, deduplication and sorting work on ints, and the probe
-oracle of :mod:`hytrex.activity` moves valence by adding to them.
+oracle of :mod:`hytrex.activity` moves valence by adding to them.  A
+vector from outside is checked once, where it enters, by ``graph._integers``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .graph import (
     mu_table,
     normalize_edge_order,
     subgraph_components,
+    _integer,
     _integers,
     _ReadOnly,
     _require_connected,
@@ -100,9 +102,11 @@ class HypertreeSet(_ReadOnly):
     __slots__ = ("vectors", "_keys", "_layout")
 
     def __init__(self, vectors):
-        vs = list(map(tuple, vectors))
         try:  # one bulk pass over all entries; a failure names its vector
+            vs = list(map(tuple, vectors))
             top = max(_integers(chain.from_iterable(vs), "hypertree entries", 0), default=0)
+        except TypeError:  # ``vectors`` or a member of it is no collection
+            raise GraphError(f"hypertrees must be vectors, got {vectors!r}") from None
         except GraphError:
             for v in vs:
                 _integers(v, "a hypertree vector", 0)
@@ -172,19 +176,16 @@ class HypertreeSet(_ReadOnly):
 
 
 def transfer(f, e_from: int, e_to: int) -> tuple[int, ...]:
-    """Move one unit of valence from ``e_from`` to ``e_to``."""
-    out = list(f)
+    """Move one unit of valence from ``e_from`` to ``e_to`` of ``f``, a
+    vector of naturals: both are indices of ``f`` (no negative index wraps
+    round), and ``f[e_from]`` must be at least 1."""
+    out = list(_integers(f, "a hypertree vector", 0))
+    if not (all(0 <= _integer(e, "a hyperedge index") < len(out) for e in (e_from, e_to))
+            and out[e_from]):
+        raise GraphError(f"no valence can move from index {e_from} to {e_to} of {f!r}")
     out[e_from] -= 1
     out[e_to] += 1
     return tuple(out)
-
-
-def _hypertree_vector(g: BipGraph, f) -> tuple[int, ...]:
-    """``f`` as a tuple of one integer per hyperedge of ``g``."""
-    f = _integers(f, "a hypertree vector")
-    if len(f) != g.n_e:
-        raise GraphError(f"hypertree vector has length {len(f)}, expected {g.n_e}")
-    return f
 
 
 def find_realizing_tree(g: BipGraph, f):
@@ -199,7 +200,7 @@ def find_realizing_tree(g: BipGraph, f):
     which pruned earlier but measured slower than this search.
     """
     _require_connected(g, "tree search")
-    f = _hypertree_vector(g, f)
+    f = _integers(f, "a hypertree vector", length=g.n_e)
     if any(x < 0 or x > g.deg_e(e) - 1 for e, x in enumerate(f)):
         return None
     if sum(f) != g.n_v - 1:
@@ -263,7 +264,7 @@ def is_hypertree_by_polymatroid(g: BipGraph, f) -> bool:
     """Realizability via the submodular bounds: total valence must be
     |V| - 1 and every subset sum must stay at or below ``mu``."""
     _require_connected(g, "the polymatroid membership test")
-    f = _hypertree_vector(g, f)
+    f = _integers(f, "a hypertree vector", length=g.n_e)
     if any(x < 0 for x in f) or sum(f) != g.n_v - 1:
         return False
     return _within_ranks(mu_table(g), f)
@@ -544,26 +545,21 @@ def _walk(g: BipGraph, orders):
     that sum, because an integer base of a polymatroid is optimal exactly
     when no single exchange improves it (Murota, Discrete Convex Analysis,
     ch. 6).  So following only transfers from ``a`` to ``b < a`` still
-    reaches every hypertree.  Keys are packed as the fibre search packs
-    them, for the largest entry any hypertree can have, ``max deg(e) - 1``;
-    pending witnesses are edge bitmasks, dropped once expanded.
+    reaches every hypertree.  A hypertree travels as its key alone, packed
+    as :attr:`_Witnesses.layout` says, and a transfer is an addition to it;
+    pending witnesses are edge bitmasks, dropped once expanded.  The first
+    is the reverse-order Kruskal tree, which realizes the greedy hypertree.
     """
     _require_connected(g, "hypertree enumeration")
     w = _Witnesses(g)
-    start = greedy_exterior_hypertree(g)
-    tree = w.kruskal()
-    if w.degrees(tree) != start:
-        raise RuntimeError("internal error: greedy hypertree differs from "
-                           "the reverse-order Kruskal tree")
-    n = g.n_e
-    layout = _layout(max(g.deg_e(e) for e in range(n)) - 1, n)
+    n, layout = g.n_e, w.layout
     unit, shift = layout.units, layout.shift
-    key = sum(x * u for x, u in zip(start, unit))
+    key = sum([x * u for x, u in zip(greedy_exterior_hypertree(g), unit)])
     found, keys = {key}, []
-    queue = deque([(start, key, tree)])
+    queue = deque([(key, w.kruskal())])
     while queue:
-        f, key, tree = queue.popleft()
-        rooted = w.root(f, tree)
+        key, tree = queue.popleft()
+        rooted = w.root(key, tree)
         step = w.step(tree, rooted)
         reach = _closure(step)
         masks = 0
@@ -583,8 +579,7 @@ def _walk(g: BipGraph, orders):
                 found.add(child)
                 if prev is None:
                     prev = _shortest_paths(step, b)
-                queue.append((transfer(f, a, b), child,
-                              w.exchange(tree, rooted, prev, a)))
+                queue.append((child, w.exchange(tree, rooted, prev, a)))
     return _Search(keys, layout)
 
 
@@ -650,10 +645,11 @@ class _Witnesses:
     ``g.v_masks`` lists them in.  Nodes are the V-vertices ``0..n_v-1``
     followed by the hyperedges; ``adj[x]`` lists ``(y, i)`` for the edges at
     node ``x``, ``inc[x]`` is their bitmask, and ``ebit[x]`` is the
-    hyperedge bit of node ``x`` (0 for a V-vertex).
+    hyperedge bit of node ``x`` (0 for a V-vertex).  ``layout`` packs keys
+    as the fibre search does, for the largest possible entry, max deg - 1.
     """
 
-    __slots__ = ("n_v", "adj", "inc", "ebit")
+    __slots__ = ("n_v", "adj", "inc", "ebit", "layout")
 
     def __init__(self, g: BipGraph):
         n_v = self.n_v = g.n_v
@@ -668,10 +664,13 @@ class _Witnesses:
             self.inc[v] |= 1 << i
             self.inc[h] |= 1 << i
         self.ebit = [0] * n_v + [1 << e for e in range(g.n_e)]
+        self.layout = _layout(max(map(int.bit_count, g.e_masks)) - 1, g.n_e)
 
-    def degrees(self, tree) -> tuple[int, ...]:
-        """The hypertree ``tree`` realizes: its degree at each hyperedge, minus one."""
-        return tuple((tree & m).bit_count() - 1 for m in self.inc[self.n_v:])
+    def key(self, tree) -> int:
+        """The key of the vector of ``tree``'s degrees minus one; no two such
+        vectors share a key, though an entry of -1 borrows."""
+        return sum([((tree & m).bit_count() - 1) * u
+                    for m, u in zip(self.inc[self.n_v:], self.layout.units)])
 
     def kruskal(self) -> int:
         """Kruskal over the stars of the hyperedges taken last to first: the
@@ -694,7 +693,7 @@ class _Witnesses:
                     tree |= 1 << i
         return tree
 
-    def root(self, f, tree):
+    def root(self, key, tree):
         """Root ``tree`` at V-vertex 0 by breadth-first search.
 
         Returns ``(order, parent, up_edge, up_e, up_rank)``: the nodes in BFS
@@ -702,11 +701,11 @@ class _Witnesses:
         bitmasks of the hyperedges and of the BFS ranks on its path to the
         root, both including the node itself.  Raises ``RuntimeError``
         unless ``tree`` is a spanning tree with degree ``f(e) + 1`` at every
-        hyperedge ``e``.
+        hyperedge ``e``, where ``f`` is the hypertree with key ``key``.
         """
         n = len(self.inc)
-        if tree.bit_count() != n - 1 or self.degrees(tree) != f:
-            raise RuntimeError(f"internal error: witness does not realize {f}")
+        if tree.bit_count() != n - 1 or self.key(tree) != key:
+            raise RuntimeError(f"internal error: witness does not realize key {key:#x}")
         adj, ebit = self.adj, self.ebit
         parent = [-1] * n
         up_edge = [-1] * n
@@ -724,7 +723,7 @@ class _Witnesses:
                     up_rank[y] = rx | 1 << len(order)
                     order.append(y)
         if len(order) != n:
-            raise RuntimeError(f"internal error: witness of {f} does not span")
+            raise RuntimeError(f"internal error: witness of key {key:#x} does not span")
         return order, parent, up_edge, up_e, up_rank
 
     def _cycle(self, rooted, v, h):

@@ -174,13 +174,17 @@ class IntPoly2(_ReadOnly):
 
     def __init__(self, terms=None):
         clean = {}
-        if terms:
-            for (i, j), c in dict(terms).items():
-                i, j, c = _integers((i, j, c), "a bivariate term (i, j, coefficient)")
-                if i < 0 or j < 0:
-                    raise GraphError(f"bivariate term {(i, j)!r}: {c} has a negative exponent")
-                if c:
-                    clean[(i, j)] = c
+        try:
+            terms = dict(() if terms is None else terms)
+        except (TypeError, ValueError):
+            raise GraphError(f"bivariate terms must map (i, j) to ints, got {terms!r}") from None
+        for ij, c in terms.items():
+            i, j, c = _integers((*ij, c) if isinstance(ij, tuple) else (ij, c),
+                                "a bivariate term (i, j, coefficient)", length=3)
+            if i < 0 or j < 0:
+                raise GraphError(f"bivariate term {(i, j)!r}: {c} has a negative exponent")
+            if c:
+                clean[(i, j)] = c
         object.__setattr__(self, "terms", MappingProxyType(dict(sorted(clean.items()))))
 
     def __reduce__(self):
@@ -351,10 +355,7 @@ class MultiGraph(_Frozen):
         _integer(n, "a multigraph vertex count", 1)
         norm = []
         for edge in edges:
-            edge = _integers(edge, "a multigraph edge")
-            if len(edge) != 2:
-                raise GraphError(f"a multigraph edge has two ends, got {edge!r}")
-            u, v = edge
+            u, v = _integers(edge, "a multigraph edge", length=2)
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range")
             norm.append((u, v) if u <= v else (v, u))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .errors import GraphError
-from .graph import BipGraph, _Frozen, _integer, _require_connected, bits_of
+from .graph import BipGraph, _Frozen, _integer, _pairs, _require_connected, bits_of
 
 __all__ = [
     "DecompositionTerm",
@@ -164,7 +164,7 @@ def one_point_join(g1: BipGraph, g2: BipGraph, label1: str, label2: str) -> BipG
 def edge_join(g1: BipGraph, g2: BipGraph, edge1, edge2) -> BipGraph:
     """Glue two graphs along one edge (a V-vertex and an E-vertex of each
     are identified pairwise); both polynomials multiply."""
-    (v1, e1), (v2, e2) = tuple(edge1), tuple(edge2)
+    (v1, e1), (v2, e2) = _pairs((edge1, edge2), "(v-label, e-label)")
     ends1 = (g1.v_index(v1), g1.e_index(e1))
     if ends1 not in g1.adj:
         raise GraphError(f"({v1!r}, {e1!r}) is not an edge of the first graph")

@@ -9,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import cycle
 import hytrex
+from hytrex import transforms
+from hytrex.errors import GraphError
 
 # The names of the package itself, submodules aside.
 PACKAGE_NAMES = [
@@ -91,3 +94,79 @@ def test_module_all(name):
     assert sorted(module.__all__) == MODULE_ALL[name]
     for public in module.__all__:
         getattr(module, public)
+
+
+# The shape rule, one row per public entry point and bad input: a vector or
+# a pair that is no collection (3, None), has the wrong length, or holds a
+# float or a bool where an integer belongs is a GraphError.  The hexagon C6
+# has three hyperedges, so its hypertree vectors have three entries.
+C6 = cycle(3)
+C6_SET = hytrex.enumerate_hypertrees(C6)
+BAD_VECTORS = {"int": 3, "none": None, "short": (0, 1), "float": (1.0, 1, 0),
+               "bool": (True, 1, 0)}
+VECTOR_TAKERS = {
+    "HypertreeSet-member": lambda f: hytrex.HypertreeSet([(0, 1, 1), f]),
+    "HypertreeSet-argument": hytrex.HypertreeSet,
+    "find_realizing_tree": lambda f: hytrex.find_realizing_tree(C6, f),
+    "is_hypertree_by_tree_search": lambda f: hytrex.is_hypertree_by_tree_search(C6, f),
+    "is_hypertree_by_polymatroid": lambda f: hytrex.is_hypertree_by_polymatroid(C6, f),
+    # Index 2 is past the end of the short vector.
+    "transfer": lambda f: hytrex.transfer(f, 1, 2),
+    "internal_active_flags": lambda f: hytrex.internal_active_flags(C6_SET, f),
+    "external_active_flags": lambda f: hytrex.external_active_flags(C6_SET, f),
+    "interior_polynomial": lambda f: hytrex.interior_polynomial(C6, hypertrees=[f]),
+    "exterior_polynomial": lambda f: hytrex.exterior_polynomial(C6, hypertrees=[f]),
+}
+# For a pair, the wrong length is three entries.
+BAD_PAIRS = {"int": 3, "none": None, "long": (0, 0, 0), "float": (0.0, 0),
+             "bool": (True, 0)}
+BAD_LABEL_PAIRS = {"int": 3, "none": None, "long": ("v1", "e1", "e1"),
+                   "float": (1.0, "e1"), "bool": (True, "e1")}
+PAIR_TAKERS = {
+    "BipGraph": (BAD_PAIRS, lambda p: hytrex.BipGraph(("v1",), ("e1",), [p])),
+    "MultiGraph": (BAD_PAIRS, lambda p: hytrex.MultiGraph(2, [p])),
+    "IntPoly2": (BAD_PAIRS, lambda p: hytrex.IntPoly2({p: 1})),
+    "build_bipartite": (BAD_LABEL_PAIRS,
+                        lambda p: hytrex.build_bipartite(("v1",), ("e1",), [p])),
+    "graph_from_json": (BAD_LABEL_PAIRS, lambda p: hytrex.graph_from_json(
+        {"v": ["v1"], "e": ["e1"], "adj": [list(p) if isinstance(p, tuple) else p]})),
+    "edge_join": (BAD_LABEL_PAIRS, lambda p: transforms.edge_join(C6, C6, p, ("v1", "e1"))),
+}
+SHAPE_ROWS = {
+    **{f"{taker}-{kind}": (lambda call=call, f=f: call(f))
+       for taker, call in VECTOR_TAKERS.items() for kind, f in BAD_VECTORS.items()},
+    **{f"{taker}-{kind}": (lambda call=call, p=p: call(p))
+       for taker, (bad, call) in PAIR_TAKERS.items() for kind, p in bad.items()},
+    # A collection of pairs that is no collection.
+    "BipGraph-adjacency-int": lambda: hytrex.BipGraph(("v1",), ("e1",), 3),
+    "build_bipartite-adjacency-int": lambda: hytrex.build_bipartite(("v1",), ("e1",), 3),
+    "IntPoly2-terms-int": lambda: hytrex.IntPoly2(3),
+    # A falsy non-collection once gave the zero polynomial; IntPoly(0) raises.
+    "IntPoly2-terms-zero": lambda: hytrex.IntPoly2(0),
+    # A key that is no tuple, though it holds three integers.
+    "IntPoly2-frozenset-key": lambda: hytrex.IntPoly2({frozenset({0, 1, 2}): 5}),
+    # An unhashable label once escaped the label lookup.
+    "build_bipartite-list-label": lambda: hytrex.build_bipartite(("v1",), ("e1",),
+                                                                 [(["v1"], "e1")]),
+    # A transfer needs both indices inside the vector and a unit to send.
+    "transfer-zero-sender": lambda: hytrex.transfer((0, 1, 1), 0, 1),
+    "transfer-negative-index": lambda: hytrex.transfer((0, 1, 1), -1, 0),
+    "transfer-index-past-the-end": lambda: hytrex.transfer((0, 1, 1), 5, 0),
+    "transfer-float-index": lambda: hytrex.transfer((0, 1, 1), 1.0, 0),
+    "transfer-bool-index": lambda: hytrex.transfer((0, 1, 1), True, 0),
+}
+
+
+@pytest.mark.parametrize("call", SHAPE_ROWS.values(), ids=SHAPE_ROWS.keys())
+def test_bad_vectors_and_pairs_raise_graph_error(call):
+    with pytest.raises(GraphError):
+        call()
+
+
+# Membership is the one unchecked vector path: a non-vector is no member,
+# and a bool entry still packs as an integer (left open on purpose).
+@pytest.mark.parametrize("f, member", [(3, False), (None, False), ((0, 1), False),
+                                       ((1.0, 1, 0), False), ((True, 0, 1), True)],
+                         ids=["int", "none", "short", "float", "bool"])
+def test_membership_of_bad_vectors(f, member):
+    assert (f in C6_SET) is member
